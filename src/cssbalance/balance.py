@@ -87,7 +87,7 @@ def distance_balance(
         raise ValueError(f"more checks than bits (s = {r.s} > t = {r.t})")
     if not r.independent_checks:
         raise DependentChecksError(
-            f"classical code has dependent checks (rank {r.h.rank()} < s = {r.s})"
+            f"classical code has dependent checks (rank {r.rank} < s = {r.s})"
         )
     product = homological_product(q.complex, cocomplex(r.complex))
     code = as_css(window(product, 2, 0))
@@ -220,7 +220,12 @@ def predicted_params(qp: QuantumParams, rp: ClassicalParams) -> PredictedParams:
 
 def predicted_double_params(qp: QuantumParams, rp: ClassicalParams) -> PredictedParams:
     """Two balancing steps with an X/Z swap in between: K'' = K*k^2,
-    d_X'' = d*d_X, d_Z'' = d*d_Z, n'' = n'*t + n_Z'*s."""
+    d_X'' = d*d_X, d_Z'' = d*d_Z, n'' = n'*t + n_Z'*s.
+
+    The second step balances the swapped code, whose X-checks are the
+    first step's Z-checks; the final swap turns its n_X'' = n_Z'*t into
+    Z-checks and its n_Z'' = n_X'*t + n'*s into X-checks.
+    """
     once = predicted_params(qp, rp)
     dimension = qp.dimension * rp.dimension * rp.dimension
     return PredictedParams(
@@ -228,8 +233,8 @@ def predicted_double_params(qp: QuantumParams, rp: ClassicalParams) -> Predicted
         dimension=dimension,
         d_x=qp.d_x * rp.d if dimension else INFINITE,
         d_z=qp.d_z * rp.d if dimension else INFINITE,
-        n_x=once.n_z * rp.t,
-        n_z=once.n_x * rp.t + once.n * rp.s,
+        n_x=once.n_x * rp.t + once.n * rp.s,
+        n_z=once.n_z * rp.t,
         soundness_bound_x=None,
         soundness_bound_z=None,
         locality_bound=qp.locality + 2 * rp.locality,

@@ -224,13 +224,15 @@ class CssCode:
 class ClassicalCode:
     """A linear code given by its parity-check matrix H (s checks, t bits)."""
 
-    __slots__ = ("h", "t", "s", "independent_checks")
+    __slots__ = ("h", "t", "s", "rank", "independent_checks")
 
     def __init__(self, h: BitMatrix):
+        rank = h.rank()
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "t", h.cols)
         object.__setattr__(self, "s", h.rows)
-        object.__setattr__(self, "independent_checks", h.rank() == h.rows)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "independent_checks", rank == h.rows)
 
     def __setattr__(self, name, val):
         raise AttributeError("ClassicalCode is immutable")

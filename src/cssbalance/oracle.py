@@ -3,26 +3,45 @@
 Every quantity here is computed by exhaustive enumeration or exact rank
 arithmetic and reported as an int or a reduced Fraction; no floating point
 is involved anywhere (``math.inf`` only marks the absence of a nonzero
-codeword or logical operator). Enumerations walk Gray-code orderings of
-kernel and syndrome spaces, so each step is a single XOR plus a popcount,
-and every result is independent of scan order.
+codeword or logical operator). Every result is independent of scan order.
 
-The enumeration budget is a hard cap on the number of words any single
-exhaustive scan may visit. The soundness scan visits one representative
-per syndrome coset times the kernel, i.e. all 2^t words of the ambient
-space, so its requirement is 2^t <= cap; distance scans require
-2^dim(kernel) <= cap.
+Minimum weights come from one of two exhaustive scans:
+
+- the Gray walk visits all 2^dim(kernel) words of a kernel in Gray-code
+  order, one XOR and one popcount per step;
+- the coset-leader search is a breadth-first search from syndrome 0 in
+  the Cayley graph whose generators are the distinct nonzero columns of a
+  check matrix, so the depth of a syndrome is the minimum weight of its
+  coset (the standard array of MacWilliams & Sloane, *The Theory of
+  Error-Correcting Codes*, ch. 1). Syndromes are written in the
+  coordinates of a greedily chosen set of independent rows and their
+  depths kept in a bytearray of 2^rank entries.
+
+Classical distance and ``distance_to_code`` always walk the kernel and
+soundness always searches syndromes. Logical distances take whichever
+scan is cheaper, comparing 2^dim(kernel) with 2^rank times the number of
+columns; the choice is made from ranks alone, before any kernel is built
+or any array allocated.
+
+The enumeration budget is a hard cap on the size of the scan a call
+chooses: 2^dim(kernel) words for a Gray walk, 2^rank syndromes for the
+search. Per scan that is 2^dim ker H for classical distance;
+min(2^dim ker H_Z, 2^(n - rank H_X)) for the X-distance and the same with
+X and Z swapped for the Z-distance; 2^dim ker H for the distance to a
+code; and 2^rank H for soundness. ``CapExceeded`` is raised
+only when no scan fits.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from .chain import ClassicalCode, CssCode
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, BitVector, nonsingular_row_partition, row_basis
 
 DEFAULT_CAP = 1 << 24
 
@@ -30,22 +49,63 @@ INFINITE = math.inf
 
 Distance = Union[int, float]
 
+_UNSEEN = 0xFF  # depth marker of a syndrome the search has not reached
+
 
 class CapExceeded(Exception):
-    """An exhaustive scan would visit more words than the configured cap."""
+    """Every exhaustive scan that could answer a call is larger than the cap.
 
-    def __init__(self, what: str, log2_size: int, cap: int):
+    ``words_log2`` is log2 of the Gray walk's size and ``syndromes_log2``
+    that of the syndrome search, None for a scan the call cannot use;
+    ``log2_size`` is the smaller of the two.
+    """
+
+    def __init__(
+        self,
+        what: str,
+        cap: int,
+        *,
+        words_log2: Optional[int] = None,
+        syndromes_log2: Optional[int] = None,
+    ):
         self.what = what
-        self.log2_size = log2_size
         self.cap = cap
-        super().__init__(
-            f"{what} needs 2^{log2_size} words, cap is {cap} (2^{cap.bit_length() - 1})"
+        self.words_log2 = words_log2
+        self.syndromes_log2 = syndromes_log2
+        self.log2_size = min(x for x in (words_log2, syndromes_log2) if x is not None)
+        needs = []
+        if words_log2 is not None:
+            needs.append(f"2^{words_log2} words (Gray walk)")
+        if syndromes_log2 is not None:
+            needs.append(f"2^{syndromes_log2} syndromes (BFS)")
+        power_of_two = cap > 0 and cap & (cap - 1) == 0
+        cap_text = f"2^{cap.bit_length() - 1}" if power_of_two else str(cap)
+        super().__init__(f"{what} needs {' or '.join(needs)}, cap is {cap_text}")
+
+
+def _fits(log2_size: Optional[int], cap: int) -> bool:
+    return log2_size is not None and log2_size < cap.bit_length() and (1 << log2_size) <= cap
+
+
+def _use_search(
+    what: str,
+    cap: int,
+    words_log2: Optional[int],
+    syndromes_log2: Optional[int] = None,
+    columns: int = 0,
+) -> bool:
+    """True to search 2^syndromes_log2 syndromes, False to walk
+    2^words_log2 words: the cheaper scan within the cap, with None for a
+    scan the call cannot use. A search costs about 2^syndromes_log2 times
+    its number of generators, at most ``columns``."""
+    walk, search = _fits(words_log2, cap), _fits(syndromes_log2, cap)
+    if walk and search:
+        return columns << syndromes_log2 < 1 << words_log2
+    if not (walk or search):
+        raise CapExceeded(
+            what, cap, words_log2=words_log2, syndromes_log2=syndromes_log2
         )
-
-
-def _check_cap(what: str, log2_size: int, cap: int) -> None:
-    if log2_size >= cap.bit_length() or (1 << log2_size) > cap:
-        raise CapExceeded(what, log2_size, cap)
+    return search
 
 
 def _gray_flips(m: int):
@@ -54,18 +114,54 @@ def _gray_flips(m: int):
         yield (i & -i).bit_length() - 1
 
 
+def _syndrome_columns(h: BitMatrix) -> tuple[int, list[int]]:
+    """(rank, each column's syndrome): syndromes in the coordinates of the
+    rows of h that greedily form a row-space basis, the first basis row in
+    the lowest bit."""
+    basis = row_basis(h)
+    return basis.rows, list(basis.transpose().row_ints())
+
+
+def _coset_depths(
+    columns: list[int], rank: int, mask: int = 0, goal: int = -1
+) -> tuple[bytearray, Optional[int]]:
+    """Breadth-first search from syndrome 0 over all 2^rank syndromes; a
+    step adds one column. Returns (depths, hit): depths[s] is the minimum
+    weight of a word with syndrome s. The search stops at the first
+    syndrome s reached with s & mask == goal and hit is its depth; without
+    such a syndrome it reaches every syndrome and hit is None."""
+    gens = sorted(set(columns) - {0})
+    depth = bytearray([_UNSEEN]) * (1 << rank)
+    depth[0] = 0
+    frontier = array("I" if rank <= 32 else "Q", [0])
+    level = 0
+    while frontier:
+        level += 1
+        reached = array(frontier.typecode)
+        push = reached.append
+        for syn in frontier:
+            for g in gens:
+                v = syn ^ g
+                if depth[v] == _UNSEEN:
+                    depth[v] = level
+                    if v & mask == goal:
+                        return depth, level
+                    push(v)
+        frontier = reached
+    return depth, None
+
+
 def classical_dimension(code: ClassicalCode) -> int:
     """Number of encoded bits: t - rank(H)."""
-    return code.t - code.h.rank()
+    return code.t - code.rank
 
 
 def classical_distance(code: ClassicalCode, cap: int = DEFAULT_CAP) -> Distance:
     """Minimum weight of a nonzero codeword; INFINITE for the trivial code."""
-    basis = code.h.kernel_basis()
-    if not basis:
+    if code.rank == code.t:
         return INFINITE
-    _check_cap("codeword enumeration", len(basis), cap)
-    vals = [b.value for b in basis]
+    _use_search("distance", cap, code.t - code.rank)
+    vals = [b.value for b in code.h.kernel_basis()]
     v = 0
     best = code.t + 1
     for j in _gray_flips(len(vals)):
@@ -79,26 +175,17 @@ def classical_distance(code: ClassicalCode, cap: int = DEFAULT_CAP) -> Distance:
 
 
 def distance_to_code(x: BitVector, code: ClassicalCode, cap: int = DEFAULT_CAP) -> int:
-    """Hamming distance from x to ker(H), by scanning the whole kernel."""
+    """Hamming distance from x to ker(H): the minimum weight of the coset
+    x + ker(H), by a Gray walk over the kernel."""
     if x.n != code.t:
         raise ValueError("word length does not match the code length")
-    basis = code.h.kernel_basis()
-    _check_cap("kernel enumeration", len(basis), cap)
-    return _min_coset_weight(x.value, [b.value for b in basis], 0)
-
-
-def _min_coset_weight(x0: int, kernel_vals: list[int], lower_bound: int) -> int:
-    v = x0
+    _use_search("distance to code", cap, code.t - code.rank)
+    v = x.value
     best = v.bit_count()
-    if best <= lower_bound:
-        return best
-    for i in range(1, 1 << len(kernel_vals)):
-        v ^= kernel_vals[(i & -i).bit_length() - 1]
-        w = v.bit_count()
-        if w < best:
-            best = w
-            if best <= lower_bound:
-                return best
+    vals = [b.value for b in code.h.kernel_basis()]
+    for j in _gray_flips(len(vals)):
+        v ^= vals[j]
+        best = min(best, v.bit_count())
     return best
 
 
@@ -107,55 +194,41 @@ def classical_soundness(
 ) -> Optional[Fraction]:
     """The largest rho with |Hx|/s >= rho * d(x, ker H)/t for every word x.
 
-    Both |Hx| and d(x, ker H) depend on x only through its syndrome coset,
-    so the minimum of t*|Hx| / (s*d(x, ker H)) is taken over one
-    minimum-weight representative per nonzero coset; cosets are scanned
-    exhaustively. Words inside the code are excluded (the inequality is
-    vacuous there). When ker(H) = {0} every nonzero word participates with
-    d(x, ker H) = |x|.
+    Both |Hx| and d(x, ker H) depend on x only through its syndrome, and
+    d(x, ker H) is the depth of that syndrome in the coset-leader search,
+    so the minimum of t*|Hx| / (s*d(x, ker H)) is taken once per nonzero
+    syndrome. |Hx| counts every check, dependent rows included. Words
+    inside the code are excluded (the inequality is vacuous there). When
+    ker(H) = {0} every nonzero word participates with d(x, ker H) = |x|.
 
     Returns None (undefined) when there are no checks or the code is the
     full space.
     """
     h = code.h
     t, s = code.t, code.s
-    if s == 0 or t == 0:
-        return None
-    kernel = h.kernel_basis()
-    kdim = len(kernel)
-    if kdim == t:
-        return None  # code is the full space; every syndrome vanishes
-    _check_cap("syndrome coset scan", t, cap)
+    if s == 0 or code.rank == 0:
+        return None  # no checks, or every syndrome vanishes
+    _use_search("soundness", cap, None, code.rank)
+    rank, columns = _syndrome_columns(h)
+    depth, _ = _coset_depths(columns, rank)
 
-    rank = t - kdim
-    pivots = h.pivot_columns()
-    # Independent columns of h: flipping bit p_i of x toggles column p_i of
-    # the syndrome, so subsets of pivot columns enumerate every coset once.
+    # Flipping bit p of x adds column p to both the syndrome coordinates
+    # and the full syndrome; a Gray walk over the subsets of rank
+    # independent columns visits every syndrome once.
+    steps, _ = nonsingular_row_partition(BitMatrix(t, rank, columns))
     ht = h.transpose()
-    col_vals = [ht.row(p) for p in pivots]
-    e_vals = [1 << p for p in pivots]
-    kernel_vals = [b.value for b in kernel]
-    max_col_w = max(h.col_weights(), default=0)
-
-    best: Optional[Fraction] = None
-    best_num = best_den = 1  # best as integers, avoiding Fraction in the loop
-    x = 0
-    sig = 0
+    coord_steps = [columns[p] for p in steps]
+    full_steps = [ht.row(p) for p in steps]
+    best_num, best_den = 0, 0
+    coord = full = 0
     for j in _gray_flips(rank):
-        x ^= e_vals[j]
-        sig ^= col_vals[j]
-        w_sig = sig.bit_count()
-        # Coset minimum weight is at most t, so the ratio is at least
-        # w_sig/s; skip the scan when that already cannot beat the best.
-        if best is not None and w_sig * best_den >= best_num * s:
-            continue
-        lower = -(-w_sig // max_col_w)  # ceil; each bit flips <= max_col_w checks
-        min_w = _min_coset_weight(x, kernel_vals, lower)
-        ratio = Fraction(t * w_sig, s * min_w)
-        if best is None or ratio < best:
-            best = ratio
-            best_num, best_den = ratio.numerator, ratio.denominator
-    return best
+        coord ^= coord_steps[j]
+        full ^= full_steps[j]
+        num = t * full.bit_count()
+        den = s * depth[coord]
+        if best_den == 0 or num * best_den < best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 def locality(obj) -> int:
@@ -183,17 +256,24 @@ def _logical_min_weight(
     stab_checks: BitMatrix, other_checks: BitMatrix, what: str, cap: int
 ) -> Distance:
     """Minimum weight over ker(stab_checks) minus the row space of
-    other_checks.
+    other_checks; INFINITE when the code encodes nothing. The scan is
+    chosen from the two ranks before anything is built."""
+    n = stab_checks.cols
+    rank_stab, rank_other = stab_checks.rank(), other_checks.rank()
+    if n - rank_stab - rank_other == 0:
+        return INFINITE
+    if _use_search(what, cap, n - rank_stab, n - rank_other, n):
+        return _logical_search(stab_checks, other_checks, rank_stab)
+    return _logical_walk(stab_checks, other_checks)
 
-    Membership in the row space is decided by pairing against a basis of
-    ker(other_checks): a kernel word lies in the row space exactly when all
-    those pairings vanish. Pairing bits update incrementally along the Gray
-    walk, one XOR per step.
-    """
-    kernel = stab_checks.kernel_basis()
-    _check_cap(what, len(kernel), cap)
+
+def _logical_walk(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
+    """Gray walk over ker(stab_checks). A word lies in the row space of
+    other_checks exactly when it pairs to zero with every vector of
+    ker(other_checks); the pairings update along the walk, one XOR per
+    step."""
     probes = [u.value for u in other_checks.kernel_basis()]
-    vals = [b.value for b in kernel]
+    vals = [b.value for b in stab_checks.kernel_basis()]
     masks = []
     for b in vals:
         m = 0
@@ -201,34 +281,45 @@ def _logical_min_weight(
             m |= ((b & u).bit_count() & 1) << j
         masks.append(m)
 
-    best = None
+    best = INFINITE
     v = 0
     cls = 0
-    for i in range(1, 1 << len(vals)):
-        j = (i & -i).bit_length() - 1
+    for j in _gray_flips(len(vals)):
         v ^= vals[j]
         cls ^= masks[j]
         if cls:
             w = v.bit_count()
-            if best is None or w < best:
+            if w < best:
                 best = w
                 if best == 1:
                     break
-    return INFINITE if best is None else best
+    return best
+
+
+def _logical_search(
+    stab_checks: BitMatrix, other_checks: BitMatrix, rank_stab: int
+) -> Distance:
+    """Syndrome search on [stab_checks; basis of ker(other_checks)]. The
+    stabilizer rows lie in that kernel, so the rank is n - rank(other_checks)
+    and the first rank_stab basis rows, the low syndrome bits, come from
+    stab_checks. A word is a logical operator exactly when its syndrome
+    vanishes on those bits but not overall."""
+    probes = tuple(u.value for u in other_checks.kernel_basis())
+    stacked = BitMatrix(stab_checks.rows + len(probes), stab_checks.cols,
+                        stab_checks.row_ints() + probes)
+    rank, columns = _syndrome_columns(stacked)
+    hit = _coset_depths(columns, rank, (1 << rank_stab) - 1, 0)[1]
+    return INFINITE if hit is None else hit
 
 
 def quantum_distance_x(q: CssCode, cap: int = DEFAULT_CAP) -> Distance:
     """Minimum weight over ker(H_Z) outside the row space of H_X."""
-    if quantum_dimension(q) == 0:
-        return INFINITE
-    return _logical_min_weight(q.h_z, q.h_x, "X-distance enumeration", cap)
+    return _logical_min_weight(q.h_z, q.h_x, "X-distance", cap)
 
 
 def quantum_distance_z(q: CssCode, cap: int = DEFAULT_CAP) -> Distance:
     """Minimum weight over ker(H_X) outside the row space of H_Z."""
-    if quantum_dimension(q) == 0:
-        return INFINITE
-    return _logical_min_weight(q.h_x, q.h_z, "Z-distance enumeration", cap)
+    return _logical_min_weight(q.h_x, q.h_z, "Z-distance", cap)
 
 
 def quantum_distances(q: CssCode, cap: int = DEFAULT_CAP) -> tuple[Distance, Distance]:

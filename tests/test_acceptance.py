@@ -4,8 +4,9 @@ Each test below is one numbered criterion and prints a single PASS/FAIL
 line. Criteria 02-04 share one corpus of balanced-code instances built in
 a module-scoped fixture; every instance pairs a small CSS code with an
 independent-check classical code and stays inside the default enumeration
-cap for dimension and distance measurements. Soundness bound checks run
-on the subset of the corpus whose coset scans also fit the cap.
+cap for dimension and distance measurements. Soundness bound checks must
+be certified on every instance whose four syndrome searches (the input
+and balanced H_X and H_Z codes, 2^rank syndromes each) fit the cap.
 """
 
 import json
@@ -21,6 +22,7 @@ from naive import naive_soundness
 from cssbalance import (
     BitMatrix,
     BoundCheck,
+    DEFAULT_CAP,
     CapExceeded,
     ClassicalCode,
     CssCode,
@@ -71,14 +73,13 @@ class Instance:
     measured_d_x: float
     measured_d_z: float
     bounds: Optional[BoundCheck]
+    soundness_fits: bool  # every soundness search of bound_check fits the cap
 
 
 def _instance_pairs():
     pairs = []
     for l in (2, 3, 4):
         for m in (2, 3, 4):
-            if (l, m) == (4, 4):
-                continue  # the Z-distance kernel there outgrows the cap
             pairs.append((f"q(rep{l}) x rep{m}", q_complex(rep_standard(l).h), rep_standard(m)))
     pairs.append(("q(rep2) x hamming74", q_complex(rep_standard(2).h), hamming74()))
     for seed in (1, 2, 3):
@@ -130,6 +131,8 @@ def corpus():
             bounds = bound_check(q, r)
         except CapExceeded:
             bounds = None
+        checks = (q.h_x, q.h_z, balanced.code.h_x, balanced.code.h_z)
+        soundness_fits = all(1 << h.rank() <= DEFAULT_CAP for h in checks)
         records.append(Instance(
             label=label,
             quantum=q,
@@ -139,6 +142,7 @@ def corpus():
             measured_d_x=d_x,
             measured_d_z=d_z,
             bounds=bounds,
+            soundness_fits=soundness_fits,
         ))
     return records
 
@@ -156,7 +160,7 @@ def test_01_chain_condition_on_random_products():
 
 def test_02_balanced_parameter_equalities(corpus):
     with criterion(2, "balanced dimension and distances equal the predictions exactly"):
-        assert len(corpus) >= 30
+        assert len(corpus) >= 34
         for inst in corpus:
             assert inst.measured_k == inst.predicted.dimension, inst.label
             assert inst.measured_d_x == inst.predicted.d_x, inst.label
@@ -166,7 +170,8 @@ def test_02_balanced_parameter_equalities(corpus):
 def test_03_x_side_soundness_bound(corpus):
     with criterion(3, "X-side soundness bound holds on every in-cap instance"):
         checked = [inst for inst in corpus if inst.bounds is not None]
-        assert len(checked) >= 10
+        assert checked == [inst for inst in corpus if inst.soundness_fits]
+        assert len(checked) >= 33
         for inst in checked:
             side = inst.bounds.sides[0]
             assert side.side == "X"
@@ -177,7 +182,8 @@ def test_03_x_side_soundness_bound(corpus):
 def test_04_z_side_soundness_bound(corpus):
     with criterion(4, "Z-side soundness bound holds on every in-cap instance"):
         checked = [inst for inst in corpus if inst.bounds is not None]
-        assert len(checked) >= 10
+        assert checked == [inst for inst in corpus if inst.soundness_fits]
+        assert len(checked) >= 33
         for inst in checked:
             side = inst.bounds.sides[1]
             assert side.side == "Z"

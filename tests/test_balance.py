@@ -170,6 +170,7 @@ def test_double_balance_parameters():
     assert bal.n == once.n * rp.t + once.n_z * rp.s == 40
     predicted = predicted_double_params(qp, rp)
     assert (predicted.n, predicted.dimension, predicted.d_x, predicted.d_z) == (40, 1, 4, 6)
+    assert (predicted.n_x, predicted.n_z) == (bal.code.n_x, bal.code.n_z) == (22, 24)
 
 
 def test_double_balance_trivial_classical_code():

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from naive import (
     naive_distance,
+    naive_distance_to_code,
     naive_quantum_distances,
     naive_soundness,
 )
@@ -28,12 +31,20 @@ from cssbalance import (
     hamming74,
     locality,
     q_complex,
+    distance_balance,
     quantum_dimension,
+    quantum_distance_x,
+    quantum_distance_z,
     quantum_distances,
     quantum_soundness,
     random_css,
     rep_modified,
     rep_standard,
+)
+from cssbalance.oracle import (
+    _logical_search,
+    _logical_walk,
+    _use_search,
 )
 from conftest import rand_matrix
 
@@ -189,6 +200,53 @@ def test_cap_exceeded():
         classical_distance(big, cap=1 << 12)
     with pytest.raises(CapExceeded):
         classical_soundness(ClassicalCode(BitMatrix.identity(20)), cap=1 << 12)
+    # 30 free qubits: 2^30 words to walk and 2^30 syndromes to search.
+    free = CssCode.from_check_matrices(BitMatrix.zeros(0, 30), BitMatrix.zeros(0, 30))
+    for distance in (quantum_distance_x, quantum_distance_z):
+        with pytest.raises(CapExceeded):
+            distance(free, cap=1 << 12)
+
+
+def q_rep4_rep4():
+    return distance_balance(q_complex(rep_standard(4).h), rep_standard(4)).code
+
+
+def test_cap_exceeded_names_both_scans():
+    code = q_rep4_rep4()  # n = 41, rank H_X = 12, rank H_Z = 28
+    with pytest.raises(CapExceeded) as info:
+        quantum_distance_z(code, cap=1 << 12)
+    assert str(info.value) == (
+        "Z-distance needs 2^29 words (Gray walk) or 2^13 syndromes (BFS), cap is 2^12"
+    )
+    assert (info.value.words_log2, info.value.syndromes_log2) == (29, 13)
+    assert info.value.log2_size == 13
+    with pytest.raises(CapExceeded) as info:
+        classical_soundness(ClassicalCode(BitMatrix.identity(20)), cap=5000)
+    assert str(info.value) == "soundness needs 2^20 syndromes (BFS), cap is 5000"
+    with pytest.raises(CapExceeded, match=r"distance needs 2\^29 words \(Gray walk\), cap is 0"):
+        classical_distance(ClassicalCode(BitMatrix.zeros(1, 29)), cap=0)
+    with pytest.raises(TypeError):  # the sizes are keyword-only
+        CapExceeded("distance", 20, 4096)
+
+
+def test_each_distance_takes_the_scan_that_fits():
+    # The X-distance walks 2^13 words (its search would need 2^29
+    # syndromes); the Z-distance searches 2^13 syndromes (its walk would
+    # need 2^29 words). Both fit a cap of 2^13.
+    assert quantum_distances(q_rep4_rep4(), cap=1 << 13) == (8, 4)
+
+
+def test_strategy_choice_by_cost():
+    # Only the search fits: take it however many columns it has.
+    assert _use_search("d", 1 << 12, 29, 12, 1000) is True
+    # Both fit: a 2^11-word walk beats 2^24 syndromes times 100 columns ...
+    assert _use_search("d", 1 << 24, 11, 24, 100) is False
+    # ... and 2^11 syndromes times 100 columns beat a 2^24-word walk.
+    assert _use_search("d", 1 << 24, 24, 11, 100) is True
+    # A scan the call cannot use is None.
+    assert _use_search("d", 1 << 24, None, 24) is True
+    with pytest.raises(CapExceeded):
+        _use_search("d", 1 << 24, None, 25)
 
 
 def test_determinism(rng):
@@ -234,3 +292,77 @@ def test_report_marks_cap_exceeded_fields():
     assert obj["d"] == "cap-exceeded"
     assert obj["K"] == 30
     assert obj["soundness"] == "undefined"
+
+
+# Property tests: every scan against the literal sweeps of naive.py, on
+# small matrices that often carry zero rows, dependent rows, zero columns
+# and duplicate columns.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def check_matrices(draw, max_rows=4, max_cols=5):
+    cols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=max_rows))
+    if rows and draw(st.booleans()):
+        rows.append(rows[0] ^ rows[-1])  # a dependent row (zero for one row)
+    if draw(st.booleans()):
+        rows.append(0)
+    if draw(st.booleans()):
+        # One more column: a copy of an existing column, or zeros.
+        src = draw(st.integers(0, cols - 1))
+        copy = draw(st.booleans())
+        rows = [r | ((copy and (r >> src) & 1) << cols) for r in rows]
+        cols += 1
+    return BitMatrix(len(rows), cols, rows)
+
+
+@st.composite
+def css_check_pairs(draw):
+    """(H_X, H_Z) with H_X H_Z^T = 0: the rows of H_Z are drawn from the
+    span of ker(H_X), so dependent and zero rows and K = 0 all occur."""
+    h_x = draw(check_matrices(max_rows=3, max_cols=6))
+    kernel = [b.value for b in h_x.kernel_basis()]
+    z_rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        pick = draw(st.integers(0, (1 << len(kernel)) - 1))
+        z_rows.append(_span_element(kernel, pick))
+    return h_x, BitMatrix(len(z_rows), h_x.cols, z_rows)
+
+
+def _span_element(basis, pick):
+    v = 0
+    for i, b in enumerate(basis):
+        if (pick >> i) & 1:
+            v ^= b
+    return v
+
+
+@PROPERTY
+@given(check_matrices())
+@example(BitMatrix.zeros(2, 3))  # rank 0
+@example(BitMatrix.from_strings(["1100", "1100", "0000"]))  # dependent and zero rows
+@example(BitMatrix.from_strings(["1010", "0110"]))  # duplicate columns
+def test_soundness_search_matches_naive(h):
+    assert classical_soundness(ClassicalCode(h)) == naive_soundness(h)
+
+
+@PROPERTY
+@given(css_check_pairs())
+@example((BitMatrix.zeros(0, 3), BitMatrix.zeros(0, 3)))  # rank 0 on both sides
+@example((BitMatrix.identity(3), BitMatrix.zeros(1, 3)))  # K = 0
+@example((BitMatrix.from_strings(["11"]), BitMatrix.from_strings(["11", "11"])))  # K = 0
+def test_logical_distance_scans_match_naive(pair):
+    h_x, h_z = pair
+    d_x, d_z = naive_quantum_distances(h_x, h_z)
+    assert _logical_walk(h_z, h_x) == _logical_search(h_z, h_x, h_z.rank()) == d_x
+    assert _logical_walk(h_x, h_z) == _logical_search(h_x, h_z, h_x.rank()) == d_z
+    assert quantum_distances(CssCode.from_check_matrices(h_x, h_z)) == (d_x, d_z)
+
+
+@PROPERTY
+@given(st.data())
+def test_distance_to_code_matches_naive(data):
+    h = data.draw(check_matrices())
+    x = BitVector(h.cols, data.draw(st.integers(0, (1 << h.cols) - 1)))
+    assert distance_to_code(x, ClassicalCode(h)) == naive_distance_to_code(x, h)
