@@ -318,17 +318,28 @@ def bound_check(
     min(2n/n_Z, 2n/n_X); the bound formulas themselves hold regardless
     because of their min(., 1) clamp.
     """
-    if assume_rho is not None:
-        rho_x = rho_z = assume_rho
-    else:
-        rho_x, rho_z = component_soundness(q, cap)
-        if rho_x is None:
-            raise UndefinedSoundnessError("Z", "the input H_X code has no soundness")
-        if rho_z is None:
-            raise UndefinedSoundnessError("X", "the input H_Z code has no soundness")
+    # Measured before the build: undefined input soundness is reported even
+    # when the classical checks are dependent.
+    rho = _input_soundness(q, cap) if assume_rho is None else (assume_rho, assume_rho)
+    return _check_balanced(q, r, distance_balance(q, r), cap, rho)
 
-    bal = distance_balance(q, r)
 
+def _input_soundness(q: CssCode, cap: int) -> tuple[Fraction, Fraction]:
+    rho_x, rho_z = component_soundness(q, cap)
+    if rho_x is None:
+        raise UndefinedSoundnessError("Z", "the input H_X code has no soundness")
+    if rho_z is None:
+        raise UndefinedSoundnessError("X", "the input H_Z code has no soundness")
+    return rho_x, rho_z
+
+
+def _check_balanced(
+    q: CssCode, r: ClassicalCode, bal: BalancedCode, cap: int,
+    rho: Optional[tuple[Fraction, Fraction]] = None,
+) -> BoundCheck:
+    """``bound_check`` on the already built ``bal = distance_balance(q, r)``;
+    rho is (rho_x, rho_z), measured on q when not given."""
+    rho_x, rho_z = rho or _input_soundness(q, cap)
     measured_x = classical_soundness(ClassicalCode(bal.code.h_z), cap)
     if measured_x is None:
         raise UndefinedSoundnessError("X", "balanced Z-check code has no soundness")

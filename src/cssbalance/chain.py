@@ -224,18 +224,23 @@ class CssCode:
 class ClassicalCode:
     """A linear code given by its parity-check matrix H (s checks, t bits)."""
 
-    __slots__ = ("h", "t", "s", "rank", "independent_checks")
+    __slots__ = ("h", "t", "s")
 
     def __init__(self, h: BitMatrix):
-        rank = h.rank()
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "t", h.cols)
         object.__setattr__(self, "s", h.rows)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "independent_checks", rank == h.rows)
 
     def __setattr__(self, name, val):
         raise AttributeError("ClassicalCode is immutable")
+
+    @property
+    def rank(self) -> int:
+        return self.h.rank()
+
+    @property
+    def independent_checks(self) -> bool:
+        return self.h.rank() == self.s
 
     @property
     def complex(self) -> ChainComplex:
@@ -279,14 +284,22 @@ def complex_to_json(c: ChainComplex) -> str:
     return json.dumps(complex_to_obj(c), indent=1)
 
 
+def _list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value
+    )
+
+
 def complex_from_obj(obj: dict) -> ChainComplex:
     try:
-        spaces = obj["spaces"]
-        diffs = [parse_pcm(s) for s in obj["diffs"]]
-        labels = obj.get("labels")
-    except (KeyError, TypeError) as exc:
+        spaces, diffs, labels = obj["spaces"], obj["diffs"], obj.get("labels")
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed complex object: {exc}") from None
-    return ChainComplex(spaces, diffs, labels)
+    if not (_list_of(spaces, int) and _list_of(diffs, str)
+            and (labels is None or _list_of(labels, str))):
+        raise ValueError("malformed complex object: 'spaces' must be a list of "
+                         "integers, 'diffs' and 'labels' lists of strings")
+    return ChainComplex(spaces, [parse_pcm(d) for d in diffs], labels)
 
 
 def complex_from_json(text: str) -> ChainComplex:

@@ -20,6 +20,7 @@ from typing import Optional
 from .balance import (
     DependentChecksError,
     UndefinedSoundnessError,
+    _check_balanced,
     bound_check,
     distance_balance,
     double_balance,
@@ -296,7 +297,7 @@ def _sweep_row(quantum_spec, classical_spec, seed: int, cap: int, timing: bool) 
         except CapExceeded:
             pass
         try:
-            result = bound_check(q, r, cap)
+            result = _check_balanced(q, r, balanced, cap)
             x_side, z_side = result.sides
             row["rhoX_num"], row["rhoX_den"] = (
                 str(x_side.measured.numerator), str(x_side.measured.denominator))
@@ -318,7 +319,9 @@ def _sweep_row(quantum_spec, classical_spec, seed: int, cap: int, timing: bool) 
 
 def cmd_sweep(args) -> int:
     job = json.loads(Path(args.job).read_text())
-    pairs = job.get("pairs", [])
+    pairs = job.get("pairs", []) if isinstance(job, dict) else None
+    if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
+        raise ValueError("a sweep job must be an object whose 'pairs' is a list of objects")
     rows = []
     for pair in pairs:
         seeds = pair.get("seeds", [0])

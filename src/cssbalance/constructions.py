@@ -130,18 +130,12 @@ def random_css(
 
     def sample_independent(dim: int, count: int, combine) -> Optional[list[int]]:
         rows: list[int] = []
-        basis: list[tuple[int, int]] = []
         for _ in range(max_resamples):
             if len(rows) == count:
                 return rows
             v = combine(rng.getrandbits(dim))
-            reduced = v
-            for p, b in basis:
-                if (reduced >> p) & 1:
-                    reduced ^= b
-            if reduced:
+            if BitMatrix(len(rows) + 1, n, rows + [v]).rank() > len(rows):
                 rows.append(v)
-                basis.append(((reduced & -reduced).bit_length() - 1, reduced))
         return rows if len(rows) == count else None
 
     hz_rows = sample_independent(n, n_z, lambda v: v)

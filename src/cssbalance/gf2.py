@@ -3,6 +3,11 @@
 Matrices store one Python int per row (bit c of row r is ``(row >> c) & 1``),
 so XOR is vector addition and ``int.bit_count`` is the Hamming weight. All
 values are immutable after construction and safe to share across threads.
+Every elimination (rank, pivots, kernel, solve, row bases) goes through one
+routine, ``BitMatrix._rref``, and a matrix keeps its echelon form once the
+first of those calls has computed it, so it is computed at most once per
+matrix. The cache is idempotent: two threads racing on a first call only
+repeat the same work and store equal results.
 Empty matrices (0 rows or 0 columns) are legal everywhere and act as the
 empty map.
 """
@@ -86,7 +91,8 @@ class BitVector:
 class BitMatrix:
     """A rows x cols matrix over GF(2) with bit-packed rows."""
 
-    __slots__ = ("rows", "cols", "_r")
+    # _echelon caches the result of _rref; it takes no part in equality.
+    __slots__ = ("rows", "cols", "_r", "_echelon")
 
     def __init__(self, rows: int, cols: int, row_values: Iterable[int] = ()):
         if rows < 0 or cols < 0:
@@ -100,6 +106,7 @@ class BitMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_r", vals)
+        object.__setattr__(self, "_echelon", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("BitMatrix is immutable")
@@ -234,28 +241,13 @@ class BitMatrix:
         return w
 
     def rank(self) -> int:
-        work = list(self._r)
-        rank = 0
-        for col in range(self.cols):
-            mask = 1 << col
-            pivot = None
-            for i in range(rank, len(work)):
-                if work[i] & mask:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for i in range(len(work)):
-                if i != rank and work[i] & mask:
-                    work[i] ^= work[rank]
-            rank += 1
-            if rank == len(work):
-                break
-        return rank
+        return len(self._rref()[1])
 
-    def _rref(self) -> tuple[list[int], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot column indices)."""
+    def _rref(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Reduced row echelon form: (the nonzero rows, their pivot
+        columns), computed on first use and kept."""
+        if self._echelon is not None:
+            return self._echelon
         work = list(self._r)
         pivots: list[int] = []
         row = 0
@@ -276,12 +268,14 @@ class BitMatrix:
             row += 1
             if row == len(work):
                 break
-        return work, pivots
+        echelon = (tuple(work[:row]), tuple(pivots))
+        object.__setattr__(self, "_echelon", echelon)
+        return echelon
 
     def pivot_columns(self) -> list[int]:
         """Column indices of the leading ones in reduced row echelon form;
         these columns are independent and span the column space."""
-        return self._rref()[1]
+        return list(self._rref()[1])
 
     def kernel_basis(self) -> list[BitVector]:
         """Basis of ker(A); size cols - rank, ordered by ascending free column."""
@@ -303,28 +297,11 @@ class BitMatrix:
         if b.n != self.rows:
             raise ValueError("dimension mismatch in solve")
         aug_col = self.cols
-        work = [self._r[i] | (b.bit(i) << aug_col) for i in range(self.rows)]
-        pivots: list[int] = []
-        row = 0
-        for col in range(self.cols + 1):
-            mask = 1 << col
-            pivot = None
-            for i in range(row, len(work)):
-                if work[i] & mask:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            if col == aug_col:
-                return None
-            work[row], work[pivot] = work[pivot], work[row]
-            for i in range(len(work)):
-                if i != row and work[i] & mask:
-                    work[i] ^= work[row]
-            pivots.append(col)
-            row += 1
-            if row == len(work):
-                break
+        aug = BitMatrix(self.rows, self.cols + 1,
+                        [v | (b.bit(i) << aug_col) for i, v in enumerate(self._r)])
+        work, pivots = aug._rref()
+        if pivots and pivots[-1] == aug_col:
+            return None
         x = 0
         for i, p in enumerate(pivots):
             if (work[i] >> aug_col) & 1:
@@ -396,7 +373,7 @@ def block(grid: Sequence[Sequence]) -> BitMatrix:
 
 def row_basis(a: BitMatrix) -> BitMatrix:
     """Rows of a that greedily (in ascending order) form a row-space basis."""
-    kept, _ = _greedy_independent_rows(a)
+    kept = a.transpose().pivot_columns()
     return BitMatrix(len(kept), a.cols, [a.row(r) for r in kept])
 
 
@@ -405,30 +382,14 @@ def nonsingular_row_partition(a: BitMatrix) -> tuple[tuple[int, ...], tuple[int,
 
     Requires the columns of a to be independent (rank == cols). The choice is
     deterministic: scanning rows in ascending order, a row is kept exactly
-    when it increases the running rank, until cols rows are kept.
+    when it increases the running rank; these are the pivot columns of the
+    transpose.
     """
-    kept, rest = _greedy_independent_rows(a, stop_at=a.cols)
+    kept = a.transpose().pivot_columns()
     if len(kept) < a.cols:
         raise ValueError("columns are dependent: no invertible row selection exists")
-    return tuple(kept), tuple(rest)
-
-
-def _greedy_independent_rows(a: BitMatrix, stop_at: Optional[int] = None):
-    basis: list[tuple[int, int]] = []  # (pivot column, reduced row value)
-    kept: list[int] = []
-    for r in range(a.rows):
-        if stop_at is not None and len(kept) == stop_at:
-            break
-        v = a.row(r)
-        for p, bval in basis:
-            if (v >> p) & 1:
-                v ^= bval
-        if v:
-            kept.append(r)
-            basis.append(((v & -v).bit_length() - 1, v))
     keep_set = set(kept)
-    rest = [i for i in range(a.rows) if i not in keep_set]
-    return kept, rest
+    return tuple(kept), tuple(r for r in range(a.rows) if r not in keep_set)
 
 
 def write_pcm(a: BitMatrix) -> str:

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .chain import ClassicalCode, CssCode
-from .gf2 import BitMatrix, BitVector, nonsingular_row_partition, row_basis
+from .gf2 import BitMatrix, BitVector, row_basis
 
 DEFAULT_CAP = 1 << 24
 
@@ -214,8 +214,9 @@ def classical_soundness(
 
     # Flipping bit p of x adds column p to both the syndrome coordinates
     # and the full syndrome; a Gray walk over the subsets of rank
-    # independent columns visits every syndrome once.
-    steps, _ = nonsingular_row_partition(BitMatrix(t, rank, columns))
+    # independent columns (the pivot columns of H) visits every syndrome
+    # once.
+    steps = h.pivot_columns()
     ht = h.transpose()
     coord_steps = [columns[p] for p in steps]
     full_steps = [ht.row(p) for p in steps]
@@ -263,7 +264,7 @@ def _logical_min_weight(
     if n - rank_stab - rank_other == 0:
         return INFINITE
     if _use_search(what, cap, n - rank_stab, n - rank_other, n):
-        return _logical_search(stab_checks, other_checks, rank_stab)
+        return _logical_search(stab_checks, other_checks)
     return _logical_walk(stab_checks, other_checks)
 
 
@@ -296,19 +297,17 @@ def _logical_walk(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
     return best
 
 
-def _logical_search(
-    stab_checks: BitMatrix, other_checks: BitMatrix, rank_stab: int
-) -> Distance:
+def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
     """Syndrome search on [stab_checks; basis of ker(other_checks)]. The
     stabilizer rows lie in that kernel, so the rank is n - rank(other_checks)
-    and the first rank_stab basis rows, the low syndrome bits, come from
+    and the first rank(stab_checks) basis rows, the low syndrome bits, come from
     stab_checks. A word is a logical operator exactly when its syndrome
     vanishes on those bits but not overall."""
     probes = tuple(u.value for u in other_checks.kernel_basis())
     stacked = BitMatrix(stab_checks.rows + len(probes), stab_checks.cols,
                         stab_checks.row_ints() + probes)
     rank, columns = _syndrome_columns(stacked)
-    hit = _coset_depths(columns, rank, (1 << rank_stab) - 1, 0)[1]
+    hit = _coset_depths(columns, rank, (1 << stab_checks.rank()) - 1, 0)[1]
     return INFINITE if hit is None else hit
 
 

@@ -1,9 +1,9 @@
 """Independent reference implementations used to check the fast oracles.
 
 Everything here is written in the most literal way possible: triple-loop
-matrix products, full sweeps over all 2^t words, and row-space membership
-decided by an explicit linear solve. Nothing is shared with the package's
-enumeration code paths.
+matrix products, full sweeps over all 2^t words, and ranks, row-space
+membership and greedy bases decided by explicit span sets. Nothing is
+shared with the package's elimination or enumeration code paths.
 """
 
 from fractions import Fraction
@@ -34,11 +34,34 @@ def naive_kernel(h: BitMatrix) -> list[BitVector]:
     return [v for v in all_vectors(h.cols) if not any(naive_mul(h, v))]
 
 
-def naive_rank(h: BitMatrix) -> int:
+def naive_span(h: BitMatrix) -> set[int]:
+    """Every sum of rows of h, as packed ints."""
     span = {0}
     for r in range(h.rows):
         span |= {s ^ h.row(r) for s in span}
-    return len(span).bit_length() - 1
+    return span
+
+
+def naive_rank(h: BitMatrix) -> int:
+    return len(naive_span(h)).bit_length() - 1
+
+
+def naive_transpose(h: BitMatrix) -> BitMatrix:
+    bits = h.to_bits()
+    return BitMatrix.from_rows(
+        [[bits[r][c] for r in range(h.rows)] for c in range(h.cols)], h.rows
+    )
+
+
+def naive_greedy_rows(h: BitMatrix) -> list[int]:
+    """Indices of the rows an ascending scan keeps when it keeps a row
+    exactly if it lies outside the span of the rows kept before it."""
+    kept, span = [], {0}
+    for r in range(h.rows):
+        if h.row(r) not in span:
+            kept.append(r)
+            span |= {s ^ h.row(r) for s in span}
+    return kept
 
 
 def naive_distance(h: BitMatrix):
@@ -71,8 +94,8 @@ def naive_soundness(h: BitMatrix):
 
 
 def in_row_space(m: BitMatrix, v: BitVector) -> bool:
-    """Membership via an explicit solve against the transpose."""
-    return m.transpose().solve(v) is not None
+    """Membership in the explicit set of all row sums."""
+    return v.value in naive_span(m)
 
 
 def naive_quantum_distances(h_x: BitMatrix, h_z: BitMatrix):

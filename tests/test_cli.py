@@ -182,6 +182,12 @@ def test_boundcheck_undefined_soundness_exit_5(tmp_path, capsys):
     code, _, err = run(capsys, "boundcheck", str(qfile), str(rep2))
     assert code == 5
     assert "side" in err
+    # Undefined input soundness is reported before dependent checks are.
+    dependent = tmp_path / "dependent.pcm"
+    dependent.write_text("2 2\n11\n11\n")
+    code, _, err = run(capsys, "boundcheck", str(qfile), str(dependent))
+    assert code == 5
+    assert "side" in err
 
 
 def test_sweep_deterministic_and_empty(tmp_path, capsys):
@@ -209,6 +215,17 @@ def test_sweep_deterministic_and_empty(tmp_path, capsys):
     out3 = tmp_path / "c.csv"
     assert run(capsys, "sweep", str(empty), "-o", str(out3))[0] == 0
     assert out3.read_text().strip() == ",".join(SWEEP_HEADER)
+
+
+def test_sweep_malformed_job_is_a_parse_error(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    out = tmp_path / "out.csv"
+    for bad in ([], {"pairs": {}}, {"pairs": [[]]}, {"pairs": ["x"]}):
+        job.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
+        assert code == 2, bad
+        assert "error" in err
+    assert not out.exists()
 
 
 def test_sweep_cap_exceeding_instance_flagged(tmp_path, capsys):
@@ -255,3 +272,18 @@ def test_analyze_two_term_complex_json(tmp_path, capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["kind"] == "classical" and report["d"] == 3
+
+
+def test_analyze_malformed_complex_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for bad in (
+        {"spaces": [1, 1], "diffs": [1]},
+        {"spaces": "11", "diffs": []},
+        {"spaces": [1, True], "diffs": ["1 1\n1\n"]},
+        {"spaces": [1, 1], "diffs": "1 1\n1\n"},
+        {"spaces": [1, 1], "diffs": ["1 1\n1\n"], "labels": 5},
+    ):
+        path.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2, bad
+        assert "error" in err

@@ -1,7 +1,17 @@
 import random
 
 import pytest
-from naive import naive_distance_to_code, naive_mul, naive_rank
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from naive import (
+    naive_distance_to_code,
+    naive_greedy_rows,
+    naive_kernel,
+    naive_mul,
+    naive_rank,
+    naive_span,
+    naive_transpose,
+)
 
 from cssbalance import (
     BitMatrix,
@@ -248,3 +258,88 @@ def test_distance_to_code_reference_naive(rng):
         h = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
         x = rand_vector(rng, h.cols)
         assert distance_to_code(x, ClassicalCode(h)) == naive_distance_to_code(x, h)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=5):
+    cols = draw(st.integers(0, max_cols))
+    rows = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=max_rows))
+    if rows and draw(st.booleans()):
+        rows.append(rows[0] ^ rows[-1])  # a dependent row (zero for one row)
+    if draw(st.booleans()):
+        rows.append(0)
+    if cols and draw(st.booleans()):
+        src = draw(st.integers(0, cols - 1))
+        rows = [r | (((r >> src) & 1) << cols) for r in rows]  # a duplicate column
+        cols += 1
+    return BitMatrix(len(rows), cols, rows)
+
+
+def _check_rank(a):
+    assert a.rank() == naive_rank(a)
+
+
+def _check_kernel_basis(a):
+    basis = [v.value for v in a.kernel_basis()]
+    assert len(basis) == a.cols - naive_rank(a)
+    assert naive_span(BitMatrix(len(basis), a.cols, basis)) == {
+        v.value for v in naive_kernel(a)
+    }
+
+
+def _check_pivot_columns(a):
+    assert a.pivot_columns() == naive_greedy_rows(naive_transpose(a))
+
+
+def _check_row_basis(a):
+    assert row_basis(a).row_ints() == tuple(a.row(r) for r in naive_greedy_rows(a))
+
+
+def _check_partition(a):
+    kept = naive_greedy_rows(a)
+    if len(kept) < a.cols:
+        with pytest.raises(ValueError):
+            nonsingular_row_partition(a)
+    else:
+        rest = tuple(r for r in range(a.rows) if r not in kept)
+        assert nonsingular_row_partition(a) == (tuple(kept), rest)
+
+
+def _check_solve(a):
+    column_span = naive_span(naive_transpose(a))
+    for value in range(1 << a.rows):
+        b = BitVector(a.rows, value)
+        x = a.solve(b)
+        assert (x is not None) == (value in column_span)
+        if x is not None:
+            assert naive_mul(a, x) == b.bits()
+
+
+ELIMINATION_CHECKS = {
+    "rank": _check_rank,
+    "kernel_basis": _check_kernel_basis,
+    "pivot_columns": _check_pivot_columns,
+    "row_basis": _check_row_basis,
+    "nonsingular_row_partition": _check_partition,
+    "solve": _check_solve,
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(matrices(), st.permutations(sorted(ELIMINATION_CHECKS)))
+@example(BitMatrix.zeros(0, 3), sorted(ELIMINATION_CHECKS))  # no rows
+@example(BitMatrix.zeros(3, 0), sorted(ELIMINATION_CHECKS))  # no columns
+@example(BitMatrix.from_strings(["110", "110", "000", "011"]), sorted(ELIMINATION_CHECKS))
+@example(BitMatrix.from_strings(["10", "01", "11"]), sorted(ELIMINATION_CHECKS))  # rank == cols
+def test_elimination_matches_naive(a, order):
+    """Every method that eliminates agrees with the span-set references,
+    whatever the order of the calls on one matrix; an equal matrix built
+    afresh and the transpose, checked in between, share no cached form."""
+    twin = BitMatrix(a.rows, a.cols, a.row_ints())
+    for name in order:
+        ELIMINATION_CHECKS[name](a)
+        ELIMINATION_CHECKS[name](a.transpose())
+    for name in reversed(order):
+        ELIMINATION_CHECKS[name](a)
+        ELIMINATION_CHECKS[name](twin)
+    assert a == twin and hash(a) == hash(twin)
