@@ -307,6 +307,8 @@ def complex_from_json(text: str) -> ChainComplex:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("complex JSON must be an object")
     return complex_from_obj(obj)

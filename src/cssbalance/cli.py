@@ -29,7 +29,7 @@ from .balance import (
     predicted_double_params,
     predicted_params,
 )
-from .chain import ClassicalCode, CssCode
+from .chain import ClassicalCode, CssCode, _list_of
 from .constructions import CodeSpec, as_spec, param_table
 from .gf2 import row_basis
 from .io import load_classical, load_code, load_css, save_classical, save_complex
@@ -317,16 +317,30 @@ def _sweep_row(quantum_spec, classical_spec, seed: int, cap: int, timing: bool) 
     return [row[k] for k in SWEEP_HEADER]
 
 
+def _pair_seeds(pair: dict) -> list[int]:
+    """A pair's seeds: a list of ints, or {start, count} with int values."""
+    seeds = pair.get("seeds", [0])
+    if _list_of(seeds, int):
+        return seeds
+    if (isinstance(seeds, dict) and set(seeds) == {"start", "count"}
+            and _list_of(list(seeds.values()), int)):
+        return list(range(seeds["start"], seeds["start"] + seeds["count"]))
+    raise ValueError(
+        "sweep 'seeds' must be a list of ints or an object of int 'start' and 'count'"
+    )
+
+
 def cmd_sweep(args) -> int:
-    job = json.loads(Path(args.job).read_text())
+    try:
+        job = json.loads(Path(args.job).read_text())
+    except RecursionError:
+        raise ValueError("sweep job JSON is nested too deeply") from None
     pairs = job.get("pairs", []) if isinstance(job, dict) else None
     if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
         raise ValueError("a sweep job must be an object whose 'pairs' is a list of objects")
+    seed_lists = [_pair_seeds(pair) for pair in pairs]
     rows = []
-    for pair in pairs:
-        seeds = pair.get("seeds", [0])
-        if isinstance(seeds, dict):
-            seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
+    for pair, seeds in zip(pairs, seed_lists):
         for seed in seeds:
             rows.append(
                 _sweep_row(pair["quantum"], pair["classical"], seed, args.cap, args.timing)

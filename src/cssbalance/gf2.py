@@ -125,7 +125,10 @@ class BitMatrix:
 
     @classmethod
     def from_strings(cls, lines: Sequence[str], cols: Optional[int] = None) -> "BitMatrix":
-        return cls.from_rows([[int(ch) for ch in line] for line in lines], cols)
+        lines = list(lines)
+        if cols is None:
+            cols = len(lines[0]) if lines else 0
+        return cls(len(lines), cols, [_parse_row(ln, cols) for ln in lines])
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -392,13 +395,22 @@ def nonsingular_row_partition(a: BitMatrix) -> tuple[tuple[int, ...], tuple[int,
     return tuple(kept), tuple(r for r in range(a.rows) if r not in keep_set)
 
 
+def _format_row(v: int, cols: int) -> str:
+    """Row v as cols characters 0/1, column 0 first."""
+    return format(v, f"0{cols}b")[::-1] if cols else ""
+
+
+def _parse_row(line: str, cols: int) -> int:
+    """The row written by _format_row as line; ValueError on anything else."""
+    if len(line) != cols or set(line) - {"0", "1"}:
+        raise ValueError(f"bad matrix row: {line!r}")
+    return int(line[::-1], 2) if cols else 0
+
+
 def write_pcm(a: BitMatrix) -> str:
     """Canonical text serialization: header line 'rows cols', then one 0/1
     line per row."""
-    lines = [f"{a.rows} {a.cols}"]
-    for r in range(a.rows):
-        v = a.row(r)
-        lines.append("".join("1" if (v >> c) & 1 else "0" for c in range(a.cols)))
+    lines = [f"{a.rows} {a.cols}"] + [_format_row(v, a.cols) for v in a.row_ints()]
     return "\n".join(lines) + "\n"
 
 
@@ -424,13 +436,4 @@ def parse_pcm(text: str) -> BitMatrix:
     body = lines[1:]
     if len(body) != rows:
         raise ValueError(f"expected {rows} rows, found {len(body)}")
-    vals = []
-    for ln in body:
-        if len(ln) != cols or set(ln) - {"0", "1"}:
-            raise ValueError(f"bad matrix row: {ln!r}")
-        v = 0
-        for c, ch in enumerate(ln):
-            if ch == "1":
-                v |= 1 << c
-        vals.append(v)
-    return BitMatrix(rows, cols, vals)
+    return BitMatrix(rows, cols, [_parse_row(ln, cols) for ln in body])

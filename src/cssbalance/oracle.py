@@ -7,15 +7,18 @@ codeword or logical operator). Every result is independent of scan order.
 
 Minimum weights come from one of two exhaustive scans:
 
-- the Gray walk visits all 2^dim(kernel) words of a kernel in Gray-code
-  order, one XOR and one popcount per step;
+- the Gray walk (``_walk``) visits the words v + (a sum of a subset of a
+  basis) in Gray-code order, one XOR and one popcount per step, keeping a
+  class that tells which words count; classical distance, the distance to
+  a code and the logical-distance walk all go through it;
 - the coset-leader search is a breadth-first search from syndrome 0 in
   the Cayley graph whose generators are the distinct nonzero columns of a
   check matrix, so the depth of a syndrome is the minimum weight of its
   coset (the standard array of MacWilliams & Sloane, *The Theory of
-  Error-Correcting Codes*, ch. 1). Syndromes are written in the
-  coordinates of a greedily chosen set of independent rows and their
-  depths kept in a bytearray of 2^rank entries.
+  Error-Correcting Codes*, ch. 1). Depths are kept in a bytearray of
+  2^rank entries. Soundness writes syndromes in the coordinates of H's
+  memoized echelon rows, where pivot column i is the unit vector of bit
+  i; the logical search uses a greedily chosen set of independent rows.
 
 Classical distance and ``distance_to_code`` always walk the kernel and
 soundness always searches syndromes. Logical distances take whichever
@@ -114,12 +117,23 @@ def _gray_flips(m: int):
         yield (i & -i).bit_length() - 1
 
 
-def _syndrome_columns(h: BitMatrix) -> tuple[int, list[int]]:
-    """(rank, each column's syndrome): syndromes in the coordinates of the
-    rows of h that greedily form a row-space basis, the first basis row in
-    the lowest bit."""
-    basis = row_basis(h)
-    return basis.rows, list(basis.transpose().row_ints())
+def _walk(vals: list[int], masks: list[int], v: int = 0, cls: int = 0) -> Distance:
+    """Minimum weight over the words v + (a sum of a subset of vals) whose
+    class, cls XOR the masks of that subset, is nonzero; INFINITE when no
+    class is. A Gray walk over the subsets that stops at weight 1."""
+    best = v.bit_count() if cls else INFINITE
+    if best == 1:
+        return best
+    for j in _gray_flips(len(vals)):
+        v ^= vals[j]
+        cls ^= masks[j]
+        if cls:
+            w = v.bit_count()
+            if w < best:
+                best = w
+                if best == 1:
+                    break
+    return best
 
 
 def _coset_depths(
@@ -161,17 +175,8 @@ def classical_distance(code: ClassicalCode, cap: int = DEFAULT_CAP) -> Distance:
     if code.rank == code.t:
         return INFINITE
     _use_search("distance", cap, code.t - code.rank)
-    vals = [b.value for b in code.h.kernel_basis()]
-    v = 0
-    best = code.t + 1
-    for j in _gray_flips(len(vals)):
-        v ^= vals[j]
-        w = v.bit_count()
-        if w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+    ker = [b.value for b in code.h.kernel_basis()]
+    return _walk(ker, ker)  # a nonzero kernel word is its own class
 
 
 def distance_to_code(x: BitVector, code: ClassicalCode, cap: int = DEFAULT_CAP) -> int:
@@ -180,13 +185,10 @@ def distance_to_code(x: BitVector, code: ClassicalCode, cap: int = DEFAULT_CAP) 
     if x.n != code.t:
         raise ValueError("word length does not match the code length")
     _use_search("distance to code", cap, code.t - code.rank)
-    v = x.value
-    best = v.bit_count()
-    vals = [b.value for b in code.h.kernel_basis()]
-    for j in _gray_flips(len(vals)):
-        v ^= vals[j]
-        best = min(best, v.bit_count())
-    return best
+    if code.h.mul_vec(x).value == 0:
+        return 0
+    ker = [b.value for b in code.h.kernel_basis()]
+    return _walk(ker, [0] * len(ker), x.value, 1)  # no word of x + ker(H) is 0
 
 
 def classical_soundness(
@@ -209,24 +211,25 @@ def classical_soundness(
     if s == 0 or code.rank == 0:
         return None  # no checks, or every syndrome vanishes
     _use_search("soundness", cap, None, code.rank)
-    rank, columns = _syndrome_columns(h)
-    depth, _ = _coset_depths(columns, rank)
+    # Syndromes in the coordinates of the echelon rows, which span the row
+    # space of H: the depths do not depend on the basis chosen.
+    echelon, pivots = h._rref()
+    rank = len(pivots)
+    columns = BitMatrix(rank, t, echelon).transpose().row_ints()
+    depth, _ = _coset_depths(list(columns), rank)
 
     # Flipping bit p of x adds column p to both the syndrome coordinates
-    # and the full syndrome; a Gray walk over the subsets of rank
-    # independent columns (the pivot columns of H) visits every syndrome
-    # once.
-    steps = h.pivot_columns()
+    # and the full syndrome (dependent rows included). Pivot column i is
+    # the unit vector of bit i, so the Gray walk over the pivot columns
+    # visits every syndrome once, at coordinate i ^ (i >> 1) on step i.
     ht = h.transpose()
-    coord_steps = [columns[p] for p in steps]
-    full_steps = [ht.row(p) for p in steps]
+    full_steps = [ht.row(p) for p in pivots]
     best_num, best_den = 0, 0
-    coord = full = 0
-    for j in _gray_flips(rank):
-        coord ^= coord_steps[j]
+    full = 0
+    for i, j in enumerate(_gray_flips(rank), 1):
         full ^= full_steps[j]
         num = t * full.bit_count()
-        den = s * depth[coord]
+        den = s * depth[i ^ (i >> 1)]
         if best_den == 0 or num * best_den < best_num * den:
             best_num, best_den = num, den
     return Fraction(best_num, best_den)
@@ -281,20 +284,7 @@ def _logical_walk(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
         for j, u in enumerate(probes):
             m |= ((b & u).bit_count() & 1) << j
         masks.append(m)
-
-    best = INFINITE
-    v = 0
-    cls = 0
-    for j in _gray_flips(len(vals)):
-        v ^= vals[j]
-        cls ^= masks[j]
-        if cls:
-            w = v.bit_count()
-            if w < best:
-                best = w
-                if best == 1:
-                    break
-    return best
+    return _walk(vals, masks)
 
 
 def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
@@ -306,8 +296,9 @@ def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance
     probes = tuple(u.value for u in other_checks.kernel_basis())
     stacked = BitMatrix(stab_checks.rows + len(probes), stab_checks.cols,
                         stab_checks.row_ints() + probes)
-    rank, columns = _syndrome_columns(stacked)
-    hit = _coset_depths(columns, rank, (1 << stab_checks.rank()) - 1, 0)[1]
+    basis = row_basis(stacked)
+    columns = list(basis.transpose().row_ints())
+    hit = _coset_depths(columns, basis.rows, (1 << stab_checks.rank()) - 1, 0)[1]
     return INFINITE if hit is None else hit
 
 

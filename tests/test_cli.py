@@ -220,7 +220,14 @@ def test_sweep_deterministic_and_empty(tmp_path, capsys):
 def test_sweep_malformed_job_is_a_parse_error(tmp_path, capsys):
     job = tmp_path / "job.json"
     out = tmp_path / "out.csv"
-    for bad in ([], {"pairs": {}}, {"pairs": [[]]}, {"pairs": ["x"]}):
+    spec = {"quantum": {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}},
+            "classical": {"family": "rep", "params": {"l": 2}}}
+    bad_seeds = (3, "0", None, [0, "1"], [True], [1.0], {"start": 0},
+                 {"start": 0, "count": 2.0}, {"start": False, "count": 1},
+                 {"start": 0, "count": 1, "step": 2})
+    for bad in ([], {"pairs": {}}, {"pairs": [[]]}, {"pairs": ["x"]},
+                *({"pairs": [{**spec, "seeds": [0]}, {**spec, "seeds": seeds}]}
+                  for seeds in bad_seeds)):
         job.write_text(json.dumps(bad))
         code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
         assert code == 2, bad
@@ -272,6 +279,20 @@ def test_analyze_two_term_complex_json(tmp_path, capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["kind"] == "classical" and report["d"] == 3
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"spaces":' + "[" * 100000)
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert "error" in err
+    path.write_text('{"pairs":' + "[" * 100000)
+    out = tmp_path / "out.csv"
+    code, _, err = run(capsys, "sweep", str(path), "-o", str(out))
+    assert code == 2
+    assert "error" in err
+    assert not out.exists()
 
 
 def test_analyze_malformed_complex_is_a_parse_error(tmp_path, capsys):

@@ -240,6 +240,9 @@ def test_pcm_errors():
         parse_pcm("2 3\n110\n01x")
     with pytest.raises(ValueError):
         parse_pcm("nonsense\n")
+    for row in ("1_", " 1", "+1", "12"):  # int() takes spaces, signs, underscores
+        with pytest.raises(ValueError):
+            parse_pcm(f"1 2\n{row}\n")
 
 
 def test_empty_matrices_are_legal():
@@ -343,3 +346,32 @@ def test_elimination_matches_naive(a, order):
         ELIMINATION_CHECKS[name](a)
         ELIMINATION_CHECKS[name](twin)
     assert a == twin and hash(a) == hash(twin)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(matrices(max_rows=6, max_cols=12))
+@example(BitMatrix.zeros(0, 0))
+@example(BitMatrix.zeros(0, 4))  # no rows
+@example(BitMatrix.zeros(3, 0))  # no columns: empty row lines
+def test_pcm_round_trip_property(a):
+    assert parse_pcm(write_pcm(a)) == a
+    assert BitMatrix.from_strings(write_pcm(a).split("\n")[1:-1], a.cols) == a
+
+
+PCM_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="01 #\n-+_x2\t", max_size=40),
+    st.builds(lambda head, body: head + "\n" + body,
+              st.sampled_from(["2 3", "1 2", "0 0", "3 0", "-1 2", "2", "1_0 1"]),
+              st.text(alphabet="01 \n_+#", max_size=20)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(PCM_TEXT)
+def test_parse_pcm_raises_only_value_error(text):
+    try:
+        a = parse_pcm(text)
+    except ValueError:
+        return
+    assert parse_pcm(write_pcm(a)) == a

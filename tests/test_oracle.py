@@ -348,6 +348,14 @@ def test_soundness_search_matches_naive(h):
 
 
 @PROPERTY
+@given(check_matrices())
+@example(BitMatrix.identity(3))  # no nonzero codeword
+@example(BitMatrix.from_strings(["1100", "0011", "1111"]))  # dependent rows, duplicate columns
+def test_classical_distance_walk_matches_naive(h):
+    assert classical_distance(ClassicalCode(h)) == naive_distance(h)
+
+
+@PROPERTY
 @given(css_check_pairs())
 @example((BitMatrix.zeros(0, 3), BitMatrix.zeros(0, 3)))  # rank 0 on both sides
 @example((BitMatrix.identity(3), BitMatrix.zeros(1, 3)))  # K = 0
