@@ -278,15 +278,33 @@ SWEEP_HEADER = [
 ]
 
 
-def _sweep_row(quantum_spec, classical_spec, seed: int, cap: int, timing: bool) -> list[str]:
+def _sweep_row(label: str, quantum_spec: CodeSpec, classical_spec: CodeSpec, seed: int,
+               cap: int, timing: bool) -> list[str]:
+    """One CSV row. A spec that cannot be built is a ValueError naming the
+    pair and the seed; a random generator that finds no valid draw gives an
+    all-NA row."""
     start = time.monotonic()
     row: dict[str, str] = {k: "NA" for k in SWEEP_HEADER}
     row["seed"] = str(seed)
     try:
-        q = as_spec(quantum_spec).with_seed(seed).build()
-        r = as_spec(classical_spec).with_seed(seed).build()
+        q = quantum_spec.with_seed(seed).build()
+        r = classical_spec.with_seed(seed).build()
         if not isinstance(q, CssCode) or not isinstance(r, ClassicalCode):
-            raise ValueError("sweep pairs need a quantum spec and a classical spec")
+            raise ValueError("a pair needs a quantum spec and a classical spec")
+    except RuntimeError:
+        q = r = None
+    except (KeyError, TypeError, ValueError) as exc:
+        what = f"missing parameter {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"sweep pair {label}, seed {seed}: {what}") from None
+    if q is not None:
+        _fill_sweep_row(row, q, r, cap)
+    row["ms"] = str(int((time.monotonic() - start) * 1000)) if timing else "0"
+    return [row[k] for k in SWEEP_HEADER]
+
+
+def _fill_sweep_row(row: dict[str, str], q: CssCode, r: ClassicalCode, cap: int) -> None:
+    """The row's balanced parameters; those that fail to compute stay NA."""
+    try:
         balanced = distance_balance(q, r)
         row["n"] = str(balanced.n)
         row["K"] = str(quantum_dimension(balanced.code))
@@ -313,8 +331,17 @@ def _sweep_row(quantum_spec, classical_spec, seed: int, cap: int, timing: bool) 
             pass
     except (CapExceeded, ValueError, RuntimeError):
         pass
-    row["ms"] = str(int((time.monotonic() - start) * 1000)) if timing else "0"
-    return [row[k] for k in SWEEP_HEADER]
+
+
+def _pair_specs(index: int, pair: dict) -> tuple[CodeSpec, CodeSpec]:
+    """A pair's quantum and classical specs; ValueError naming the pair when
+    either is missing or malformed."""
+    try:
+        return as_spec(pair["quantum"]), as_spec(pair["classical"])
+    except KeyError as exc:
+        raise ValueError(f"sweep pair {index} has no {exc} spec") from None
+    except ValueError as exc:
+        raise ValueError(f"sweep pair {index}: {exc}") from None
 
 
 def _pair_seeds(pair: dict) -> list[int]:
@@ -338,13 +365,13 @@ def cmd_sweep(args) -> int:
     pairs = job.get("pairs", []) if isinstance(job, dict) else None
     if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
         raise ValueError("a sweep job must be an object whose 'pairs' is a list of objects")
+    specs = [_pair_specs(i, pair) for i, pair in enumerate(pairs, 1)]
     seed_lists = [_pair_seeds(pair) for pair in pairs]
     rows = []
-    for pair, seeds in zip(pairs, seed_lists):
+    for i, ((q_spec, r_spec), seeds) in enumerate(zip(specs, seed_lists), 1):
+        label = f"{i} ({q_spec.describe()} x {r_spec.describe()})"
         for seed in seeds:
-            rows.append(
-                _sweep_row(pair["quantum"], pair["classical"], seed, args.cap, args.timing)
-            )
+            rows.append(_sweep_row(label, q_spec, r_spec, seed, args.cap, args.timing))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)

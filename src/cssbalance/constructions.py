@@ -16,6 +16,9 @@ from .chain import ChainComplex, ClassicalCode, CssCode
 from .gf2 import BitMatrix, block, parse_pcm
 from .io import load_code
 
+# Draws a random generator makes before it gives up with RuntimeError.
+MAX_RESAMPLES = 1000
+
 
 def rep_standard(l: int) -> ClassicalCode:
     """Chain-of-pairs checks for the length-l repetition code: row i is
@@ -61,14 +64,7 @@ def hamming74() -> ClassicalCode:
     return ClassicalCode(BitMatrix(3, 7, vals))
 
 
-def random_ldpc(
-    t: int,
-    s: int,
-    row_w: int,
-    col_w: int,
-    seed: int,
-    max_resamples: int = 1000,
-) -> ClassicalCode:
+def random_ldpc(t: int, s: int, row_w: int, col_w: int, seed: int) -> ClassicalCode:
     """Pseudorandom s x t matrix with row weights in [1, row_w] and column
     weights at most col_w, resampled until the checks are independent.
 
@@ -77,7 +73,7 @@ def random_ldpc(
     in the row weights is what makes independent checks reachable.
 
     Raises when the requested profile is infeasible by counting or when no
-    independent-check sample is found within the resample budget.
+    independent-check sample is found in MAX_RESAMPLES draws.
     """
     if s > t:
         raise ValueError(f"more checks than bits (s = {s} > t = {t})")
@@ -91,7 +87,7 @@ def random_ldpc(
             f"column weight {col_w} over {t} columns"
         )
     rng = random.Random(seed)
-    for _ in range(max_resamples):
+    for _ in range(MAX_RESAMPLES):
         col_load = [0] * t
         vals = []
         ok = True
@@ -113,13 +109,11 @@ def random_ldpc(
         if h.rank() == s:
             return ClassicalCode(h)
     raise RuntimeError(
-        f"no independent-check sample with this profile in {max_resamples} tries"
+        f"no independent-check sample with this profile in {MAX_RESAMPLES} tries"
     )
 
 
-def random_css(
-    n: int, n_x: int, n_z: int, seed: int, max_resamples: int = 1000
-) -> CssCode:
+def random_css(n: int, n_x: int, n_z: int, seed: int) -> CssCode:
     """Random CSS code on n qubits with n_z independent Z-checks and n_x
     independent X-checks drawn from the orthogonal complement."""
     if n < 1:
@@ -130,7 +124,7 @@ def random_css(
 
     def sample_independent(dim: int, count: int, combine) -> Optional[list[int]]:
         rows: list[int] = []
-        for _ in range(max_resamples):
+        for _ in range(MAX_RESAMPLES):
             if len(rows) == count:
                 return rows
             v = combine(rng.getrandbits(dim))
@@ -232,11 +226,16 @@ class CodeSpec:
 
 
 def as_spec(obj) -> CodeSpec:
+    """obj as a CodeSpec: a CodeSpec, or an object with a 'family' and an
+    optional 'params' object; ValueError on anything else."""
     if isinstance(obj, CodeSpec):
         return obj
-    if isinstance(obj, dict):
-        return CodeSpec(obj["family"], dict(obj.get("params", {})))
-    raise ValueError(f"cannot interpret {obj!r} as a code spec")
+    if not isinstance(obj, dict) or "family" not in obj:
+        raise ValueError(f"cannot interpret {obj!r} as a code spec")
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"code spec 'params' must be an object, not {params!r}")
+    return CodeSpec(obj["family"], dict(params))
 
 
 def _cell(text: str, symbolic: bool = True, value: Optional[str] = None) -> dict:

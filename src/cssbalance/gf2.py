@@ -3,11 +3,11 @@
 Matrices store one Python int per row (bit c of row r is ``(row >> c) & 1``),
 so XOR is vector addition and ``int.bit_count`` is the Hamming weight. All
 values are immutable after construction and safe to share across threads.
-Every elimination (rank, pivots, kernel, solve, row bases) goes through one
-routine, ``BitMatrix._rref``, and a matrix keeps its echelon form once the
-first of those calls has computed it, so it is computed at most once per
-matrix. The cache is idempotent: two threads racing on a first call only
-repeat the same work and store equal results.
+Every elimination (rank, pivots, kernel, solve, row bases) reads one pass,
+``BitMatrix._rref``, which inserts the rows in order and gives the reduced
+echelon form and the rows that raised the rank; a matrix keeps that result
+once computed. The cache is idempotent: two threads racing on a first call
+only repeat the same work and store equal results.
 Empty matrices (0 rows or 0 columns) are legal everywhere and act as the
 empty map.
 """
@@ -246,32 +246,33 @@ class BitMatrix:
     def rank(self) -> int:
         return len(self._rref()[1])
 
-    def _rref(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Reduced row echelon form: (the nonzero rows, their pivot
-        columns), computed on first use and kept."""
+    def _rref(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Reduced row echelon form by row insertion: (the nonzero rows,
+        their pivot columns, the ascending indices of the rows that raised
+        the rank), computed on first use and kept. Each row is reduced by
+        the fully reduced pivot rows kept so far, one XOR per bit it has in
+        a pivot column; a nonzero remainder becomes a pivot row at its
+        lowest set bit, which is cleared from the earlier pivot rows."""
         if self._echelon is not None:
             return self._echelon
-        work = list(self._r)
-        pivots: list[int] = []
-        row = 0
-        for col in range(self.cols):
-            mask = 1 << col
-            pivot = None
-            for i in range(row, len(work)):
-                if work[i] & mask:
-                    pivot = i
+        at = [0] * self.cols  # at[c]: the pivot row whose pivot column is c
+        pivots, kept, mask = [], [], 0
+        for r, v in enumerate(self._r):
+            while hits := v & mask:
+                v ^= at[(hits & -hits).bit_length() - 1]
+            if v:
+                low = v & -v
+                for p in pivots:
+                    if at[p] & low:
+                        at[p] ^= v
+                pivots.append(low.bit_length() - 1)
+                at[pivots[-1]] = v
+                kept.append(r)
+                mask |= low
+                if len(kept) == self.cols:
                     break
-            if pivot is None:
-                continue
-            work[row], work[pivot] = work[pivot], work[row]
-            for i in range(len(work)):
-                if i != row and work[i] & mask:
-                    work[i] ^= work[row]
-            pivots.append(col)
-            row += 1
-            if row == len(work):
-                break
-        echelon = (tuple(work[:row]), tuple(pivots))
+        pivots.sort()
+        echelon = (tuple(at[p] for p in pivots), tuple(pivots), tuple(kept))
         object.__setattr__(self, "_echelon", echelon)
         return echelon
 
@@ -282,7 +283,7 @@ class BitMatrix:
 
     def kernel_basis(self) -> list[BitVector]:
         """Basis of ker(A); size cols - rank, ordered by ascending free column."""
-        work, pivots = self._rref()
+        work, pivots, _ = self._rref()
         pivot_set = set(pivots)
         basis = []
         for free in range(self.cols):
@@ -302,7 +303,7 @@ class BitMatrix:
         aug_col = self.cols
         aug = BitMatrix(self.rows, self.cols + 1,
                         [v | (b.bit(i) << aug_col) for i, v in enumerate(self._r)])
-        work, pivots = aug._rref()
+        work, pivots, _ = aug._rref()
         if pivots and pivots[-1] == aug_col:
             return None
         x = 0
@@ -376,7 +377,7 @@ def block(grid: Sequence[Sequence]) -> BitMatrix:
 
 def row_basis(a: BitMatrix) -> BitMatrix:
     """Rows of a that greedily (in ascending order) form a row-space basis."""
-    kept = a.transpose().pivot_columns()
+    kept = a._rref()[2]
     return BitMatrix(len(kept), a.cols, [a.row(r) for r in kept])
 
 
@@ -385,14 +386,13 @@ def nonsingular_row_partition(a: BitMatrix) -> tuple[tuple[int, ...], tuple[int,
 
     Requires the columns of a to be independent (rank == cols). The choice is
     deterministic: scanning rows in ascending order, a row is kept exactly
-    when it increases the running rank; these are the pivot columns of the
-    transpose.
+    when it raises the running rank, as the elimination records.
     """
-    kept = a.transpose().pivot_columns()
+    kept = a._rref()[2]
     if len(kept) < a.cols:
         raise ValueError("columns are dependent: no invertible row selection exists")
     keep_set = set(kept)
-    return tuple(kept), tuple(r for r in range(a.rows) if r not in keep_set)
+    return kept, tuple(r for r in range(a.rows) if r not in keep_set)
 
 
 def _format_row(v: int, cols: int) -> str:

@@ -213,7 +213,7 @@ def classical_soundness(
     _use_search("soundness", cap, None, code.rank)
     # Syndromes in the coordinates of the echelon rows, which span the row
     # space of H: the depths do not depend on the basis chosen.
-    echelon, pivots = h._rref()
+    echelon, pivots, _ = h._rref()
     rank = len(pivots)
     columns = BitMatrix(rank, t, echelon).transpose().row_ints()
     depth, _ = _coset_depths(list(columns), rank)

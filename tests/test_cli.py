@@ -1,5 +1,6 @@
 import json
 
+from cssbalance import constructions
 from cssbalance.cli import SWEEP_HEADER, main
 
 
@@ -225,14 +226,54 @@ def test_sweep_malformed_job_is_a_parse_error(tmp_path, capsys):
     bad_seeds = (3, "0", None, [0, "1"], [True], [1.0], {"start": 0},
                  {"start": 0, "count": 2.0}, {"start": False, "count": 1},
                  {"start": 0, "count": 1, "step": 2})
+    bad_pairs = ({"classical": spec["classical"]}, {"quantum": spec["quantum"]},
+                 {**spec, "quantum": {"family": "nope"}},
+                 {**spec, "quantum": {"params": {"n": 4, "n_x": 1, "n_z": 1}}},
+                 {**spec, "quantum": "random_css"},
+                 {**spec, "classical": {"family": "rep", "params": [["l", 2]]}})
     for bad in ([], {"pairs": {}}, {"pairs": [[]]}, {"pairs": ["x"]},
                 *({"pairs": [{**spec, "seeds": [0]}, {**spec, "seeds": seeds}]}
-                  for seeds in bad_seeds)):
+                  for seeds in bad_seeds),
+                *({"pairs": [{**spec, "seeds": [0]}, pair]} for pair in bad_pairs)):
         job.write_text(json.dumps(bad))
         code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
         assert code == 2, bad
         assert "error" in err
     assert not out.exists()
+
+
+def test_sweep_spec_that_cannot_be_built_is_a_parse_error(tmp_path, capsys):
+    """A spec that does not build ends the run before any CSV is written,
+    and the message names the pair and the seed."""
+    job = tmp_path / "job.json"
+    out = tmp_path / "out.csv"
+    rep = {"family": "rep", "params": {"l": 2}}
+    good = {"quantum": {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}},
+            "classical": rep, "seeds": [0]}
+    for bad in ({"n": 4, "n_x": 3, "n_z": 3}, {"n": 4, "n_x": 1}, {"n": [4], "n_x": 1, "n_z": 1}):
+        pair = {"quantum": {"family": "random_css", "params": bad}, "classical": rep,
+                "seeds": [5]}
+        job.write_text(json.dumps({"pairs": [good, pair]}))
+        code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
+        assert code == 2, bad
+        assert "pair 2" in err and "seed 5" in err, err
+    job.write_text(json.dumps({"pairs": [{"quantum": rep, "classical": rep}]}))
+    code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
+    assert code == 2
+    assert "quantum spec and a classical spec" in err
+    assert not out.exists()
+
+
+def test_sweep_generator_without_a_draw_gives_na_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "MAX_RESAMPLES", 0)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"pairs": [{
+        "quantum": {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}},
+        "classical": {"family": "rep", "params": {"l": 2}},
+    }]}))
+    out = tmp_path / "na.csv"
+    assert run(capsys, "sweep", str(job), "-o", str(out))[0] == 0
+    assert out.read_text().split("\n")[1] == ",".join(["0"] + ["NA"] * 15 + ["0"])
 
 
 def test_sweep_cap_exceeding_instance_flagged(tmp_path, capsys):

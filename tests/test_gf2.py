@@ -329,11 +329,18 @@ ELIMINATION_CHECKS = {
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(matrices(), st.permutations(sorted(ELIMINATION_CHECKS)))
+@given(matrices(max_rows=9, max_cols=8), st.permutations(sorted(ELIMINATION_CHECKS)))
 @example(BitMatrix.zeros(0, 3), sorted(ELIMINATION_CHECKS))  # no rows
 @example(BitMatrix.zeros(3, 0), sorted(ELIMINATION_CHECKS))  # no columns
 @example(BitMatrix.from_strings(["110", "110", "000", "011"]), sorted(ELIMINATION_CHECKS))
 @example(BitMatrix.from_strings(["10", "01", "11"]), sorted(ELIMINATION_CHECKS))  # rank == cols
+# Tall: each later row reduces to zero only after three or four XORs.
+@example(BitMatrix.from_strings(["11000", "01100", "00110", "00011", "11110", "10111",
+                                 "01111", "11011", "11101"]), sorted(ELIMINATION_CHECKS))
+# The last row's pivot must be cleared from all three earlier pivot rows.
+@example(BitMatrix.from_strings(["10011", "01011", "00111", "00010"]), sorted(ELIMINATION_CHECKS))
+# Pivots arrive in descending column order.
+@example(BitMatrix.from_strings(["00011", "00110", "01100", "11000"]), sorted(ELIMINATION_CHECKS))
 def test_elimination_matches_naive(a, order):
     """Every method that eliminates agrees with the span-set references,
     whatever the order of the calls on one matrix; an equal matrix built
