@@ -19,12 +19,25 @@ from .io import load_code
 # Draws a random generator makes before it gives up with RuntimeError.
 MAX_RESAMPLES = 1000
 
+# The most entries (rows x cols) of a matrix a generator builds; a larger
+# request is a ValueError before anything is allocated.
+MAX_MATRIX_ENTRIES = 1 << 28
+
+
+def _check_size(rows: int, cols: int) -> None:
+    if rows * cols > MAX_MATRIX_ENTRIES:
+        raise ValueError(
+            f"a {rows} x {cols} matrix exceeds the generator limit of "
+            f"{MAX_MATRIX_ENTRIES} entries"
+        )
+
 
 def rep_standard(l: int) -> ClassicalCode:
     """Chain-of-pairs checks for the length-l repetition code: row i is
     e_i + e_{i+1}, an (l-1) x l matrix with independent checks."""
     if l < 2:
         raise ValueError("repetition length must be >= 2")
+    _check_size(l - 1, l)
     return ClassicalCode(BitMatrix(l - 1, l, [0b11 << i for i in range(l - 1)]))
 
 
@@ -33,6 +46,7 @@ def rep_modified(l: int) -> ClassicalCode:
     column carries weight l-1. Same kernel as rep_standard(l)."""
     if l < 2:
         raise ValueError("repetition length must be >= 2")
+    _check_size(l - 1, l)
     last = 1 << (l - 1)
     return ClassicalCode(BitMatrix(l - 1, l, [(1 << i) | last for i in range(l - 1)]))
 
@@ -45,6 +59,7 @@ def q_complex(hhat: BitMatrix) -> CssCode:
     n = hhat.cols
     if n < 1:
         raise ValueError("check matrix must have at least one column")
+    _check_size(max(n, hhat.rows), 2 * n)
     eye = BitMatrix.identity(n)
     h_z = block([[eye, eye]])
     h_x = block([[hhat, hhat]])
@@ -86,6 +101,7 @@ def random_ldpc(t: int, s: int, row_w: int, col_w: int, seed: int) -> ClassicalC
             f"infeasible profile: {s} rows of weight {row_w} cannot fit "
             f"column weight {col_w} over {t} columns"
         )
+    _check_size(s, t)
     rng = random.Random(seed)
     for _ in range(MAX_RESAMPLES):
         col_load = [0] * t
@@ -120,6 +136,7 @@ def random_css(n: int, n_x: int, n_z: int, seed: int) -> CssCode:
         raise ValueError("need at least one qubit")
     if n_x < 0 or n_z < 0 or n_x + n_z > n:
         raise ValueError("check counts must satisfy 0 <= n_x + n_z <= n")
+    _check_size(n, n)  # the kernel basis of H_Z has up to n rows
     rng = random.Random(seed)
 
     def sample_independent(dim: int, count: int, combine) -> Optional[list[int]]:

@@ -11,20 +11,22 @@ Minimum weights come from one of two exhaustive scans:
   basis) in Gray-code order, one XOR and one popcount per step, keeping a
   class that tells which words count; classical distance, the distance to
   a code and the logical-distance walk all go through it;
-- the coset-leader search is a breadth-first search from syndrome 0 in
-  the Cayley graph whose generators are the distinct nonzero columns of a
-  check matrix, so the depth of a syndrome is the minimum weight of its
-  coset (the standard array of MacWilliams & Sloane, *The Theory of
-  Error-Correcting Codes*, ch. 1). Depths are kept in a bytearray of
-  2^rank entries. Soundness writes syndromes in the coordinates of H's
-  memoized echelon rows, where pivot column i is the unit vector of bit
-  i; the logical search uses a greedily chosen set of independent rows.
+- the coset-leader search (``_levels``) is a breadth-first search from
+  syndrome 0 whose steps add one column of a check matrix, so the depth of
+  a syndrome is the minimum weight of its coset (the standard array of
+  MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, ch. 1).
+  It is bit-sliced (Biham, FSE 1997): a set of syndromes is one int of
+  2^rank bits, and a level costs a few big-int operations per column bit.
+  Syndromes are written in a basis with a unit column per row: H's
+  echelon rows for soundness, which sums its checks into weight planes
+  with a bit-sliced adder, and the kernel basis of the other checks for a
+  logical distance. It holds about rank + ceil(log2(s + 1)) + 8 sets.
 
 Classical distance and ``distance_to_code`` always walk the kernel and
 soundness always searches syndromes. Logical distances take whichever
 scan is cheaper, comparing 2^dim(kernel) with 2^rank times the number of
 columns; the choice is made from ranks alone, before any kernel is built
-or any array allocated.
+or any set allocated.
 
 The enumeration budget is a hard cap on the size of the scan a call
 chooses: 2^dim(kernel) words for a Gray walk, 2^rank syndromes for the
@@ -38,21 +40,18 @@ only when no scan fits.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from .chain import ClassicalCode, CssCode
-from .gf2 import BitMatrix, BitVector, row_basis
+from .gf2 import BitMatrix, BitVector
 
 DEFAULT_CAP = 1 << 24
 
 INFINITE = math.inf
 
 Distance = Union[int, float]
-
-_UNSEEN = 0xFF  # depth marker of a syndrome the search has not reached
 
 
 class CapExceeded(Exception):
@@ -75,12 +74,9 @@ class CapExceeded(Exception):
         self.cap = cap
         self.words_log2 = words_log2
         self.syndromes_log2 = syndromes_log2
-        self.log2_size = min(x for x in (words_log2, syndromes_log2) if x is not None)
-        needs = []
-        if words_log2 is not None:
-            needs.append(f"2^{words_log2} words (Gray walk)")
-        if syndromes_log2 is not None:
-            needs.append(f"2^{syndromes_log2} syndromes (BFS)")
+        sizes = ((words_log2, "words (Gray walk)"), (syndromes_log2, "syndromes (BFS)"))
+        self.log2_size = min(k for k, _ in sizes if k is not None)
+        needs = [f"2^{k} {kind}" for k, kind in sizes if k is not None]
         power_of_two = cap > 0 and cap & (cap - 1) == 0
         cap_text = f"2^{cap.bit_length() - 1}" if power_of_two else str(cap)
         super().__init__(f"{what} needs {' or '.join(needs)}, cap is {cap_text}")
@@ -105,9 +101,7 @@ def _use_search(
     if walk and search:
         return columns << syndromes_log2 < 1 << words_log2
     if not (walk or search):
-        raise CapExceeded(
-            what, cap, words_log2=words_log2, syndromes_log2=syndromes_log2
-        )
+        raise CapExceeded(what, cap, words_log2=words_log2, syndromes_log2=syndromes_log2)
     return search
 
 
@@ -136,33 +130,61 @@ def _walk(vals: list[int], masks: list[int], v: int = 0, cls: int = 0) -> Distan
     return best
 
 
-def _coset_depths(
-    columns: list[int], rank: int, mask: int = 0, goal: int = -1
-) -> tuple[bytearray, Optional[int]]:
-    """Breadth-first search from syndrome 0 over all 2^rank syndromes; a
-    step adds one column. Returns (depths, hit): depths[s] is the minimum
-    weight of a word with syndrome s. The search stops at the first
-    syndrome s reached with s & mask == goal and hit is its depth; without
-    such a syndrome it reaches every syndrome and hit is None."""
-    gens = sorted(set(columns) - {0})
-    depth = bytearray([_UNSEEN]) * (1 << rank)
-    depth[0] = 0
-    frontier = array("I" if rank <= 32 else "Q", [0])
-    level = 0
-    while frontier:
-        level += 1
-        reached = array(frontier.typecode)
-        push = reached.append
-        for syn in frontier:
-            for g in gens:
-                v = syn ^ g
-                if depth[v] == _UNSEEN:
-                    depth[v] = level
-                    if v & mask == goal:
-                        return depth, level
-                    push(v)
-        frontier = reached
-    return depth, None
+def _parity_set(row: int, pivots) -> int:
+    """The set of syndromes c for which row has an odd number of ones at
+    the pivots p_i with bit i of c set, by doubling: a one at p_i
+    complements the upper copy."""
+    fired, width = 0, 1
+    for p in pivots:
+        fired |= (fired ^ ((1 << width) - 1) if row >> p & 1 else fired) << width
+        width <<= 1
+    return fired
+
+
+def _levels(basis, cols: int):
+    """Breadth-first search from syndrome 0 over the 2^rank syndromes of
+    the independent rows basis (of cols bits each), a step adding one
+    column; yields (d, the set of syndromes at depth d) for d = 1, 2, ...
+    until every syndrome is reached. Depth is the minimum weight of a word
+    with that syndrome.
+
+    XOR by a column g permutes a set, one block swap per set bit i of g. A
+    unit column starts from the level. The others are chained nearest
+    first: each starts from the set the previous one made and moves by
+    their XOR, or from the level when g alone takes fewer swaps."""
+    # zeros[i]: the syndromes whose bit i is 0. The top one is the lower
+    # half, and each is the one above XOR itself moved up by 2^i.
+    rank = len(basis)
+    zeros = [(1 << (1 << rank >> 1)) - 1] if rank else []
+    for i in reversed(range(rank - 1)):
+        zeros.append(zeros[-1] ^ zeros[-1] << (1 << i))
+    zeros.reverse()
+    columns = BitMatrix(rank, cols, basis).transpose().row_ints()
+    left = set(columns) - {0}
+    moves = [(True, g) for g in sorted(left) if g & (g - 1) == 0]
+    left.difference_update(g for _, g in moves)
+    prev = 0
+    while left:
+        g = min(left, key=lambda g: min(g.bit_count(), (g ^ prev).bit_count()))
+        left.remove(g)
+        restart = g.bit_count() <= (g ^ prev).bit_count()
+        moves.append((restart, g if restart else g ^ prev))
+        prev = g
+    steps = [(restart, [(z, 1 << i) for i, z in enumerate(zeros) if move >> i & 1])
+             for restart, move in moves]
+    level, unseen, depth = 1, (1 << (1 << rank)) - 2, 0
+    reached = f = 0
+    while level and unseen:
+        for restart, swaps in steps:
+            if restart:
+                f = level
+            for z, k in swaps:
+                f = (f & z) << k | (f >> k) & z
+            reached |= f
+        level, reached, f = reached & unseen, 0, 0  # keep no stale set over the yield
+        unseen ^= level
+        depth += 1
+        yield depth, level
 
 
 def classical_dimension(code: ClassicalCode) -> int:
@@ -198,10 +220,11 @@ def classical_soundness(
 
     Both |Hx| and d(x, ker H) depend on x only through its syndrome, and
     d(x, ker H) is the depth of that syndrome in the coset-leader search,
-    so the minimum of t*|Hx| / (s*d(x, ker H)) is taken once per nonzero
-    syndrome. |Hx| counts every check, dependent rows included. Words
-    inside the code are excluded (the inequality is vacuous there). When
-    ker(H) = {0} every nonzero word participates with d(x, ker H) = |x|.
+    so the minimum of t*|Hx| / (s*d(x, ker H)) is taken over the nonzero
+    syndromes, at the least |Hx| of each depth. |Hx| counts every check,
+    dependent rows included. Words inside the code are excluded (the
+    inequality is vacuous there). When ker(H) = {0} every nonzero word
+    participates with d(x, ker H) = |x|.
 
     Returns None (undefined) when there are no checks or the code is the
     full space.
@@ -214,25 +237,28 @@ def classical_soundness(
     # Syndromes in the coordinates of the echelon rows, which span the row
     # space of H: the depths do not depend on the basis chosen.
     echelon, pivots, _ = h._rref()
-    rank = len(pivots)
-    columns = BitMatrix(rank, t, echelon).transpose().row_ints()
-    depth, _ = _coset_depths(list(columns), rank)
-
-    # Flipping bit p of x adds column p to both the syndrome coordinates
-    # and the full syndrome (dependent rows included). Pivot column i is
-    # the unit vector of bit i, so the Gray walk over the pivot columns
-    # visits every syndrome once, at coordinate i ^ (i >> 1) on step i.
-    ht = h.transpose()
-    full_steps = [ht.row(p) for p in pivots]
-    best_num, best_den = 0, 0
-    full = 0
-    for i, j in enumerate(_gray_flips(rank), 1):
-        full ^= full_steps[j]
-        num = t * full.bit_count()
-        den = s * depth[i ^ (i >> 1)]
-        if best_den == 0 or num * best_den < best_num * den:
-            best_num, best_den = num, den
-    return Fraction(best_num, best_den)
+    # Row j of H is the sum of the echelon rows i with H[j][pivot_i] = 1,
+    # so check j fires on the syndromes of odd parity against those bits.
+    # A bit-sliced adder sums the checks: planes[k] is bit k of |Hx|.
+    planes = [0] * s.bit_length()
+    for row in h.row_ints():
+        carry = _parity_set(row, pivots)
+        for k, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[k], carry = plane ^ carry, plane & carry
+    best_w, best_d = 0, 0
+    for d, found in _levels(echelon, t):
+        w = 0  # the least weight in found: descend the planes from the top
+        for k in reversed(range(len(planes))):
+            low = found & ~planes[k]
+            if low:
+                found = low
+            else:
+                w |= 1 << k
+        if not best_d or w * best_d < best_w * d:
+            best_w, best_d = w, d
+    return Fraction(t * best_w, s * best_d)
 
 
 def locality(obj) -> int:
@@ -245,10 +271,7 @@ def locality(obj) -> int:
         mats = [obj]
     else:
         raise TypeError(f"no parity checks on {type(obj).__name__}")
-    w = 0
-    for m in mats:
-        w = max([w] + m.row_weights() + m.col_weights())
-    return w
+    return max((w for m in mats for w in m.row_weights() + m.col_weights()), default=0)
 
 
 def quantum_dimension(q: CssCode) -> int:
@@ -278,28 +301,24 @@ def _logical_walk(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
     step."""
     probes = [u.value for u in other_checks.kernel_basis()]
     vals = [b.value for b in stab_checks.kernel_basis()]
-    masks = []
-    for b in vals:
-        m = 0
-        for j, u in enumerate(probes):
-            m |= ((b & u).bit_count() & 1) << j
-        masks.append(m)
+    masks = [sum(((b & u).bit_count() & 1) << j for j, u in enumerate(probes)) for b in vals]
     return _walk(vals, masks)
 
 
 def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
-    """Syndrome search on [stab_checks; basis of ker(other_checks)]. The
-    stabilizer rows lie in that kernel, so the rank is n - rank(other_checks)
-    and the first rank(stab_checks) basis rows, the low syndrome bits, come from
-    stab_checks. A word is a logical operator exactly when its syndrome
-    vanishes on those bits but not overall."""
-    probes = tuple(u.value for u in other_checks.kernel_basis())
-    stacked = BitMatrix(stab_checks.rows + len(probes), stab_checks.cols,
-                        stab_checks.row_ints() + probes)
-    basis = row_basis(stacked)
-    columns = list(basis.transpose().row_ints())
-    hit = _coset_depths(columns, basis.rows, (1 << stab_checks.rank()) - 1, 0)[1]
-    return INFINITE if hit is None else hit
+    """Syndrome search in the coordinates of the basis of ker(other_checks),
+    whose vector for free column f_i is the only one with a one there: the
+    rank is n - rank(other_checks). The stabilizer rows lie in that kernel,
+    so their coordinates are their bits at the free columns. A word is a
+    logical operator exactly when its syndrome is nonzero but no stabilizer
+    row fires on it."""
+    probes = [u.value for u in other_checks.kernel_basis()]
+    free = sorted(set(range(other_checks.cols)) - set(other_checks._rref()[1]))
+    fires = 0
+    for row in stab_checks._rref()[0]:
+        fires |= _parity_set(row, free)
+    levels = _levels(probes, other_checks.cols)
+    return next((d for d, found in levels if found & ~fires), INFINITE)
 
 
 def quantum_distance_x(q: CssCode, cap: int = DEFAULT_CAP) -> Distance:
@@ -320,9 +339,8 @@ def component_soundness(
     q: CssCode, cap: int = DEFAULT_CAP
 ) -> tuple[Optional[Fraction], Optional[Fraction]]:
     """Soundness of the two classical component codes (H_X code, H_Z code)."""
-    rho_x = classical_soundness(ClassicalCode(q.h_x), cap)
-    rho_z = classical_soundness(ClassicalCode(q.h_z), cap)
-    return rho_x, rho_z
+    return (classical_soundness(ClassicalCode(q.h_x), cap),
+            classical_soundness(ClassicalCode(q.h_z), cap))
 
 
 def quantum_soundness(q: CssCode, cap: int = DEFAULT_CAP) -> Optional[Fraction]:
@@ -334,15 +352,11 @@ def quantum_soundness(q: CssCode, cap: int = DEFAULT_CAP) -> Optional[Fraction]:
     what gets reported.
     """
     rho_x, rho_z = component_soundness(q, cap)
-    if rho_x is None or rho_z is None:
-        return None
-    return min(rho_x, rho_z)
+    return None if rho_x is None or rho_z is None else min(rho_x, rho_z)
 
 
 def fraction_obj(f: Optional[Fraction]):
-    if f is None:
-        return "undefined"
-    return {"num": f.numerator, "den": f.denominator}
+    return "undefined" if f is None else {"num": f.numerator, "den": f.denominator}
 
 
 def distance_obj(d):
@@ -382,6 +396,8 @@ class CodeReport:
         def dist(name, value):
             return "cap-exceeded" if name in self.incomplete else distance_obj(value)
 
+        soundness = ("cap-exceeded" if "soundness" in self.incomplete
+                     else fraction_obj(self.soundness))
         if self.kind == "classical":
             return {
                 "kind": "classical",
@@ -389,11 +405,7 @@ class CodeReport:
                 "K": self.dimension,
                 "d": dist("d", self.d),
                 "locality": self.locality,
-                "soundness": (
-                    "cap-exceeded"
-                    if "soundness" in self.incomplete
-                    else fraction_obj(self.soundness)
-                ),
+                "soundness": soundness,
                 "s": self.s,
                 "provenance": self.provenance,
             }
@@ -404,11 +416,7 @@ class CodeReport:
             "dX": dist("dX", self.d_x),
             "dZ": dist("dZ", self.d_z),
             "locality": self.locality,
-            "soundness": (
-                "cap-exceeded"
-                if "soundness" in self.incomplete
-                else fraction_obj(self.soundness)
-            ),
+            "soundness": soundness,
             "nX": self.n_x,
             "nZ": self.n_z,
             "provenance": self.provenance,
@@ -431,20 +439,21 @@ class CodeReport:
         return "\n".join(lines)
 
 
+def _unless_capped(incomplete: list[str], name: str, measure, *args):
+    """measure(*args), or None with name noted as incomplete when capped."""
+    try:
+        return measure(*args)
+    except CapExceeded:
+        incomplete.append(name)
+        return None
+
+
 def analyze_classical(
     code: ClassicalCode, cap: int = DEFAULT_CAP, provenance: str = ""
 ) -> CodeReport:
     incomplete = []
-    d = None
-    try:
-        d = classical_distance(code, cap)
-    except CapExceeded:
-        incomplete.append("d")
-    rho = None
-    try:
-        rho = classical_soundness(code, cap)
-    except CapExceeded:
-        incomplete.append("soundness")
+    d = _unless_capped(incomplete, "d", classical_distance, code, cap)
+    rho = _unless_capped(incomplete, "soundness", classical_soundness, code, cap)
     return CodeReport(
         kind="classical",
         n=code.t,
@@ -462,21 +471,11 @@ def analyze_quantum(
     q: CssCode, cap: int = DEFAULT_CAP, provenance: str = ""
 ) -> CodeReport:
     incomplete = []
-    d_x = d_z = None
-    try:
-        d_x = quantum_distance_x(q, cap)
-    except CapExceeded:
-        incomplete.append("dX")
-    try:
-        d_z = quantum_distance_z(q, cap)
-    except CapExceeded:
-        incomplete.append("dZ")
-    rho_x = rho_z = rho = None
-    try:
-        rho_x, rho_z = component_soundness(q, cap)
-        rho = None if (rho_x is None or rho_z is None) else min(rho_x, rho_z)
-    except CapExceeded:
-        incomplete.append("soundness")
+    d_x = _unless_capped(incomplete, "dX", quantum_distance_x, q, cap)
+    d_z = _unless_capped(incomplete, "dZ", quantum_distance_z, q, cap)
+    rho_x, rho_z = (_unless_capped(incomplete, "soundness", component_soundness, q, cap)
+                    or (None, None))
+    rho = None if (rho_x is None or rho_z is None) else min(rho_x, rho_z)
     return CodeReport(
         kind="quantum",
         n=q.n,

@@ -7,14 +7,21 @@ shared with the package's elimination or enumeration code paths.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from cssbalance import BitMatrix, BitVector
 
 INF = float("inf")
 
 
+@lru_cache(maxsize=256)
+def _matrix_bits(a: BitMatrix) -> tuple[tuple[int, ...], ...]:
+    """The entries of a, unpacked once per distinct matrix."""
+    return tuple(map(tuple, a.to_bits()))
+
+
 def naive_mul(a: BitMatrix, v: BitVector) -> list[int]:
-    bits = a.to_bits()
+    bits = _matrix_bits(a)
     x = v.bits()
     out = []
     for r in range(a.rows):
@@ -87,7 +94,8 @@ def naive_soundness(h: BitMatrix):
         syndrome = sum(naive_mul(h, x))
         if syndrome == 0:
             continue
-        ratio = Fraction(t * syndrome, s * naive_distance_to_code(x, h))
+        distance = min((x ^ c).weight() for c in kernel)
+        ratio = Fraction(t * syndrome, s * distance)
         if best is None or ratio < best:
             best = ratio
     return best

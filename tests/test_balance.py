@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from cssbalance import (
+    INFINITE,
     BitMatrix,
     ClassicalCode,
     ClassicalParams,
@@ -213,3 +216,49 @@ def test_provenance_recorded():
     bal = distance_balance(q_rep3(), rep_standard(2), ("my-q", "my-r"))
     assert bal.parent_quantum == "my-q"
     assert bal.parent_classical == "my-r"
+
+
+# The paper's theorem on seeded random inputs: a random CSS code with both
+# kinds of checks, balanced against an independent-check random LDPC code.
+THEOREM = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def random_pairs(draw):
+    """Balanced H_X has rank at most n_X*t and balanced H_Z at most
+    n_Z*t + n*s; both bounds are kept to 20, so every soundness scan of
+    bound_check covers at most 2^20 syndromes."""
+    n, t = draw(st.integers(3, 6)), draw(st.integers(2, 5))
+    s = draw(st.integers(1, min(t - 1, (20 - t) // n)))
+    n_z = draw(st.integers(1, min(n - 1, (20 - n * s) // t)))
+    n_x = draw(st.integers(1, min(n - n_z, 20 // t)))
+    q = random_css(n, n_x, n_z, seed=draw(st.integers(0, 1 << 16)))
+    col_w = draw(st.integers(1, s))
+    row_w = draw(st.integers(1, min(t, t * col_w // s)))
+    try:
+        r = random_ldpc(t, s, row_w, col_w, seed=draw(st.integers(0, 1 << 16)))
+    except RuntimeError:  # no independent-check draw with this profile
+        reject()
+    return q, r
+
+
+@THEOREM
+@given(random_pairs())
+def test_balancing_theorem_on_random_pairs(pair):
+    q, r = pair
+    qp = measured_quantum_params(q, with_soundness=False)
+    rp = measured_classical_params(r)
+    bal = distance_balance(q, r)
+    assert bal.code.complex.validate() is None
+    assert bal.n == q.n * r.t + q.n_x * r.s
+    k = quantum_dimension(bal.code)
+    assert k == qp.dimension * rp.dimension
+    # A code that encodes nothing has no logical operator on either side.
+    expected = (qp.d_x * rp.d, qp.d_z) if k else (INFINITE, INFINITE)
+    assert quantum_distances(bal.code) == expected
+    check = bound_check(q, r)
+    side_x, side_z = check.sides
+    assert side_x.bound == bound_x(q.n, q.n_x, q.n_z, r.t, r.s, check.rho_z)
+    assert side_z.bound == bound_z(q.n, q.n_x, q.n_z, r.t, r.s, check.rho_x)
+    assert side_x.measured >= side_x.bound and side_x.holds
+    assert side_z.measured >= side_z.bound and side_z.holds

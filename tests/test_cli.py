@@ -37,6 +37,16 @@ def test_gen_usage_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_gen_oversized_code_is_a_parse_error(tmp_path, capsys):
+    # 19999 x 20000 checks exceed the 2^28-entry limit: refused before the
+    # matrix is built, and nothing is written.
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "gen", "rep", "20000", "-o", str(out))
+    assert code == 2
+    assert "exceeds the generator limit of 268435456 entries" in err
+    assert not out.exists()
+
+
 def test_analyze_classical_json(tmp_path, capsys):
     pcm = tmp_path / "h3.pcm"
     run(capsys, "gen", "rep", "3", "-o", str(pcm))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cssbalance import constructions
 from cssbalance import (
     BitMatrix,
     ClassicalCode,
@@ -44,6 +45,25 @@ def test_rep_rejects_short_lengths():
         rep_standard(1)
     with pytest.raises(ValueError):
         rep_modified(0)
+
+
+def test_generators_refuse_oversized_matrices(monkeypatch):
+    # Each generator checks rows x cols of the largest matrix it builds
+    # against the limit before it builds anything.
+    monkeypatch.setattr(constructions, "MAX_MATRIX_ENTRIES", 100)
+    assert rep_standard(10).h.rows == 9  # 9 x 10
+    assert random_css(10, 1, 1, seed=0).n == 10  # checked as n x n, the limit itself
+    assert q_complex(BitMatrix.zeros(3, 5)).n == 10  # H_Z is 5 x 10
+    refused = [
+        lambda: rep_standard(11),  # 10 x 11
+        lambda: rep_modified(11),
+        lambda: q_complex(BitMatrix.zeros(1, 8)),  # H_Z is 8 x 16
+        lambda: random_ldpc(12, 9, row_w=2, col_w=2, seed=0),  # 9 x 12
+        lambda: random_css(11, 1, 1, seed=0),  # 11 x 11
+    ]
+    for build in refused:
+        with pytest.raises(ValueError, match="generator limit of 100 entries"):
+            build()
 
 
 def test_q_complex_examples():

@@ -95,6 +95,18 @@ def test_soundness_matches_full_sweep(rng):
         assert classical_soundness(ClassicalCode(h)) == naive_soundness(h)
 
 
+def test_soundness_pinned_at_high_rank():
+    # Exact values from a byte-per-syndrome BFS. The scans cover 2^21 and
+    # 2^22 syndromes, so the block swaps move by up to 2^20 and 2^21.
+    bal = distance_balance(q_complex(rep_standard(3).h), rep_standard(4)).code
+    assert (bal.h_x.rank(), bal.h_z.rank()) == (8, 21)
+    assert classical_soundness(ClassicalCode(bal.h_x)) == Fraction(15, 4)
+    assert classical_soundness(ClassicalCode(bal.h_z)) == Fraction(1, 2)
+    h_z = distance_balance(q_complex(rep_standard(2).h), rep_standard(6)).code.h_z
+    assert h_z.rank() == 22
+    assert classical_soundness(ClassicalCode(h_z)) == Fraction(29, 96)
+
+
 def test_soundness_undefined_cases():
     assert classical_soundness(ClassicalCode(BitMatrix.zeros(0, 3))) is None
     assert classical_soundness(ClassicalCode(BitMatrix.zeros(2, 3))) is None
@@ -339,10 +351,23 @@ def _span_element(basis, pick):
 
 
 @PROPERTY
-@given(check_matrices())
+@given(check_matrices(max_rows=6, max_cols=7))
 @example(BitMatrix.zeros(2, 3))  # rank 0
 @example(BitMatrix.from_strings(["1100", "1100", "0000"]))  # dependent and zero rows
 @example(BitMatrix.from_strings(["1010", "0110"]))  # duplicate columns
+@example(BitMatrix.from_strings(["1011"]))  # s = 1
+@example(BitMatrix.from_strings(["1100", "0110", "1010"]))  # a zero column, dependent rows
+@example(BitMatrix.from_strings(["1101", "0111"]))  # columns 1 and 3 are equal
+# Rank 6: a set of 64 syndromes spans three 30-bit digits, and the block
+# swaps move by 16 and 32. The second has a zero column (6), a duplicate
+# column (7 = 0) and a dependent row; the third is dense, with a repeated
+# row, and tells apart wrong masks that the symmetric ones do not.
+@example(BitMatrix.from_strings(
+    ["1100000", "0110000", "0011000", "0001100", "0000110", "0000011"]))
+@example(BitMatrix.from_strings(
+    ["11000001", "01100000", "00110000", "00011000", "00001100", "00000100", "11000101"]))
+@example(BitMatrix.from_strings(
+    ["10111101", "11011010", "11010011", "00001101", "10001111", "11101011", "10111101"]))
 def test_soundness_search_matches_naive(h):
     assert classical_soundness(ClassicalCode(h)) == naive_soundness(h)
 
