@@ -316,8 +316,11 @@ def bound_check(
     input (or at ``assume_rho`` for both sides when given). The returned
     record also flags whether the soundness used stays within
     min(2n/n_Z, 2n/n_X); the bound formulas themselves hold regardless
-    because of their min(., 1) clamp.
+    because of their min(., 1) clamp. A defined soundness is positive (a
+    nonzero syndrome has |Hx| >= 1), so ``assume_rho <= 0`` is a ValueError.
     """
+    if assume_rho is not None and assume_rho <= 0:
+        raise ValueError(f"assumed soundness must be positive, got {assume_rho}")
     # Measured before the build: undefined input soundness is reported even
     # when the classical checks are dependent.
     rho = _input_soundness(q, cap) if assume_rho is None else (assume_rho, assume_rho)

@@ -185,7 +185,7 @@ def cmd_analyze(args) -> int:
 def _load_pair(args) -> tuple[CssCode, ClassicalCode]:
     q = load_css(Path(args.quantum))
     r = load_classical(Path(args.classical))
-    if getattr(args, "reduce_checks", False) and not r.independent_checks:
+    if args.reduce_checks and not r.independent_checks:
         r = ClassicalCode(row_basis(r.h))
     return q, r
 
@@ -248,15 +248,11 @@ def cmd_balance(args) -> int:
 
 def cmd_boundcheck(args) -> int:
     q, r = _load_pair(args)
-    if args.assume_rho is not None and q.n_x > 0 and q.n_z > 0:
-        rho_cap = min(Fraction(2 * q.n, q.n_z), Fraction(2 * q.n, q.n_x))
-        if args.assume_rho > rho_cap:
-            print(
-                f"warning: assumed soundness {args.assume_rho} exceeds "
-                f"min(2n/nZ, 2n/nX) = {rho_cap}; bounds use the min(.,1) clamp",
-                file=sys.stderr,
-            )
     result = bound_check(q, r, args.cap, assume_rho=args.assume_rho)
+    rho, rho_cap = args.assume_rho, result.rho_cap
+    if rho is not None and rho_cap is not None and rho > rho_cap:
+        print(f"warning: assumed soundness {rho} exceeds min(2n/nZ, 2n/nX) = {rho_cap}; "
+              "bounds use the min(.,1) clamp", file=sys.stderr)
     if args.json:
         print(json.dumps(result.to_obj()))
     else:

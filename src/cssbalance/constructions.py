@@ -153,7 +153,7 @@ def random_css(n: int, n_x: int, n_z: int, seed: int) -> CssCode:
     if hz_rows is None:
         raise RuntimeError("could not sample independent Z-checks")
     h_z = BitMatrix(n_z, n, hz_rows)
-    kernel = [b.value for b in h_z.kernel_basis()]
+    kernel = h_z.kernel_basis()
 
     def from_kernel(mask: int) -> int:
         v = 0
@@ -287,12 +287,17 @@ def param_table(
       exampleParams: the same at logarithmic and polynomial classical
               lengths; with alpha given, the polynomial exponents are
               evaluated exactly.
+
+    Given n, t, l and alpha (t = n^alpha) must be positive: ValueError if not.
     """
     key = scenario.strip()
     lower = {"table1": "table1", "table4": "table4",
              "genparams": "genParams", "exampleparams": "exampleParams"}.get(key.lower())
     if lower is None:
         raise ValueError(f"unknown scenario {scenario!r}")
+    for name, value in (("n", n), ("t", t), ("l", l), ("alpha", alpha)):
+        if value is not None and value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
     if lower == "table1":
         columns = [

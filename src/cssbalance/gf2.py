@@ -1,7 +1,9 @@
 """Bit-packed linear algebra over GF(2).
 
 Matrices store one Python int per row (bit c of row r is ``(row >> c) & 1``),
-so XOR is vector addition and ``int.bit_count`` is the Hamming weight. All
+so XOR is vector addition and ``int.bit_count`` is the Hamming weight. A
+vector is a packed int the same way; ``BitVector`` wraps one only where a
+caller passes or receives a vector (``mul_vec``, ``solve``). All
 values are immutable after construction and safe to share across threads.
 Every elimination (rank, pivots, kernel, solve, row bases) reads one pass,
 ``BitMatrix._rref``, which inserts the rows in order and gives the reduced
@@ -46,12 +48,6 @@ class BitVector:
     @classmethod
     def zeros(cls, n: int) -> "BitVector":
         return cls(n, 0)
-
-    @classmethod
-    def unit(cls, n: int, i: int) -> "BitVector":
-        if not 0 <= i < n:
-            raise ValueError("unit index out of range")
-        return cls(n, 1 << i)
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -116,12 +112,12 @@ class BitMatrix:
         bit_rows = [list(r) for r in bit_rows]
         if cols is None:
             cols = len(bit_rows[0]) if bit_rows else 0
-        vals = []
         for r in bit_rows:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-            vals.append(BitVector.from_bits(r).value)
-        return cls(len(bit_rows), cols, vals)
+            if any(b not in (0, 1) for b in r):
+                raise ValueError("bits must be 0 or 1")
+        return cls(len(bit_rows), cols, [sum(b << c for c, b in enumerate(r)) for r in bit_rows])
 
     @classmethod
     def from_strings(cls, lines: Sequence[str], cols: Optional[int] = None) -> "BitMatrix":
@@ -141,9 +137,6 @@ class BitMatrix:
     def row(self, r: int) -> int:
         """Row r as a packed int."""
         return self._r[r]
-
-    def row_vector(self, r: int) -> BitVector:
-        return BitVector(self.cols, self._r[r])
 
     def row_ints(self) -> tuple[int, ...]:
         return self._r
@@ -281,8 +274,9 @@ class BitMatrix:
         these columns are independent and span the column space."""
         return list(self._rref()[1])
 
-    def kernel_basis(self) -> list[BitVector]:
-        """Basis of ker(A); size cols - rank, ordered by ascending free column."""
+    def kernel_basis(self) -> list[int]:
+        """Basis of ker(A) as packed ints; size cols - rank, ordered by
+        ascending free column."""
         work, pivots, _ = self._rref()
         pivot_set = set(pivots)
         basis = []
@@ -293,7 +287,7 @@ class BitMatrix:
             for i, p in enumerate(pivots):
                 if (work[i] >> free) & 1:
                     v |= 1 << p
-            basis.append(BitVector(self.cols, v))
+            basis.append(v)
         return basis
 
     def solve(self, b: BitVector) -> Optional[BitVector]:
@@ -302,7 +296,7 @@ class BitMatrix:
             raise ValueError("dimension mismatch in solve")
         aug_col = self.cols
         aug = BitMatrix(self.rows, self.cols + 1,
-                        [v | (b.bit(i) << aug_col) for i, v in enumerate(self._r)])
+                        [v | (b.value >> i & 1) << aug_col for i, v in enumerate(self._r)])
         work, pivots, _ = aug._rref()
         if pivots and pivots[-1] == aug_col:
             return None
@@ -311,13 +305,6 @@ class BitMatrix:
             if (work[i] >> aug_col) & 1:
                 x |= 1 << p
         return BitVector(self.cols, x)
-
-
-def dot(a: BitVector, b: BitVector) -> int:
-    """Standard bilinear pairing over GF(2)."""
-    if a.n != b.n:
-        raise ValueError("length mismatch")
-    return (a.value & b.value).bit_count() & 1
 
 
 def block(grid: Sequence[Sequence]) -> BitMatrix:

@@ -197,7 +197,7 @@ def classical_distance(code: ClassicalCode, cap: int = DEFAULT_CAP) -> Distance:
     if code.rank == code.t:
         return INFINITE
     _use_search("distance", cap, code.t - code.rank)
-    ker = [b.value for b in code.h.kernel_basis()]
+    ker = code.h.kernel_basis()
     return _walk(ker, ker)  # a nonzero kernel word is its own class
 
 
@@ -209,7 +209,7 @@ def distance_to_code(x: BitVector, code: ClassicalCode, cap: int = DEFAULT_CAP) 
     _use_search("distance to code", cap, code.t - code.rank)
     if code.h.mul_vec(x).value == 0:
         return 0
-    ker = [b.value for b in code.h.kernel_basis()]
+    ker = code.h.kernel_basis()
     return _walk(ker, [0] * len(ker), x.value, 1)  # no word of x + ker(H) is 0
 
 
@@ -299,8 +299,8 @@ def _logical_walk(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
     other_checks exactly when it pairs to zero with every vector of
     ker(other_checks); the pairings update along the walk, one XOR per
     step."""
-    probes = [u.value for u in other_checks.kernel_basis()]
-    vals = [b.value for b in stab_checks.kernel_basis()]
+    probes = other_checks.kernel_basis()
+    vals = stab_checks.kernel_basis()
     masks = [sum(((b & u).bit_count() & 1) << j for j, u in enumerate(probes)) for b in vals]
     return _walk(vals, masks)
 
@@ -312,7 +312,7 @@ def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance
     so their coordinates are their bits at the free columns. A word is a
     logical operator exactly when its syndrome is nonzero but no stabilizer
     row fires on it."""
-    probes = [u.value for u in other_checks.kernel_basis()]
+    probes = other_checks.kernel_basis()
     free = sorted(set(range(other_checks.cols)) - set(other_checks._rref()[1]))
     fires = 0
     for row in stab_checks._rref()[0]:
@@ -351,7 +351,11 @@ def quantum_soundness(q: CssCode, cap: int = DEFAULT_CAP) -> Optional[Fraction]:
     up to a factor of two in either direction; the component minimum is
     what gets reported.
     """
-    rho_x, rho_z = component_soundness(q, cap)
+    return _component_min(*component_soundness(q, cap))
+
+
+def _component_min(rho_x: Optional[Fraction], rho_z: Optional[Fraction]) -> Optional[Fraction]:
+    """The smaller component soundness; undefined when either side is."""
     return None if rho_x is None or rho_z is None else min(rho_x, rho_z)
 
 
@@ -475,13 +479,12 @@ def analyze_quantum(
     d_z = _unless_capped(incomplete, "dZ", quantum_distance_z, q, cap)
     rho_x, rho_z = (_unless_capped(incomplete, "soundness", component_soundness, q, cap)
                     or (None, None))
-    rho = None if (rho_x is None or rho_z is None) else min(rho_x, rho_z)
     return CodeReport(
         kind="quantum",
         n=q.n,
         dimension=quantum_dimension(q),
         locality=locality(q),
-        soundness=rho,
+        soundness=_component_min(rho_x, rho_z),
         provenance=provenance,
         d_x=d_x,
         d_z=d_z,

@@ -26,7 +26,7 @@ def rand_valid_complex(rng: random.Random, max_terms: int = 3, max_dim: int = 8)
         if below is None:
             d = rand_matrix(rng, rows, cols)
         else:
-            kernel = [b.value for b in below.kernel_basis()]
+            kernel = below.kernel_basis()
             vals = []
             for _ in range(cols):
                 v = 0

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cssbalance import (
     BitMatrix,
@@ -12,6 +15,7 @@ from cssbalance import (
     complex_from_json,
     complex_to_json,
     homological_product,
+    q_complex,
     rep_standard,
     window,
 )
@@ -191,3 +195,36 @@ def test_json_rejects_garbage():
         complex_from_json("not json")
     with pytest.raises(ValueError):
         complex_from_json('{"spaces": [2]}')
+
+
+VALID_JSON = complex_to_json(q_complex(rep_standard(3).h).complex)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False)
+    | st.text(alphabet="01 \n2#-", max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["spaces", "diffs", "labels", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+COMPLEX_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.builds(json.dumps, JSON_VALUES),
+    # well-typed fields whose shapes and rows need not agree
+    st.builds(json.dumps, st.fixed_dictionaries(
+        {"spaces": st.lists(st.integers(-1, 3), max_size=4),
+         "diffs": st.lists(st.sampled_from(["2 3\n110\n011\n", "1 2\n11\n", "0 0\n",
+                                            "3 2\n", "1 1\n2\n", "x"]), max_size=3)},
+        optional={"labels": st.lists(st.text(max_size=3), max_size=4)})),
+    # a valid complex with one slice cut out
+    st.builds(lambda i, j: VALID_JSON[:i] + VALID_JSON[j:],
+              st.integers(0, len(VALID_JSON)), st.integers(0, len(VALID_JSON))),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(COMPLEX_TEXT)
+def test_complex_from_json_raises_only_value_error(text):
+    try:
+        c = complex_from_json(text)
+    except ValueError:
+        return
+    assert complex_from_json(complex_to_json(c)) == c

@@ -178,6 +178,12 @@ def test_boundcheck_assume_rho_warning(tmp_path, capsys):
     assert "warning" in err and "min(2n/nZ, 2n/nX)" in err
     sides = json.loads(stdout)
     assert sides[0]["bound"] == {"num": 7, "den": 12}  # clamp saturates
+    # A defined soundness is positive: both bounds would come out negative.
+    for rho in ("-1", "0"):
+        code, stdout, err = run(capsys, "boundcheck", str(qfile), str(rep2),
+                                "--assume-rho", rho)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and "must be positive" in err
 
 
 def test_boundcheck_undefined_soundness_exit_5(tmp_path, capsys):
@@ -313,6 +319,10 @@ def test_table_scenarios(capsys):
     assert record["columns"][1]["cells"]["dimension"]["exponent"] == "1/3"
     code, _, err = run(capsys, "table", "bogus")
     assert code == 2
+    for bad in (["exampleParams", "--alpha=-1/2"], ["table4", "--n=-3", "--l=2"]):
+        code, stdout, err = run(capsys, "table", *bad)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and "must be positive" in err
 
 
 def test_cap_floor_rejected(capsys):

@@ -167,6 +167,13 @@ def test_param_table_alpha_exponent():
     assert "1/3" in dim["formula"]
     symbolic = param_table("exampleParams")
     assert symbolic["columns"][1]["cells"]["dimension"]["formula"] == "Theta(n^(2a/(1+2a)))"
+    # t = n^alpha needs alpha > 0, and sizes are positive.
+    for alpha in (Fraction(-1, 2), Fraction(0)):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            param_table("exampleParams", alpha=alpha)
+    for sizes in ({"n": -3, "l": 2}, {"n": 4, "t": 0}, {"l": -1}):
+        with pytest.raises(ValueError, match="must be positive"):
+            param_table("table4", **sizes)
 
 
 def test_param_table_gen_params_shape():

@@ -54,6 +54,15 @@ def test_mul_dimension_mismatch():
         H3.mul_vec(BitVector.zeros(4))
 
 
+def test_from_rows_packs_and_checks():
+    assert BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]]) == H3
+    assert BitMatrix.from_rows([], cols=4) == BitMatrix.zeros(0, 4)
+    with pytest.raises(ValueError, match="ragged rows"):
+        BitMatrix.from_rows([[1, 0], [1]])
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        BitMatrix.from_rows([[1, 2]])
+
+
 def test_rank_examples():
     assert BitMatrix.identity(4).rank() == 4
     assert BitMatrix.zeros(3, 5).rank() == 0
@@ -68,7 +77,7 @@ def test_rank_matches_row_span_enumeration(rng):
 
 def test_kernel_basis_examples():
     assert BitMatrix.identity(3).kernel_basis() == []
-    assert H3.kernel_basis() == [BitVector.from_bits([1, 1, 1])]
+    assert H3.kernel_basis() == [0b111]
     assert len(BitMatrix.zeros(2, 3).kernel_basis()) == 3
 
 
@@ -78,7 +87,7 @@ def test_rank_nullity(rng):
         basis = a.kernel_basis()
         assert a.rank() + len(basis) == a.cols
         for v in basis:
-            assert a.mul_vec(v).value == 0
+            assert a.mul_vec(BitVector(a.cols, v)).value == 0
 
 
 def test_solve_examples():
@@ -283,7 +292,7 @@ def _check_rank(a):
 
 
 def _check_kernel_basis(a):
-    basis = [v.value for v in a.kernel_basis()]
+    basis = a.kernel_basis()
     assert len(basis) == a.cols - naive_rank(a)
     assert naive_span(BitMatrix(len(basis), a.cols, basis)) == {
         v.value for v in naive_kernel(a)

@@ -197,13 +197,21 @@ def test_quantum_soundness_undefined_when_side_missing():
     assert quantum_soundness(q) is None
 
 
-def test_distances_swap_under_cocomplex(rng):
-    for seed in range(10):
-        q = random_css(6, 1, 2, seed=seed)
-        d_x, d_z = quantum_distances(q)
-        flipped = as_css(cocomplex(q.complex))
-        assert quantum_distances(flipped) == (d_z, d_x)
-        assert quantum_dimension(flipped) == quantum_dimension(q)
+@st.composite
+def random_css_codes(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    n_z = draw(st.integers(0, n))
+    n_x = draw(st.integers(0, n - n_z))
+    return random_css(n, n_x, n_z, seed=draw(st.integers(0, 1 << 16)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_css_codes())
+def test_distances_swap_under_cocomplex(q):
+    assert cocomplex(cocomplex(q.complex)) == q.complex
+    flipped = as_css(cocomplex(q.complex))
+    assert quantum_distances(flipped) == quantum_distances(q)[::-1]
+    assert quantum_dimension(flipped) == quantum_dimension(q)
 
 
 def test_cap_exceeded():
@@ -334,7 +342,7 @@ def css_check_pairs(draw):
     """(H_X, H_Z) with H_X H_Z^T = 0: the rows of H_Z are drawn from the
     span of ker(H_X), so dependent and zero rows and K = 0 all occur."""
     h_x = draw(check_matrices(max_rows=3, max_cols=6))
-    kernel = [b.value for b in h_x.kernel_basis()]
+    kernel = h_x.kernel_basis()
     z_rows = []
     for _ in range(draw(st.integers(0, 3))):
         pick = draw(st.integers(0, (1 << len(kernel)) - 1))
