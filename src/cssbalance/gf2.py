@@ -5,11 +5,14 @@ so XOR is vector addition and ``int.bit_count`` is the Hamming weight. A
 vector is a packed int the same way; ``BitVector`` wraps one only where a
 caller passes or receives a vector (``mul_vec``, ``solve``). All
 values are immutable after construction and safe to share across threads.
-Every elimination (rank, pivots, kernel, solve, row bases) reads one pass,
-``BitMatrix._rref``, which inserts the rows in order and gives the reduced
-echelon form and the rows that raised the rank; a matrix keeps that result
-once computed. The cache is idempotent: two threads racing on a first call
-only repeat the same work and store equal results.
+Every elimination (rank, pivots, kernel, solve, row bases) reads one
+routine, ``BitMatrix._rref``, which gives the reduced echelon form and the
+rows that raised the rank; a matrix keeps that result once computed. It
+inserts the rows in order into an echelon form, then back-substitutes once
+from the highest pivot down, and ``kernel_basis`` reads the set bits of the
+echelon rows once, so on a large sparse matrix the work follows the fill,
+not the square of the rank. The cache is idempotent: two threads racing on
+a first call only repeat the same work and store equal results.
 Empty matrices (0 rows or 0 columns) are legal everywhere and act as the
 empty map.
 """
@@ -240,12 +243,15 @@ class BitMatrix:
         return len(self._rref()[1])
 
     def _rref(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """Reduced row echelon form by row insertion: (the nonzero rows,
-        their pivot columns, the ascending indices of the rows that raised
-        the rank), computed on first use and kept. Each row is reduced by
-        the fully reduced pivot rows kept so far, one XOR per bit it has in
-        a pivot column; a nonzero remainder becomes a pivot row at its
-        lowest set bit, which is cleared from the earlier pivot rows."""
+        """Reduced row echelon form: (the nonzero rows, their pivot columns,
+        the ascending indices of the rows that raised the rank), computed on
+        first use and kept. Two passes, so the work follows the fill, not
+        rank^2. Insertion reduces each row by the pivot rows kept so far,
+        lowest pivot column first, until it has no bit in a pivot column; a
+        nonzero remainder becomes a pivot row at its lowest set bit.
+        Back-substitution then runs from the highest pivot down and clears
+        the higher pivot columns from each row with their rows, which are
+        already final."""
         if self._echelon is not None:
             return self._echelon
         at = [0] * self.cols  # at[c]: the pivot row whose pivot column is c
@@ -255,9 +261,6 @@ class BitMatrix:
                 v ^= at[(hits & -hits).bit_length() - 1]
             if v:
                 low = v & -v
-                for p in pivots:
-                    if at[p] & low:
-                        at[p] ^= v
                 pivots.append(low.bit_length() - 1)
                 at[pivots[-1]] = v
                 kept.append(r)
@@ -265,6 +268,13 @@ class BitMatrix:
                 if len(kept) == self.cols:
                     break
         pivots.sort()
+        done = 0  # the pivot columns whose rows are final
+        for p in reversed(pivots):
+            v = at[p]
+            while hits := v & done:
+                v ^= at[(hits & -hits).bit_length() - 1]
+            at[p] = v
+            done |= 1 << p
         echelon = (tuple(at[p] for p in pivots), tuple(pivots), tuple(kept))
         object.__setattr__(self, "_echelon", echelon)
         return echelon
@@ -276,19 +286,20 @@ class BitMatrix:
 
     def kernel_basis(self) -> list[int]:
         """Basis of ker(A) as packed ints; size cols - rank, ordered by
-        ascending free column."""
+        ascending free column. Built from the nonzeros of the echelon rows:
+        each set bit f of the row with pivot p puts p in the vector of free
+        column f, which also has its unit at f."""
         work, pivots, _ = self._rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = 1 << free
-            for i, p in enumerate(pivots):
-                if (work[i] >> free) & 1:
-                    v |= 1 << p
-            basis.append(v)
-        return basis
+        at = [0] * self.cols  # at[f]: the pivots of the rows with a bit at f
+        mask = 0
+        for v, p in zip(work, pivots):
+            v ^= 1 << p
+            while v:
+                low = v & -v
+                at[low.bit_length() - 1] |= 1 << p
+                v ^= low
+            mask |= 1 << p
+        return [at[f] | 1 << f for f in range(self.cols) if not mask >> f & 1]
 
     def solve(self, b: BitVector) -> Optional[BitVector]:
         """Some x with A*x = b, or None when b is outside the column span."""
@@ -388,8 +399,10 @@ def _format_row(v: int, cols: int) -> str:
 
 
 def _parse_row(line: str, cols: int) -> int:
-    """The row written by _format_row as line; ValueError on anything else."""
-    if len(line) != cols or set(line) - {"0", "1"}:
+    """The row written by _format_row as line; ValueError on anything else.
+    Each character is counted at most once, so the counts add up to cols
+    exactly when every character is 0 or 1."""
+    if len(line) != cols or line.count("0") + line.count("1") != cols:
         raise ValueError(f"bad matrix row: {line!r}")
     return int(line[::-1], 2) if cols else 0
 

@@ -1,9 +1,11 @@
 """Independent reference implementations used to check the fast oracles.
 
 Everything here is written in the most literal way possible: triple-loop
-matrix products, full sweeps over all 2^t words, and ranks, row-space
-membership and greedy bases decided by explicit span sets. Nothing is
-shared with the package's elimination or enumeration code paths.
+matrix products, full sweeps over all 2^t words, ranks, row-space
+membership and greedy bases decided by explicit span sets, and a
+column-by-column Gauss-Jordan elimination for matrices too wide for span
+sets. Nothing is shared with the package's elimination or enumeration
+code paths.
 """
 
 from fractions import Fraction
@@ -69,6 +71,27 @@ def naive_greedy_rows(h: BitMatrix) -> list[int]:
             kept.append(r)
             span |= {s ^ h.row(r) for s in span}
     return kept
+
+
+def naive_rref(h: BitMatrix) -> tuple[list[int], list[int]]:
+    """Textbook Gauss-Jordan elimination, one column at a time: find a row at
+    or below the current one with a 1 in the column, swap it up, and clear
+    the column from every other row. Returns the nonzero rows of the
+    reduced echelon form and their pivot columns. A column gets a pivot
+    exactly when it lies outside the span of the columns before it."""
+    rows = list(h.row_ints())
+    pivots = []
+    for c in range(h.cols):
+        top = len(pivots)
+        below = [r for r in range(top, len(rows)) if rows[r] >> c & 1]
+        if not below:
+            continue
+        rows[top], rows[below[0]] = rows[below[0]], rows[top]
+        for r in range(len(rows)):
+            if r != top and rows[r] >> c & 1:
+                rows[r] ^= rows[top]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
 
 
 def naive_distance(h: BitMatrix):

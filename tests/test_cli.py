@@ -134,6 +134,29 @@ def test_balance_double(tmp_path, capsys):
     assert record["measured"] == record["predicted"]
 
 
+def test_balance_double_then_analyze_at_moderate_size(tmp_path, capsys):
+    # A few hundred columns: the pcm blocks are written, parsed back and
+    # eliminated, and every distance and soundness scan is over the cap.
+    pcm = tmp_path / "rep4.pcm"
+    assert run(capsys, "gen", "rep", "4", "-o", str(pcm))[0] == 0
+    qfile = tmp_path / "q.json"
+    assert run(capsys, "gen", "q", "--hhat", str(pcm), "-o", str(qfile))[0] == 0
+    out = tmp_path / "double.json"
+    code, stdout, _ = run(capsys, "balance", str(qfile), str(pcm), "-o", str(out),
+                          "--double", "--json")
+    assert code == 0
+    record = json.loads(stdout)
+    assert (record["n"], record["nX"], record["nZ"]) == (284, 171, 160)
+    assert record["note"].startswith("measurement skipped")
+    assert record["note"].endswith("cap is 2^24")
+    code, stdout, _ = run(capsys, "analyze", str(out), "--json")
+    assert code == 3
+    report = json.loads(stdout)
+    assert (report["n"], report["K"], report["locality"]) == (284, 1, 6)
+    assert report["dX"] == report["dZ"] == "cap-exceeded"
+    assert report["soundness"] == "cap-exceeded"
+
+
 def test_balance_dependent_checks_exit_4(tmp_path, capsys):
     pcm = tmp_path / "h3.pcm"
     run(capsys, "gen", "rep", "3", "-o", str(pcm))

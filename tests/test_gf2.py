@@ -9,6 +9,7 @@ from naive import (
     naive_kernel,
     naive_mul,
     naive_rank,
+    naive_rref,
     naive_span,
     naive_transpose,
 )
@@ -17,8 +18,13 @@ from cssbalance import (
     BitMatrix,
     BitVector,
     block,
+    distance_balance,
+    double_balance,
+    hamming74,
     nonsingular_row_partition,
     parse_pcm,
+    q_complex,
+    rep_standard,
     row_basis,
     write_pcm,
 )
@@ -252,6 +258,11 @@ def test_pcm_errors():
     for row in ("1_", " 1", "+1", "12"):  # int() takes spaces, signs, underscores
         with pytest.raises(ValueError):
             parse_pcm(f"1 2\n{row}\n")
+    # int(..., 2) also takes full-width and Arabic-Indic digits and a
+    # trailing tab.
+    for row in ("\uff11\uff10", "\u0660\u0661", "1\t"):
+        with pytest.raises(ValueError, match="bad matrix row"):
+            parse_pcm(f"1 2\n{row}\n")
 
 
 def test_empty_matrices_are_legal():
@@ -362,6 +373,55 @@ def test_elimination_matches_naive(a, order):
         ELIMINATION_CHECKS[name](a)
         ELIMINATION_CHECKS[name](twin)
     assert a == twin and hash(a) == hash(twin)
+
+
+def _check_against_gauss_jordan(a):
+    """_rref and kernel_basis against textbook Gauss-Jordan elimination,
+    which needs no span sets and so reaches hundreds of columns."""
+    rows, pivots = naive_rref(a)
+    assert a._rref()[:2] == (tuple(rows), tuple(pivots))
+    # Row r raises the rank of the rows before it exactly when column r of
+    # the transpose lies outside the span of the columns before it.
+    assert list(a._rref()[2]) == naive_rref(naive_transpose(a))[1]
+    free = [c for c in range(a.cols) if c not in pivots]
+    basis = a.kernel_basis()
+    assert len(basis) == a.cols - len(pivots)
+    free_mask = sum(1 << f for f in free)
+    for f, v in zip(free, basis):
+        assert all((row & v).bit_count() % 2 == 0 for row in a.row_ints())
+        assert v & free_mask == 1 << f
+
+
+def _balanced_matrices():
+    r4 = rep_standard(4)
+    double = double_balance(q_complex(r4.h), r4).code  # n = 284
+    single = distance_balance(q_complex(rep_standard(3).h), hamming74()).code
+    return [double.h_x, double.h_z, single.h_x, single.h_z]
+
+
+@pytest.mark.parametrize("a", _balanced_matrices(),
+                         ids=["double-hx", "double-hz", "single-hx", "single-hz"])
+def test_elimination_matches_gauss_jordan_on_balanced_codes(a):
+    _check_against_gauss_jordan(a)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=48, max_cols=64, max_row_weight=6):
+    cols = draw(st.integers(1, max_cols))
+    count = draw(st.integers(0, max_rows))
+    support = st.sets(st.integers(0, cols - 1), max_size=min(max_row_weight, cols))
+    rows = [sum(1 << c for c in cs)
+            for cs in draw(st.lists(support, min_size=count, max_size=count))]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, max_rows), st.integers(0, max_rows)),
+                              max_size=4 if rows else 0)):
+        rows.append(rows[i % len(rows)] ^ rows[j % len(rows)])  # a dependent row
+    return BitMatrix(len(rows), cols, rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sparse_matrices())
+def test_elimination_matches_gauss_jordan_on_sparse_matrices(a):
+    _check_against_gauss_jordan(a)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
