@@ -6,7 +6,6 @@ from .balance import (
     BoundCheck,
     ClassicalParams,
     DependentChecksError,
-    PredictedParams,
     QuantumParams,
     SideCheck,
     UndefinedSoundnessError,

@@ -4,15 +4,17 @@ Tensor a 3-term quantum complex with the reversed 2-term complex of a
 classical code and keep the bottom three terms of the 4-term result. With
 an independent-check classical [t, k, d] code this multiplies the quantum
 dimension by k and the X-distance by d while preserving the Z-distance,
-at the price of n*t + n_X*s qubits. Exact lower bounds on the soundness of
-the two new component codes are available in terms of the input component
-soundness, and ``bound_check`` verifies them against the enumeration
-oracle.
+at the price of n*t + n_X*s qubits. Double balancing is that step, an X/Z
+swap, the step again and the swap back, and its predicted parameters are
+the same composition. Exact lower bounds on the soundness of the two new
+component codes of a single step are available in terms of the input
+component soundness, and ``bound_check`` verifies them against the
+enumeration oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -105,31 +107,27 @@ def distance_balance(
     )
 
 
+def _swap(q: CssCode) -> CssCode:
+    """The same code with the X and Z roles exchanged."""
+    return CssCode.from_check_matrices(q.h_z, q.h_x)
+
+
 def double_balance(
     q: CssCode, r: ClassicalCode, provenance: tuple[str, str] = ("", "")
 ) -> BalancedCode:
     """Balance, swap the X and Z roles, balance again, swap back.
 
     Both distances get multiplied by the classical distance and the
-    dimension picks up two factors of the classical dimension; the final
-    swap returns X and Z to their starting positions.
+    dimension picks up two factors of the classical dimension. The layout
+    is the second step's, with its check blocks exchanged by the last swap.
     """
-    first = distance_balance(q, r)
-    flipped = as_css(cocomplex(first.code.complex))
-    second = distance_balance(flipped, r)
-    final = as_css(cocomplex(second.code.complex))
-    # The last swap turns the second-round Z-check blocks into X-check
-    # blocks and vice versa; qubit blocks are untouched.
-    layout = {
-        "qubits": second.block_layout["qubits"],
-        "z_checks": second.block_layout["x_checks"],
-        "x_checks": second.block_layout["z_checks"],
-    }
+    second = distance_balance(_swap(distance_balance(q, r).code), r)
+    layout = second.block_layout
     return BalancedCode(
-        code=final,
+        code=_swap(second.code),
         parent_quantum=provenance[0] or repr(q),
         parent_classical=provenance[1] or repr(r),
-        block_layout=layout,
+        block_layout={**layout, "z_checks": layout["x_checks"], "x_checks": layout["z_checks"]},
     )
 
 
@@ -141,8 +139,6 @@ class QuantumParams:
     d_z: float
     n_x: int
     n_z: int
-    rho_x: Optional[Fraction] = None
-    rho_z: Optional[Fraction] = None
     locality: int = 0
 
 
@@ -153,21 +149,6 @@ class ClassicalParams:
     d: float
     s: int
     locality: int = 0
-
-
-@dataclass(frozen=True)
-class PredictedParams:
-    """Parameters of a balanced code computed from input parameters alone."""
-
-    n: int
-    dimension: int
-    d_x: float
-    d_z: float
-    n_x: int
-    n_z: int
-    soundness_bound_x: Optional[Fraction]
-    soundness_bound_z: Optional[Fraction]
-    locality_bound: int
 
 
 def bound_x(
@@ -193,10 +174,11 @@ def bound_z(
     return Fraction(1, t) * clamp * Fraction(n * t + n_x * s, n_x * t)
 
 
-def predicted_params(qp: QuantumParams, rp: ClassicalParams) -> PredictedParams:
+def predicted_params(qp: QuantumParams, rp: ClassicalParams) -> QuantumParams:
     """Single balancing step: K' = K*k, d_X' = d_X*d, d_Z' = d_Z,
-    n' = n*t + n_X*s, plus the two soundness bounds, all in exact
-    arithmetic.
+    n' = n*t + n_X*s, n_X' = n_X*t and n_Z' = n_Z*t + n*s, in exact
+    arithmetic. The locality is an upper bound, qp.locality + rp.locality,
+    not a prediction of the exact value.
 
     A dimension-zero result has no logical operators at all, so both
     predicted distances are infinite there; the d_Z' = d_Z preservation
@@ -205,49 +187,31 @@ def predicted_params(qp: QuantumParams, rp: ClassicalParams) -> PredictedParams:
     if rp.s > rp.t:
         raise ValueError(f"more checks than bits (s = {rp.s} > t = {rp.t})")
     dimension = qp.dimension * rp.dimension
-    return PredictedParams(
+    return QuantumParams(
         n=qp.n * rp.t + qp.n_x * rp.s,
         dimension=dimension,
         d_x=qp.d_x * rp.d if dimension else INFINITE,
         d_z=qp.d_z if dimension else INFINITE,
         n_x=qp.n_x * rp.t,
         n_z=qp.n_z * rp.t + qp.n * rp.s,
-        soundness_bound_x=bound_x(qp.n, qp.n_x, qp.n_z, rp.t, rp.s, qp.rho_z),
-        soundness_bound_z=bound_z(qp.n, qp.n_x, qp.n_z, rp.t, rp.s, qp.rho_x),
-        locality_bound=qp.locality + rp.locality,
+        locality=qp.locality + rp.locality,
     )
 
 
-def predicted_double_params(qp: QuantumParams, rp: ClassicalParams) -> PredictedParams:
-    """Two balancing steps with an X/Z swap in between: K'' = K*k^2,
-    d_X'' = d*d_X, d_Z'' = d*d_Z, n'' = n'*t + n_Z'*s.
-
-    The second step balances the swapped code, whose X-checks are the
-    first step's Z-checks; the final swap turns its n_X'' = n_Z'*t into
-    Z-checks and its n_Z'' = n_X'*t + n'*s into X-checks.
-    """
-    once = predicted_params(qp, rp)
-    dimension = qp.dimension * rp.dimension * rp.dimension
-    return PredictedParams(
-        n=once.n * rp.t + once.n_z * rp.s,
-        dimension=dimension,
-        d_x=qp.d_x * rp.d if dimension else INFINITE,
-        d_z=qp.d_z * rp.d if dimension else INFINITE,
-        n_x=once.n_x * rp.t + once.n * rp.s,
-        n_z=once.n_z * rp.t,
-        soundness_bound_x=None,
-        soundness_bound_z=None,
-        locality_bound=qp.locality + 2 * rp.locality,
-    )
+def _swap_params(p: QuantumParams) -> QuantumParams:
+    """The parameters of ``_swap`` of a code with parameters p."""
+    return replace(p, d_x=p.d_z, d_z=p.d_x, n_x=p.n_z, n_z=p.n_x)
 
 
-def measured_quantum_params(
-    q: CssCode, cap: int = DEFAULT_CAP, with_soundness: bool = True
-) -> QuantumParams:
+def predicted_double_params(qp: QuantumParams, rp: ClassicalParams) -> QuantumParams:
+    """``predicted_params`` composed as ``double_balance`` composes
+    ``distance_balance``: K'' = K*k^2, d_X'' = d_X*d, d_Z'' = d_Z*d, and
+    the locality bound is qp.locality + 2*rp.locality."""
+    return _swap_params(predicted_params(_swap_params(predicted_params(qp, rp)), rp))
+
+
+def measured_quantum_params(q: CssCode, cap: int = DEFAULT_CAP) -> QuantumParams:
     d_x, d_z = quantum_distances(q, cap)
-    rho_x = rho_z = None
-    if with_soundness:
-        rho_x, rho_z = component_soundness(q, cap)
     return QuantumParams(
         n=q.n,
         dimension=quantum_dimension(q),
@@ -255,8 +219,6 @@ def measured_quantum_params(
         d_z=d_z,
         n_x=q.n_x,
         n_z=q.n_z,
-        rho_x=rho_x,
-        rho_z=rho_z,
         locality=locality(q),
     )
 

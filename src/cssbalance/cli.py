@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .balance import (
     DependentChecksError,
@@ -191,10 +191,7 @@ def _load_pair(args) -> tuple[CssCode, ClassicalCode]:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    d = distance_obj(v)
-    return str(d)
+    return str(distance_obj(v))
 
 
 def cmd_balance(args) -> int:
@@ -206,11 +203,11 @@ def cmd_balance(args) -> int:
     predicted = measured = None
     note = ""
     try:
-        qp = measured_quantum_params(q, args.cap, with_soundness=False)
+        qp = measured_quantum_params(q, args.cap)
         rp = measured_classical_params(r, args.cap)
         predict = predicted_double_params if args.double else predicted_params
         predicted = predict(qp, rp)
-        measured = measured_quantum_params(balanced.code, args.cap, with_soundness=False)
+        measured = measured_quantum_params(balanced.code, args.cap)
     except CapExceeded as exc:
         note = f"measurement skipped: {exc}"
 
@@ -340,14 +337,15 @@ def _pair_specs(index: int, pair: dict) -> tuple[CodeSpec, CodeSpec]:
         raise ValueError(f"sweep pair {index}: {exc}") from None
 
 
-def _pair_seeds(pair: dict) -> list[int]:
-    """A pair's seeds: a list of ints, or {start, count} with int values."""
+def _pair_seeds(pair: dict) -> Sequence[int]:
+    """A pair's seeds: a list of ints, or {start, count} with int values as
+    a range, so a huge count costs nothing until its rows run."""
     seeds = pair.get("seeds", [0])
     if _list_of(seeds, int):
         return seeds
     if (isinstance(seeds, dict) and set(seeds) == {"start", "count"}
             and _list_of(list(seeds.values()), int)):
-        return list(range(seeds["start"], seeds["start"] + seeds["count"]))
+        return range(seeds["start"], seeds["start"] + seeds["count"])
     raise ValueError(
         "sweep 'seeds' must be a list of ints or an object of int 'start' and 'count'"
     )

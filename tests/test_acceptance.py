@@ -26,7 +26,7 @@ from cssbalance import (
     CapExceeded,
     ClassicalCode,
     CssCode,
-    PredictedParams,
+    QuantumParams,
     bound_check,
     classical_soundness,
     cocomplex,
@@ -68,7 +68,7 @@ class Instance:
     label: str
     quantum: CssCode
     classical: ClassicalCode
-    predicted: PredictedParams
+    predicted: QuantumParams
     measured_k: int
     measured_d_x: float
     measured_d_z: float
@@ -122,7 +122,7 @@ def _instance_pairs():
 def corpus():
     records = []
     for label, q, r in _instance_pairs():
-        qp = measured_quantum_params(q, with_soundness=False)
+        qp = measured_quantum_params(q)
         rp = measured_classical_params(r)
         predicted = predicted_params(qp, rp)
         balanced = distance_balance(q, r)
@@ -198,7 +198,7 @@ def test_05_double_balance_audit():
         bal = double_balance(q, r)
         assert quantum_dimension(bal.code) == 1
         assert quantum_distances(bal.code) == (4, 6)
-        qp = measured_quantum_params(q, with_soundness=False)
+        qp = measured_quantum_params(q)
         rp = measured_classical_params(r)
         once = predicted_params(qp, rp)
         assert bal.n == once.n * rp.t + once.n_z * rp.s

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -76,7 +77,7 @@ def test_predicted_matches_measured_small():
     rp = measured_classical_params(r)
     predicted = predicted_params(qp, rp)
     assert (predicted.n, predicted.dimension, predicted.d_x, predicted.d_z) == (14, 1, 4, 3)
-    measured = measured_quantum_params(distance_balance(q, r).code, with_soundness=False)
+    measured = measured_quantum_params(distance_balance(q, r).code)
     assert measured.n == predicted.n
     assert measured.dimension == predicted.dimension
     assert (measured.d_x, measured.d_z) == (predicted.d_x, predicted.d_z)
@@ -108,7 +109,7 @@ def test_dimension_zero_classical_code_kills_all_logicals():
     q = q_rep3()
     r = random_ldpc(3, 3, row_w=2, col_w=2, seed=4)
     assert classical_dimension_is_zero(r)
-    qp = measured_quantum_params(q, with_soundness=False)
+    qp = measured_quantum_params(q)
     rp = measured_classical_params(r)
     predicted = predicted_params(qp, rp)
     assert predicted.dimension == 0
@@ -167,7 +168,7 @@ def test_double_balance_parameters():
     bal = double_balance(q_rep3(), rep_standard(2))
     assert quantum_dimension(bal.code) == 1
     assert quantum_distances(bal.code) == (4, 6)
-    qp = measured_quantum_params(q_rep3(), with_soundness=False)
+    qp = measured_quantum_params(q_rep3())
     rp = measured_classical_params(rep_standard(2))
     once = predicted_params(qp, rp)
     assert bal.n == once.n * rp.t + once.n_z * rp.s == 40
@@ -198,7 +199,7 @@ def test_balanced_equalities_random_pairs():
     for seed in range(20):
         q = random_css(4, 1, 1, seed=seed)
         r = random_ldpc(4, 2, row_w=2, col_w=2, seed=seed)
-        qp = measured_quantum_params(q, with_soundness=False)
+        qp = measured_quantum_params(q)
         rp = measured_classical_params(r)
         predicted = predicted_params(qp, rp)
         bal = distance_balance(q, r)
@@ -246,7 +247,7 @@ def random_pairs(draw):
 @given(random_pairs())
 def test_balancing_theorem_on_random_pairs(pair):
     q, r = pair
-    qp = measured_quantum_params(q, with_soundness=False)
+    qp = measured_quantum_params(q)
     rp = measured_classical_params(r)
     bal = distance_balance(q, r)
     assert bal.code.complex.validate() is None
@@ -262,3 +263,49 @@ def test_balancing_theorem_on_random_pairs(pair):
     assert side_z.bound == bound_z(q.n, q.n_x, q.n_z, r.t, r.s, check.rho_x)
     assert side_x.measured >= side_x.bound and side_x.holds
     assert side_z.measured >= side_z.bound and side_z.holds
+
+
+@st.composite
+def double_pairs(draw):
+    """Double-balanced codes of at most 36 qubits whose input encodes at
+    least one qubit: every distance scan stays small, so the whole test
+    takes a few seconds."""
+    n, t = draw(st.integers(3, 5)), draw(st.integers(2, 3))
+    n_x = draw(st.integers(1, n - 2))
+    n_z = draw(st.integers(1, n - n_x - 1))
+    s = draw(st.integers(1, t - 1))
+    once_n, once_n_z = n * t + n_x * s, n_z * t + n * s
+    if once_n * t + once_n_z * s > 36:
+        reject()
+    q = random_css(n, n_x, n_z, seed=draw(st.integers(0, 1 << 16)))
+    col_w = draw(st.integers(1, s))
+    row_w = draw(st.integers(1, min(t, t * col_w // s)))
+    try:
+        r = random_ldpc(t, s, row_w, col_w, seed=draw(st.integers(0, 1 << 16)))
+    except RuntimeError:  # no independent-check draw with this profile
+        reject()
+    return q, r
+
+
+def _tiles(ranges: dict, size: int) -> bool:
+    end = 0
+    for lo, hi in ranges.values():
+        if lo != end or hi < lo:
+            return False
+        end = hi
+    return end == size
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(double_pairs())
+def test_double_balance_matches_prediction_on_random_pairs(pair):
+    q, r = pair
+    predicted = predicted_double_params(measured_quantum_params(q), measured_classical_params(r))
+    bal = double_balance(q, r)
+    measured = measured_quantum_params(bal.code)
+    assert replace(measured, locality=predicted.locality) == predicted
+    assert measured.locality <= predicted.locality
+    layout = bal.block_layout
+    assert _tiles(layout["qubits"], bal.n)
+    assert _tiles(layout["z_checks"], bal.n_z)
+    assert _tiles(layout["x_checks"], bal.n_x)

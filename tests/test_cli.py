@@ -132,6 +132,8 @@ def test_balance_double(tmp_path, capsys):
     record = json.loads(stdout)
     assert record["measured"] == {"n": 40, "K": 1, "dX": 4, "dZ": 6}
     assert record["measured"] == record["predicted"]
+    # Listed highest grade first, like every other complex the CLI writes.
+    assert json.loads(out.read_text())["labels"] == ["C2", "C1", "C0"]
 
 
 def test_balance_double_then_analyze_at_moderate_size(tmp_path, capsys):
@@ -278,6 +280,21 @@ def test_sweep_malformed_job_is_a_parse_error(tmp_path, capsys):
         code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
         assert code == 2, bad
         assert "error" in err
+    assert not out.exists()
+
+
+def test_sweep_huge_seed_count_is_not_materialized(tmp_path, capsys):
+    """A pair of 2^62 seeds is a range until its rows run, so the bad
+    seeds of the next pair are still a parse error and no CSV is written."""
+    job = tmp_path / "job.json"
+    out = tmp_path / "out.csv"
+    spec = {"quantum": {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}},
+            "classical": {"family": "rep", "params": {"l": 2}}}
+    job.write_text(json.dumps({"pairs": [{**spec, "seeds": {"start": 0, "count": 2**62}},
+                                         {**spec, "seeds": 3}]}))
+    code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
+    assert code == 2
+    assert "sweep 'seeds' must be" in err
     assert not out.exists()
 
 
