@@ -109,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("job", help="JSON job file listing code spec pairs and seeds")
     p.add_argument("-o", "--out", required=True, help="output CSV path")
     p.add_argument("--timing", action="store_true",
-                   help="fill the ms column with wall time (makes output nondeterministic)")
+                   help="fill the ms column with each row's wall time (makes output "
+                        "nondeterministic); a row whose pair already ran in this "
+                        "sweep reuses that row's fields, so its ms is short")
 
     p = sub.add_parser("table", parents=[common], help="print a parameter formula sheet")
     p.add_argument("scenario")
@@ -272,10 +274,12 @@ SWEEP_HEADER = [
 
 
 def _sweep_row(label: str, quantum_spec: CodeSpec, classical_spec: CodeSpec, seed: int,
-               cap: int, timing: bool) -> list[str]:
+               cap: int, timing: bool, done: dict) -> list[str]:
     """One CSV row. A spec that cannot be built is a ValueError naming the
     pair and the seed; a random generator that finds no valid draw gives an
-    all-NA row."""
+    all-NA row. `done` maps each pair this sweep has computed, keyed by its
+    lengths and check rows, to its fields other than seed and ms; a pair
+    already in it reuses those fields."""
     start = time.monotonic()
     row: dict[str, str] = {k: "NA" for k in SWEEP_HEADER}
     row["seed"] = str(seed)
@@ -290,7 +294,11 @@ def _sweep_row(label: str, quantum_spec: CodeSpec, classical_spec: CodeSpec, see
         what = f"missing parameter {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"sweep pair {label}, seed {seed}: {what}") from None
     if q is not None:
-        _fill_sweep_row(row, q, r, cap)
+        key = (q.n, q.h_x.row_ints(), q.h_z.row_ints(), r.t, r.h.row_ints())
+        if key not in done:
+            _fill_sweep_row(row, q, r, cap)
+            done[key] = {k: row[k] for k in SWEEP_HEADER[1:-1]}
+        row.update(done[key])
     row["ms"] = str(int((time.monotonic() - start) * 1000)) if timing else "0"
     return [row[k] for k in SWEEP_HEADER]
 
@@ -362,10 +370,12 @@ def cmd_sweep(args) -> int:
     specs = [_pair_specs(i, pair) for i, pair in enumerate(pairs, 1)]
     seed_lists = [_pair_seeds(pair) for pair in pairs]
     rows = []
+    done: dict = {}
     for i, ((q_spec, r_spec), seeds) in enumerate(zip(specs, seed_lists), 1):
         label = f"{i} ({q_spec.describe()} x {r_spec.describe()})"
         for seed in seeds:
-            rows.append(_sweep_row(label, q_spec, r_spec, seed, args.cap, args.timing))
+            rows.append(_sweep_row(label, q_spec, r_spec, seed, args.cap, args.timing,
+                                   done))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)

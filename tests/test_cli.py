@@ -1,7 +1,8 @@
 import json
 
-from cssbalance import constructions
+from cssbalance import BitMatrix, CssCode, cli, complex_to_json, constructions
 from cssbalance.cli import SWEEP_HEADER, main
+from cssbalance.constructions import as_spec
 
 
 def run(capsys, *argv):
@@ -257,6 +258,58 @@ def test_sweep_deterministic_and_empty(tmp_path, capsys):
     out3 = tmp_path / "c.csv"
     assert run(capsys, "sweep", str(empty), "-o", str(out3))[0] == 0
     assert out3.read_text().strip() == ",".join(SWEEP_HEADER)
+
+
+def sweep_lines(capsys, tmp_path, pairs):
+    """The data lines of the CSV a sweep over pairs writes."""
+    job = tmp_path / "job.json"
+    out = tmp_path / "out.csv"
+    job.write_text(json.dumps({"pairs": pairs}))
+    assert run(capsys, "sweep", str(job), "-o", str(out))[0] == 0
+    return out.read_text().split("\n")[1:-1]
+
+
+def test_sweep_computes_each_distinct_pair_once(tmp_path, capsys, monkeypatch):
+    """Seeds that draw a pair this sweep already ran reuse that row's
+    fields, and each row is still the row a one-seed job gives."""
+    quantum = {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}}
+    classical = {"family": "rep", "params": {"l": 2}}
+    seeds = [1, 1, 2, 1, 2]
+    distinct = {as_spec(quantum).with_seed(seed).build() for seed in seeds}
+    assert len(distinct) == 2
+    calls = []
+    fill = cli._fill_sweep_row
+    monkeypatch.setattr(cli, "_fill_sweep_row", lambda *a: (calls.append(a), fill(*a)))
+    lines = sweep_lines(capsys, tmp_path, [
+        {"quantum": quantum, "classical": classical, "seeds": seeds}])
+    assert len(calls) == len(distinct)
+    for seed, line in zip(seeds, lines):
+        alone = sweep_lines(capsys, tmp_path, [
+            {"quantum": quantum, "classical": classical, "seeds": [seed]}])
+        assert [line] == alone, seed
+
+
+def test_sweep_pairs_differ_by_length_as_well_as_check_rows(tmp_path, capsys):
+    """An appended all-zero column keeps every packed check row the same,
+    but the pair is another code: its rows differ in n and K."""
+    h_x = BitMatrix(1, 4, [0b1111])
+    h_z = BitMatrix(2, 4, [0b0011, 0b1100])
+    for name, cols in (("q4.json", 4), ("q5.json", 5)):
+        code = CssCode.from_check_matrices(BitMatrix(1, cols, h_x.row_ints()),
+                                           BitMatrix(2, cols, h_z.row_ints()))
+        (tmp_path / name).write_text(complex_to_json(code.complex))
+    (tmp_path / "r3.pcm").write_text("2 3\n110\n011\n")
+    (tmp_path / "r4.pcm").write_text("2 4\n1100\n0110\n")
+
+    def pair(quantum, classical):
+        return {"quantum": {"family": "from_file", "params": {"path": str(tmp_path / quantum)}},
+                "classical": {"family": "from_file",
+                              "params": {"path": str(tmp_path / classical)}}}
+
+    lines = sweep_lines(capsys, tmp_path, [
+        pair("q4.json", "r3.pcm"), pair("q5.json", "r3.pcm"), pair("q4.json", "r4.pcm")])
+    n_k = [tuple(line.split(",")[1:3]) for line in lines]
+    assert n_k == [("14", "1"), ("17", "2"), ("18", "2")]
 
 
 def test_sweep_malformed_job_is_a_parse_error(tmp_path, capsys):
