@@ -31,7 +31,7 @@ from .balance import (
 )
 from .chain import ClassicalCode, CssCode, _list_of
 from .constructions import CodeSpec, as_spec, param_table
-from .gf2 import row_basis
+from .gf2 import BitMatrix, row_basis
 from .io import load_classical, load_code, load_css, save_classical, save_complex
 from .oracle import (
     DEFAULT_CAP,
@@ -110,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True, help="output CSV path")
     p.add_argument("--timing", action="store_true",
                    help="fill the ms column with each row's wall time (makes output "
-                        "nondeterministic); a row whose pair already ran in this "
-                        "sweep reuses that row's fields, so its ms is short")
+                        "nondeterministic); a row whose pair is isomorphic to one "
+                        "that already ran in this sweep reuses that row's fields, "
+                        "so its ms is short")
 
     p = sub.add_parser("table", parents=[common], help="print a parameter formula sheet")
     p.add_argument("scenario")
@@ -273,19 +274,48 @@ SWEEP_HEADER = [
 ]
 
 
-def _sweep_row(label: str, quantum_spec: CodeSpec, classical_spec: CodeSpec, seed: int,
-               cap: int, timing: bool, done: dict) -> list[str]:
+def _normal_form(code) -> tuple:
+    """A code isomorphic to `code`, as a hashable key: the rows sorted within
+    each check block (H_X and H_Z, or H), each column read as an int whose
+    bit i is row i of the stacked blocks, and the columns sorted. The length,
+    the block sizes and the sorted columns rebuild the code up to a column
+    permutation, so equal keys mean isomorphic codes; the block sizes are in
+    the key because an all-zero row changes no column."""
+    blocks = (code.h_x, code.h_z) if isinstance(code, CssCode) else (code.h,)
+    n = blocks[0].cols
+    rows = [v for b in blocks for v in sorted(b.row_ints())]
+    columns = BitMatrix(len(rows), n, rows).transpose().row_ints()
+    return (n, *(b.rows for b in blocks), tuple(sorted(columns)))
+
+
+def _build(spec: CodeSpec, seed: int, fixed: dict, role: int) -> tuple:
+    """The code of spec at seed and its normal form. A spec that does not
+    depend on the seed is built once per pair: `fixed` keeps its result
+    under its role in the pair."""
+    seeded = spec.with_seed(seed)
+    if seeded != spec:
+        code = seeded.build()
+        return code, _normal_form(code)
+    if role not in fixed:
+        code = spec.build()
+        fixed[role] = code, _normal_form(code)
+    return fixed[role]
+
+
+def _sweep_row(label: str, specs: tuple[CodeSpec, CodeSpec], seed: int, cap: int,
+               timing: bool, done: dict, fixed: dict) -> list[str]:
     """One CSV row. A spec that cannot be built is a ValueError naming the
     pair and the seed; a random generator that finds no valid draw gives an
-    all-NA row. `done` maps each pair this sweep has computed, keyed by its
-    lengths and check rows, to its fields other than seed and ms; a pair
-    already in it reuses those fields."""
+    all-NA row. `done` maps each pair this sweep has computed, keyed by the
+    normal forms of its two codes, to its fields other than seed and ms; a
+    pair isomorphic to one in it reuses those fields. `fixed` is the pair's
+    store for _build."""
     start = time.monotonic()
     row: dict[str, str] = {k: "NA" for k in SWEEP_HEADER}
     row["seed"] = str(seed)
     try:
-        q = quantum_spec.with_seed(seed).build()
-        r = classical_spec.with_seed(seed).build()
+        (q, q_form), (r, r_form) = (
+            _build(spec, seed, fixed, role) for role, spec in enumerate(specs))
         if not isinstance(q, CssCode) or not isinstance(r, ClassicalCode):
             raise ValueError("a pair needs a quantum spec and a classical spec")
     except RuntimeError:
@@ -294,7 +324,7 @@ def _sweep_row(label: str, quantum_spec: CodeSpec, classical_spec: CodeSpec, see
         what = f"missing parameter {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"sweep pair {label}, seed {seed}: {what}") from None
     if q is not None:
-        key = (q.n, q.h_x.row_ints(), q.h_z.row_ints(), r.t, r.h.row_ints())
+        key = (q_form, r_form)
         if key not in done:
             _fill_sweep_row(row, q, r, cap)
             done[key] = {k: row[k] for k in SWEEP_HEADER[1:-1]}
@@ -371,11 +401,12 @@ def cmd_sweep(args) -> int:
     seed_lists = [_pair_seeds(pair) for pair in pairs]
     rows = []
     done: dict = {}
-    for i, ((q_spec, r_spec), seeds) in enumerate(zip(specs, seed_lists), 1):
-        label = f"{i} ({q_spec.describe()} x {r_spec.describe()})"
+    for i, (pair_specs, seeds) in enumerate(zip(specs, seed_lists), 1):
+        label = f"{i} ({pair_specs[0].describe()} x {pair_specs[1].describe()})"
+        fixed: dict = {}
         for seed in seeds:
-            rows.append(_sweep_row(label, q_spec, r_spec, seed, args.cap, args.timing,
-                                   done))
+            rows.append(_sweep_row(label, pair_specs, seed, args.cap, args.timing,
+                                   done, fixed))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)

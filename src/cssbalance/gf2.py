@@ -102,6 +102,17 @@ class BitMatrix:
         for v in vals:
             if v < 0 or v >> cols:
                 raise ValueError(f"row value does not fit in {cols} bits")
+        self._set(rows, cols, vals)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, vals: Sequence[int]) -> "BitMatrix":
+        """The matrix of these row values, which fit in cols bits by
+        construction; the builders in this module skip the public check."""
+        m = object.__new__(cls)
+        m._set(rows, cols, tuple(vals))
+        return m
+
+    def _set(self, rows: int, cols: int, vals: tuple[int, ...]) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_r", vals)
@@ -131,7 +142,9 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
+        if n < 0:
+            raise ValueError("matrix dimensions must be >= 0")
+        return cls._trusted(n, n, [1 << i for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
@@ -172,7 +185,7 @@ class BitMatrix:
     def __add__(self, other: "BitMatrix") -> "BitMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix addition")
-        return BitMatrix(
+        return BitMatrix._trusted(
             self.rows, self.cols, [a ^ b for a, b in zip(self._r, other._r)]
         )
 
@@ -183,7 +196,7 @@ class BitMatrix:
                 low = v & -v
                 cols[low.bit_length() - 1] |= 1 << r
                 v ^= low
-        return BitMatrix(self.cols, self.rows, cols)
+        return BitMatrix._trusted(self.cols, self.rows, cols)
 
     def mul_vec(self, v: BitVector) -> BitVector:
         """Matrix-vector product A*v over GF(2)."""
@@ -209,7 +222,7 @@ class BitMatrix:
                 acc ^= orows[low.bit_length() - 1]
                 v ^= low
             vals.append(acc)
-        return BitMatrix(self.rows, other.cols, vals)
+        return BitMatrix._trusted(self.rows, other.cols, vals)
 
     def kron(self, other: "BitMatrix") -> "BitMatrix":
         """Kronecker product, left factor major: row (i,j) -> i*other.rows + j,
@@ -225,7 +238,7 @@ class BitMatrix:
                     row |= b << ((low.bit_length() - 1) * bc)
                     v ^= low
                 vals.append(row)
-        return BitMatrix(self.rows * other.rows, self.cols * other.cols, vals)
+        return BitMatrix._trusted(self.rows * other.rows, self.cols * other.cols, vals)
 
     def row_weights(self) -> list[int]:
         return [v.bit_count() for v in self._r]
@@ -306,8 +319,9 @@ class BitMatrix:
         if b.n != self.rows:
             raise ValueError("dimension mismatch in solve")
         aug_col = self.cols
-        aug = BitMatrix(self.rows, self.cols + 1,
-                        [v | (b.value >> i & 1) << aug_col for i, v in enumerate(self._r)])
+        aug = BitMatrix._trusted(
+            self.rows, self.cols + 1,
+            [v | (b.value >> i & 1) << aug_col for i, v in enumerate(self._r)])
         work, pivots, _ = aug._rref()
         if pivots and pivots[-1] == aug_col:
             return None
@@ -370,13 +384,13 @@ def block(grid: Sequence[Sequence]) -> BitMatrix:
             for r in range(e.rows):
                 rows_here[r] |= e.row(r) << shift
         vals.extend(rows_here)
-    return BitMatrix(sum(heights), total_cols, vals)
+    return BitMatrix._trusted(sum(heights), total_cols, vals)
 
 
 def row_basis(a: BitMatrix) -> BitMatrix:
     """Rows of a that greedily (in ascending order) form a row-space basis."""
     kept = a._rref()[2]
-    return BitMatrix(len(kept), a.cols, [a.row(r) for r in kept])
+    return BitMatrix._trusted(len(kept), a.cols, [a.row(r) for r in kept])
 
 
 def nonsingular_row_partition(a: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:

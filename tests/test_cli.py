@@ -1,8 +1,14 @@
 import json
 
-from cssbalance import BitMatrix, CssCode, cli, complex_to_json, constructions
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from cssbalance import (
+    BitMatrix, ClassicalCode, CssCode, cli, complex_to_json, constructions, write_pcm,
+)
 from cssbalance.cli import SWEEP_HEADER, main
-from cssbalance.constructions import as_spec
+from cssbalance.constructions import as_spec, random_css, random_ldpc
+from cssbalance.oracle import DEFAULT_CAP
 
 
 def run(capsys, *argv):
@@ -270,8 +276,10 @@ def sweep_lines(capsys, tmp_path, pairs):
 
 
 def test_sweep_computes_each_distinct_pair_once(tmp_path, capsys, monkeypatch):
-    """Seeds that draw a pair this sweep already ran reuse that row's
-    fields, and each row is still the row a one-seed job gives."""
+    """A sweep computes each pair once per isomorphism class: seeds that
+    draw a pair isomorphic to one this sweep already ran reuse that row's
+    fields, and each row is still the row a one-seed job gives. The two
+    codes drawn here are not isomorphic."""
     quantum = {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}}
     classical = {"family": "rep", "params": {"l": 2}}
     seeds = [1, 1, 2, 1, 2]
@@ -310,6 +318,123 @@ def test_sweep_pairs_differ_by_length_as_well_as_check_rows(tmp_path, capsys):
         pair("q4.json", "r3.pcm"), pair("q5.json", "r3.pcm"), pair("q4.json", "r4.pcm")])
     n_k = [tuple(line.split(",")[1:3]) for line in lines]
     assert n_k == [("14", "1"), ("17", "2"), ("18", "2")]
+
+
+def permuted(m, rows, cols):
+    """m with row rows[i] moved to row i and column c moved to column cols[c]."""
+    return BitMatrix(m.rows, m.cols, [
+        sum((m.row(r) >> c & 1) << cols[c] for c in range(m.cols)) for r in rows])
+
+
+def filled(q, r):
+    """The fields _fill_sweep_row fills for the pair."""
+    row = {k: "NA" for k in SWEEP_HEADER}
+    cli._fill_sweep_row(row, q, r, DEFAULT_CAP)
+    return row
+
+
+@st.composite
+def permuted_pairs(draw):
+    """A small random pair and a copy with its qubits and bits relabelled
+    and the rows of H_X, H_Z and H reordered. Both balanced check ranks
+    stay at most 14, so every soundness scan is small."""
+    n, t = draw(st.integers(3, 4)), draw(st.integers(2, 3))
+    s = draw(st.integers(1, min(t - 1, (14 - t) // n)))
+    n_z = draw(st.integers(1, min(n - 1, (14 - n * s) // t)))
+    n_x = draw(st.integers(1, n - n_z))
+    col_w = draw(st.integers(1, s))
+    row_w = draw(st.integers(1, min(t, t * col_w // s)))
+    try:
+        q = random_css(n, n_x, n_z, seed=draw(st.integers(0, 1 << 16)))
+        r = random_ldpc(t, s, row_w, col_w, seed=draw(st.integers(0, 1 << 16)))
+    except RuntimeError:  # no valid draw with these sizes
+        reject()
+    qubits = draw(st.permutations(range(n)))
+    q2 = CssCode.from_check_matrices(
+        permuted(q.h_x, draw(st.permutations(range(n_x))), qubits),
+        permuted(q.h_z, draw(st.permutations(range(n_z))), qubits))
+    r2 = ClassicalCode(permuted(r.h, draw(st.permutations(range(s))),
+                                draw(st.permutations(range(t)))))
+    return (q, r), (q2, r2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(permuted_pairs())
+def test_sweep_fields_are_invariant_under_isomorphism(pairs):
+    """Every field of a sweep row is a function of the pair up to a
+    permutation of the bits of either code and of the rows within each
+    check block, which is what lets isomorphic pairs share a row."""
+    (q, r), (q2, r2) = pairs
+    assert filled(q, r) == filled(q2, r2)
+
+
+def file_pair(tmp_path, name, q, r):
+    """A sweep pair of from_file specs for q and r, written under name."""
+    (tmp_path / f"{name}.json").write_text(complex_to_json(q.complex))
+    (tmp_path / f"{name}.pcm").write_text(write_pcm(r.h))
+    return {"quantum": {"family": "from_file",
+                        "params": {"path": str(tmp_path / f"{name}.json")}},
+            "classical": {"family": "from_file",
+                          "params": {"path": str(tmp_path / f"{name}.pcm")}}}
+
+
+def counted_fills(monkeypatch):
+    calls = []
+    fill = cli._fill_sweep_row
+    monkeypatch.setattr(cli, "_fill_sweep_row", lambda *a: (calls.append(a), fill(*a)))
+    return calls
+
+
+def test_sweep_isomorphic_pairs_share_a_computation(tmp_path, capsys, monkeypatch):
+    """A pair and a copy with relabelled bits and reordered check rows have
+    other check rows but one isomorphism class: one computation, and the
+    same row apart from the seed."""
+    q, r = random_css(5, 1, 2, seed=7), random_ldpc(4, 2, 2, 2, seed=1)
+    q2 = CssCode.from_check_matrices(permuted(q.h_x, [0], [4, 2, 0, 1, 3]),
+                                     permuted(q.h_z, [1, 0], [4, 2, 0, 1, 3]))
+    r2 = ClassicalCode(permuted(r.h, [1, 0], [3, 0, 2, 1]))
+    assert q2 != q and r2 != r
+    calls = counted_fills(monkeypatch)
+    lines = sweep_lines(capsys, tmp_path, [
+        {**file_pair(tmp_path, "a", q, r), "seeds": [0]},
+        {**file_pair(tmp_path, "b", q2, r2), "seeds": [1]}])
+    assert len(calls) == 1
+    assert lines[0].split(",")[0] == "0" and lines[1].split(",")[0] == "1"
+    assert lines[0].split(",")[1:] == lines[1].split(",")[1:]
+    assert "NA" not in lines[0]
+
+
+def test_sweep_zero_check_row_keeps_codes_apart(tmp_path, capsys, monkeypatch):
+    """An all-zero check row changes no column, but the code has one more
+    check: an extra zero H_Z row changes the measured soundness, and an
+    extra zero H row on a checkless classical code makes its checks
+    dependent. Each pair gets its own computation and its own row."""
+    h_x = BitMatrix(1, 4, [0b1111])
+    q = CssCode.from_check_matrices(h_x, BitMatrix(2, 4, [0b0011, 0b1100]))
+    q0 = CssCode.from_check_matrices(h_x, BitMatrix(3, 4, [0b0011, 0b1100, 0]))
+    rep2 = ClassicalCode(BitMatrix(1, 2, [0b11]))
+    none, zero = ClassicalCode(BitMatrix(0, 2)), ClassicalCode(BitMatrix(1, 2, [0]))
+    calls = counted_fills(monkeypatch)
+    lines = sweep_lines(capsys, tmp_path, [
+        file_pair(tmp_path, "q", q, rep2), file_pair(tmp_path, "q0", q0, rep2),
+        file_pair(tmp_path, "none", q, none), file_pair(tmp_path, "zero", q, zero)])
+    assert len(calls) == 4
+    assert lines[0] != lines[1]
+    assert "NA" not in lines[2]
+    assert lines[3] == ",".join(["0"] + ["NA"] * 15 + ["0"])
+
+
+def test_sweep_xz_swap_keeps_codes_apart(tmp_path, capsys, monkeypatch):
+    """A code and its X/Z swap have the same check rows in other roles;
+    with n_X != n_Z they are different codes with different rows."""
+    h_x, h_z = BitMatrix(1, 4, [0b1111]), BitMatrix(2, 4, [0b0011, 0b1100])
+    rep3 = ClassicalCode(BitMatrix(2, 3, [0b011, 0b110]))
+    calls = counted_fills(monkeypatch)
+    lines = sweep_lines(capsys, tmp_path, [
+        file_pair(tmp_path, "xz", CssCode.from_check_matrices(h_x, h_z), rep3),
+        file_pair(tmp_path, "zx", CssCode.from_check_matrices(h_z, h_x), rep3)])
+    assert len(calls) == 2
+    assert lines[0].split(",")[1] == "14" and lines[1].split(",")[1] == "16"
 
 
 def test_sweep_malformed_job_is_a_parse_error(tmp_path, capsys):

@@ -60,6 +60,20 @@ def test_mul_dimension_mismatch():
         H3.mul_vec(BitVector.zeros(4))
 
 
+def test_constructor_checks_dimensions_and_rows():
+    """The public constructor refuses rows that do not fit; only the
+    builders whose rows fit by construction skip the check."""
+    with pytest.raises(ValueError, match="row value does not fit in 2 bits"):
+        BitMatrix(1, 2, [0b100])
+    with pytest.raises(ValueError, match="row value does not fit in 2 bits"):
+        BitMatrix(1, 2, [-1])
+    with pytest.raises(ValueError, match="expected 2 row values, got 1"):
+        BitMatrix(2, 2, [1])
+    for bad in (lambda: BitMatrix(-1, 2), lambda: BitMatrix.identity(-1)):
+        with pytest.raises(ValueError, match="matrix dimensions must be >= 0"):
+            bad()
+
+
 def test_from_rows_packs_and_checks():
     assert BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]]) == H3
     assert BitMatrix.from_rows([], cols=4) == BitMatrix.zeros(0, 4)
