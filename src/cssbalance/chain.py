@@ -10,7 +10,7 @@ inspected.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .gf2 import BitMatrix, block, parse_pcm, write_pcm
 
@@ -272,16 +272,42 @@ def as_classical(c: ChainComplex) -> ClassicalCode:
     return ClassicalCode(c.diff(1))
 
 
-def complex_to_obj(c: ChainComplex) -> dict:
-    return {
-        "spaces": list(c.spaces),
-        "diffs": [write_pcm(d) for d in c.diffs],
-        "labels": list(c.labels),
-    }
+def complex_json_pieces(
+    c: ChainComplex, block_layout: Optional[dict] = None
+) -> Iterator[str]:
+    """The text of json.dumps(obj, indent=1), where obj holds the complex's
+    spaces, diffs and labels, then block_layout when given, in pieces that
+    hold at most one diff each. The small members are formatted before
+    this returns, so a layout that json cannot encode raises before the
+    caller writes anything."""
+
+    def member(name: str, value) -> str:
+        # One level inside the top object: one more space after each newline.
+        return f'\n "{name}": ' + json.dumps(value, indent=1).replace("\n", "\n ")
+
+    head = "{" + member("spaces", list(c.spaces)) + ',\n "diffs": '
+    tail = "," + member("labels", list(c.labels))
+    if block_layout is not None:
+        tail += "," + member("block_layout", block_layout)
+    return _pieces(head, c.diffs, tail + "\n}")
+
+
+def _pieces(head: str, diffs: Sequence[BitMatrix], tail: str) -> Iterator[str]:
+    yield head
+    if not diffs:
+        yield "[]"
+    else:
+        for i, d in enumerate(diffs):
+            yield '",\n  "' if i else '[\n  "'
+            # pcm text holds only digits, spaces and newlines, so escaping
+            # the newlines makes it its own JSON string.
+            yield write_pcm(d).replace("\n", "\\n")
+        yield '"\n ]'
+    yield tail
 
 
 def complex_to_json(c: ChainComplex) -> str:
-    return json.dumps(complex_to_obj(c), indent=1)
+    return "".join(complex_json_pieces(c))
 
 
 def _list_of(value, kind) -> bool:

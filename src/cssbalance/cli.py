@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -448,9 +449,15 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: building one costs
+    milliseconds, mostly argparse's per-argument set-up."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.cap < MIN_CAP:
         print(f"error: --cap must be at least {MIN_CAP}", file=sys.stderr)
         return EXIT_PARSE

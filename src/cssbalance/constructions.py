@@ -141,11 +141,18 @@ def random_css(n: int, n_x: int, n_z: int, seed: int) -> CssCode:
 
     def sample_independent(dim: int, count: int, combine) -> Optional[list[int]]:
         rows: list[int] = []
+        # The accepted rows reduced to an echelon form, keyed by their
+        # lowest set bit; a draw is independent of the rows exactly when
+        # it does not reduce to zero against them.
+        reduced: dict[int, int] = {}
         for _ in range(MAX_RESAMPLES):
             if len(rows) == count:
                 return rows
-            v = combine(rng.getrandbits(dim))
-            if BitMatrix(len(rows) + 1, n, rows + [v]).rank() > len(rows):
+            v = r = combine(rng.getrandbits(dim))
+            while r and (low := r & -r) in reduced:
+                r ^= reduced[low]
+            if r:
+                reduced[r & -r] = r
                 rows.append(v)
         return rows if len(rows) == count else None
 
@@ -209,8 +216,10 @@ class CodeSpec:
         if self.family in ("random_ldpc", "random_css"):
             return CodeSpec(self.family, {**self.params, "seed": seed})
         if self.family == "q_complex" and "hhat" in self.params:
-            hhat = as_spec(self.params["hhat"]).with_seed(seed)
-            return CodeSpec(self.family, {**self.params, "hhat": hhat})
+            hhat = as_spec(self.params["hhat"])
+            seeded = hhat.with_seed(seed)
+            if seeded != hhat:
+                return CodeSpec(self.family, {**self.params, "hhat": seeded})
         return self
 
     def build(self) -> Union[ClassicalCode, CssCode]:

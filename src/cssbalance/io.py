@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional, Union
 
@@ -13,7 +12,7 @@ from .chain import (
     as_classical,
     as_css,
     complex_from_json,
-    complex_to_obj,
+    complex_json_pieces,
 )
 from .gf2 import parse_pcm, write_pcm
 
@@ -53,7 +52,7 @@ def save_classical(code: ClassicalCode, path: Path) -> None:
 def save_complex(
     c: ChainComplex, path: Path, block_layout: Optional[dict] = None
 ) -> None:
-    obj = complex_to_obj(c)
-    if block_layout is not None:
-        obj["block_layout"] = block_layout
-    Path(path).write_text(json.dumps(obj, indent=1) + "\n")
+    pieces = complex_json_pieces(c, block_layout)
+    with open(path, "w") as fh:
+        fh.writelines(pieces)
+        fh.write("\n")

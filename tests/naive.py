@@ -5,13 +5,18 @@ matrix products, full sweeps over all 2^t words, ranks, row-space
 membership and greedy bases decided by explicit span sets, and a
 column-by-column Gauss-Jordan elimination for matrices too wide for span
 sets. Nothing is shared with the package's elimination or enumeration
-code paths.
+code paths. The complex file's reference text is json.dumps of the whole
+object, and the reference CSS sampler tests each draw's independence by
+rebuilding the span set of all the rows accepted so far.
 """
 
+import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 
-from cssbalance import BitMatrix, BitVector
+from cssbalance import BitMatrix, BitVector, CssCode, write_pcm
+from cssbalance.constructions import MAX_RESAMPLES
 
 INF = float("inf")
 
@@ -141,3 +146,52 @@ def naive_quantum_distances(h_x: BitMatrix, h_z: BitMatrix):
         if not any(naive_mul(h_x, v)) and not in_row_space(h_z, v):
             d_z = min(d_z, w)
     return d_x, d_z
+
+
+def naive_complex_json(c, block_layout=None) -> str:
+    """The complex file's text without its final newline: the whole object
+    built in memory, then json.dumps with one space per level."""
+    obj = {
+        "spaces": list(c.spaces),
+        "diffs": [write_pcm(d) for d in c.diffs],
+        "labels": list(c.labels),
+    }
+    if block_layout is not None:
+        obj["block_layout"] = block_layout
+    return json.dumps(obj, indent=1)
+
+
+def naive_random_css(n: int, n_x: int, n_z: int, seed: int) -> CssCode:
+    """random_css with each draw kept when the rank of all the rows kept so
+    far plus the draw exceeds the number kept. The rank is read off span
+    sets; the kernel basis of H_Z is the package's, because its order fixes
+    which word an X-check draw stands for."""
+    rng = random.Random(seed)
+
+    def sample_independent(dim, count, combine):
+        rows = []
+        for _ in range(MAX_RESAMPLES):
+            if len(rows) == count:
+                return rows
+            v = combine(rng.getrandbits(dim))
+            if naive_rank(BitMatrix(len(rows) + 1, n, rows + [v])) > len(rows):
+                rows.append(v)
+        return rows if len(rows) == count else None
+
+    hz_rows = sample_independent(n, n_z, lambda v: v)
+    if hz_rows is None:
+        raise RuntimeError("could not sample independent Z-checks")
+    h_z = BitMatrix(n_z, n, hz_rows)
+    kernel = h_z.kernel_basis()
+
+    def from_kernel(mask):
+        v = 0
+        for i, b in enumerate(kernel):
+            if mask >> i & 1:
+                v ^= b
+        return v
+
+    hx_rows = sample_independent(len(kernel), n_x, from_kernel)
+    if hx_rows is None:
+        raise RuntimeError("could not sample independent X-checks")
+    return CssCode.from_check_matrices(BitMatrix(n_x, n, hx_rows), h_z)

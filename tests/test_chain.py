@@ -1,8 +1,10 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cssbalance import (
@@ -19,7 +21,9 @@ from cssbalance import (
     rep_standard,
     window,
 )
+from cssbalance.io import save_complex
 from conftest import rand_valid_complex
+from naive import naive_complex_json
 
 H3 = BitMatrix.from_strings(["110", "011"])
 
@@ -188,6 +192,49 @@ def test_json_field_order():
     c = ChainComplex((3, 2), (H3,))
     text = complex_to_json(c)
     assert text.index('"spaces"') < text.index('"diffs"') < text.index('"labels"')
+
+
+# Quotes, backslashes, control characters and non-ASCII text, which json
+# escapes, next to arbitrary text.
+JSON_TEXT = (st.text(alphabet='a0 "\\\n\t\x00/\u00e9\u2603\U0001d11e', max_size=6)
+             | st.text(max_size=6))
+LAYOUTS = st.none() | st.dictionaries(JSON_TEXT, st.recursive(
+    st.integers(-3, 9) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
+    max_leaves=8,
+), max_size=4)
+
+
+@st.composite
+def complexes(draw):
+    """Complexes of any shapes, composites not necessarily zero, with
+    default or drawn labels."""
+    spaces = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    diffs = [
+        BitMatrix(rows, cols, draw(st.lists(st.integers(0, (1 << cols) - 1),
+                                            min_size=rows, max_size=rows)))
+        for cols, rows in zip(spaces, spaces[1:])
+    ]
+    labels = draw(st.none() | st.lists(JSON_TEXT, min_size=len(spaces), max_size=len(spaces)))
+    return ChainComplex(spaces, diffs, labels)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(complexes(), LAYOUTS)
+@example(ChainComplex([2]), None)
+@example(ChainComplex([0, 3, 0], [BitMatrix(3, 0, [0, 0, 0]), BitMatrix(0, 3, [])],
+                      ['"', "\\", "\n\u00e9"]), {"k\u2603": {"\"": [1, []]}, "e": {}})
+def test_complex_json_is_json_dumps_byte_for_byte(c, layout):
+    """complex_to_json and the file save_complex writes are the bytes of
+    json.dumps(obj, indent=1), the file with one more newline."""
+    text = complex_to_json(c)
+    assert text == naive_complex_json(c)
+    assert complex_from_json(text) == c
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        save_complex(c, path, layout)
+        assert path.read_bytes() == (naive_complex_json(c, layout) + "\n").encode()
+        assert complex_from_json(path.read_text()) == c
 
 
 def test_json_rejects_garbage():

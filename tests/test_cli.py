@@ -4,11 +4,13 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cssbalance import (
-    BitMatrix, ClassicalCode, CssCode, cli, complex_to_json, constructions, write_pcm,
+    BitMatrix, ClassicalCode, CssCode, cli, complex_to_json, constructions, double_balance,
+    q_complex, rep_standard, write_pcm,
 )
 from cssbalance.cli import SWEEP_HEADER, main
 from cssbalance.constructions import as_spec, random_css, random_ldpc
 from cssbalance.oracle import DEFAULT_CAP
+from naive import naive_complex_json
 
 
 def run(capsys, *argv):
@@ -91,6 +93,19 @@ def test_analyze_cap_exceeded_partial_report(tmp_path, capsys):
     assert report["d"] == "cap-exceeded"
 
 
+def test_main_calls_do_not_share_options(tmp_path, capsys):
+    """main parses every call with one parser; what one call sets does not
+    carry over to the next."""
+    pcm = tmp_path / "rep13.pcm"
+    assert run(capsys, "gen", "rep", "13", "-o", str(pcm))[0] == 0
+    code, stdout, _ = run(capsys, "analyze", "--json", "--cap", "2048", str(pcm))
+    assert code == 3 and json.loads(stdout)["soundness"] == "cap-exceeded"
+    code, stdout, _ = run(capsys, "analyze", str(pcm))
+    assert code == 0
+    assert stdout.startswith("kind") and "13/72" in stdout
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_round_trip_gen_analyze_identical_reports(tmp_path, capsys):
     pcm = tmp_path / "c.pcm"
     code, gen_out, _ = run(capsys, "gen", "ldpc", "6", "3", "--row-w", "3",
@@ -158,6 +173,10 @@ def test_balance_double_then_analyze_at_moderate_size(tmp_path, capsys):
     assert (record["n"], record["nX"], record["nZ"]) == (284, 171, 160)
     assert record["note"].startswith("measurement skipped")
     assert record["note"].endswith("cap is 2^24")
+    # The file holds the bytes json.dumps(obj, indent=1) writes, plus a newline.
+    balanced = double_balance(q_complex(rep_standard(4).h), rep_standard(4))
+    reference = naive_complex_json(balanced.code.complex, balanced.block_layout) + "\n"
+    assert out.read_bytes() == reference.encode()
     code, stdout, _ = run(capsys, "analyze", str(out), "--json")
     assert code == 3
     report = json.loads(stdout)
@@ -295,6 +314,23 @@ def test_sweep_computes_each_distinct_pair_once(tmp_path, capsys, monkeypatch):
         alone = sweep_lines(capsys, tmp_path, [
             {"quantum": quantum, "classical": classical, "seeds": [seed]}])
         assert [line] == alone, seed
+
+
+def test_sweep_builds_a_seed_independent_quantum_spec_once(tmp_path, capsys, monkeypatch):
+    """A q_complex spec over a seed-independent inner spec is built once per
+    pair; over a random inner spec, once per seed."""
+    builds = []
+    build = constructions.q_complex
+    monkeypatch.setattr(constructions, "q_complex", lambda h: (builds.append(h), build(h))[1])
+    ldpc = {"t": 4, "s": 2, "row_w": 2, "col_w": 2}
+    for hhat, count in (({"family": "rep", "params": {"l": 3}}, 1),
+                        ({"family": "random_ldpc", "params": ldpc}, 3)):
+        builds.clear()
+        lines = sweep_lines(capsys, tmp_path, [
+            {"quantum": {"family": "q_complex", "params": {"hhat": hhat}},
+             "classical": {"family": "rep", "params": {"l": 2}}, "seeds": [0, 1, 2]}])
+        assert len(lines) == 3 and "NA" not in ",".join(lines)
+        assert len(builds) == count, hhat
 
 
 def test_sweep_pairs_differ_by_length_as_well_as_check_rows(tmp_path, capsys):

@@ -21,6 +21,7 @@ from cssbalance import (
     rep_modified,
     rep_standard,
 )
+from naive import naive_random_css
 
 
 def test_rep_standard_pattern():
@@ -129,6 +130,18 @@ def test_random_css_valid_and_deterministic():
     assert a.h_x.rank() == 2 and a.h_z.rank() == 2
 
 
+def test_random_css_matches_rank_rebuilding_sampler():
+    """Reducing each draw against the rows kept so far keeps the same draws
+    as rebuilding the matrix and taking its rank, including with no X- or
+    no Z-checks and with as many checks as qubits."""
+    shapes = [(1, 0, 0), (4, 0, 2), (4, 3, 0), (5, 2, 3), (6, 0, 6), (6, 6, 0), (7, 2, 2)]
+    for n, n_x, n_z in shapes:
+        for seed in range(200):
+            fast = random_css(n, n_x, n_z, seed)
+            assert fast.complex == naive_random_css(n, n_x, n_z, seed).complex, (
+                n, n_x, n_z, seed)
+
+
 def test_doubled_checks_soundness_at_least_inner():
     """Doubling the block preserves soundness at worst; record the ratio."""
     for inner in (rep_standard(3), hamming74()):
@@ -146,6 +159,10 @@ def test_code_spec_round_trip():
     assert isinstance(code, ClassicalCode)
     assert spec.with_seed(11).params["seed"] == 11
     assert CodeSpec("rep", {"l": 3}).with_seed(11).params == {"l": 3}
+    fixed = CodeSpec("q_complex", {"hhat": {"family": "rep", "params": {"l": 3}}})
+    assert fixed.with_seed(0) == fixed
+    seeded = CodeSpec("q_complex", {"hhat": {"family": "random_ldpc", "params": spec.params}})
+    assert seeded.with_seed(11).params["hhat"] == spec.with_seed(11)
     with pytest.raises(ValueError):
         CodeSpec("bogus")
 
