@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .chain import ClassicalCode, CssCode, as_css, cocomplex, homological_product, window
+from .chain import ClassicalCode, CssCode, cocomplex, homological_product, window
 from .oracle import (
     DEFAULT_CAP,
     INFINITE,
@@ -91,8 +91,9 @@ def distance_balance(
         raise DependentChecksError(
             f"classical code has dependent checks (rank {r.rank} < s = {r.s})"
         )
-    product = homological_product(q.complex, cocomplex(r.complex))
-    code = as_css(window(product, 2, 0))
+    # The product of two valid complexes is valid, and so is its window.
+    w = window(homological_product(q.complex, cocomplex(r.complex)), 2, 0)
+    code = CssCode._trusted(w.diff(1), w.diff(2).transpose(), w)
     n, n_x, n_z, t, s = q.n, q.n_x, q.n_z, r.t, r.s
     layout = {
         "qubits": _ranges([("n*t", n * t), ("nX*s", n_x * s)]),
@@ -109,7 +110,7 @@ def distance_balance(
 
 def _swap(q: CssCode) -> CssCode:
     """The same code with the X and Z roles exchanged."""
-    return CssCode.from_check_matrices(q.h_z, q.h_x)
+    return CssCode._trusted(q.h_z, q.h_x)
 
 
 def double_balance(

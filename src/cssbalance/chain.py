@@ -167,49 +167,72 @@ def homological_product(x: ChainComplex, y: ChainComplex) -> ChainComplex:
 
 
 class CssCode:
-    """View of a valid 3-term complex as a quantum CSS code.
+    """A quantum CSS code: its check matrices H_X and H_Z, with
+    H_X * H_Z^T = 0.
 
-    The top differential is H_Z transposed and the bottom one is H_X, so
-    H_X * H_Z^T = 0 is exactly the chain condition.
+    Its complex has H_Z transposed as the top differential and H_X as the
+    bottom one, so H_X * H_Z^T = 0 is exactly the chain condition. A code
+    is validated where it enters: this constructor, ``from_check_matrices``
+    and ``as_css``. The builders whose codes are valid by construction use
+    ``_trusted``, and the complex is then built the first time it is read.
     """
 
-    __slots__ = ("complex", "h_x", "h_z")
+    __slots__ = ("h_x", "h_z", "_complex")
 
     def __init__(self, complex: ChainComplex):
         if complex.top_grade != 2:
             raise ValueError(
                 f"a CSS code needs a 3-term complex, got {complex.top_grade + 1} terms"
             )
-        problem = complex.validate()
-        if problem is not None:
-            raise ValueError(f"invalid complex: {problem}")
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "h_z", complex.diff(2).transpose())
-        object.__setattr__(self, "h_x", complex.diff(1))
+        _check(complex)
+        self._set(complex.diff(1), complex.diff(2).transpose(), complex)
+
+    @classmethod
+    def _trusted(
+        cls, h_x: BitMatrix, h_z: BitMatrix, complex: Optional[ChainComplex] = None
+    ) -> "CssCode":
+        """The code of these check matrices, which act on the same qubits
+        and give H_X * H_Z^T = 0 by construction; complex, when given, is
+        the code's complex."""
+        code = object.__new__(cls)
+        code._set(h_x, h_z, complex)
+        return code
+
+    def _set(self, h_x: BitMatrix, h_z: BitMatrix, complex: Optional[ChainComplex]) -> None:
+        object.__setattr__(self, "h_x", h_x)
+        object.__setattr__(self, "h_z", h_z)
+        object.__setattr__(self, "_complex", complex)
 
     def __setattr__(self, name, val):
         raise AttributeError("CssCode is immutable")
 
     @property
+    def complex(self) -> ChainComplex:
+        if self._complex is None:
+            object.__setattr__(self, "_complex", ChainComplex(
+                (self.n_z, self.n, self.n_x), (self.h_z.transpose(), self.h_x)
+            ))
+        return self._complex
+
+    @property
     def n(self) -> int:
-        return self.complex.dim(1)
+        return self.h_x.cols
 
     @property
     def n_x(self) -> int:
-        return self.complex.dim(0)
+        return self.h_x.rows
 
     @property
     def n_z(self) -> int:
-        return self.complex.dim(2)
+        return self.h_z.rows
 
     @classmethod
     def from_check_matrices(cls, h_x: BitMatrix, h_z: BitMatrix) -> "CssCode":
         if h_x.cols != h_z.cols:
             raise ValueError("H_X and H_Z must act on the same qubits")
-        c = ChainComplex(
-            (h_z.rows, h_x.cols, h_x.rows), (h_z.transpose(), h_x)
-        )
-        return cls(c)
+        code = cls._trusted(h_x, h_z)
+        _check(code.complex)
+        return code
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CssCode) and self.complex == other.complex
@@ -266,10 +289,15 @@ def as_classical(c: ChainComplex) -> ClassicalCode:
         raise ValueError(
             f"a classical code needs a 2-term complex, got {c.top_grade + 1} terms"
         )
+    return ClassicalCode(_check(c).diff(1))
+
+
+def _check(c: ChainComplex) -> ChainComplex:
+    """c, or ValueError naming the first violation validate finds."""
     problem = c.validate()
     if problem is not None:
         raise ValueError(f"invalid complex: {problem}")
-    return ClassicalCode(c.diff(1))
+    return c
 
 
 def complex_json_pieces(

@@ -285,7 +285,7 @@ def _normal_form(code) -> tuple:
     blocks = (code.h_x, code.h_z) if isinstance(code, CssCode) else (code.h,)
     n = blocks[0].cols
     rows = [v for b in blocks for v in sorted(b.row_ints())]
-    columns = BitMatrix(len(rows), n, rows).transpose().row_ints()
+    columns = BitMatrix._trusted(len(rows), n, rows).transpose().row_ints()
     return (n, *(b.rows for b in blocks), tuple(sorted(columns)))
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .chain import ChainComplex, ClassicalCode, CssCode
+from .chain import ClassicalCode, CssCode
 from .gf2 import BitMatrix, block, parse_pcm
 from .io import load_code
 
@@ -63,9 +63,7 @@ def q_complex(hhat: BitMatrix) -> CssCode:
     eye = BitMatrix.identity(n)
     h_z = block([[eye, eye]])
     h_x = block([[hhat, hhat]])
-    return CssCode(
-        ChainComplex((n, 2 * n, hhat.rows), (h_z.transpose(), h_x))
-    )
+    return CssCode._trusted(h_x, h_z)
 
 
 def hamming74() -> ClassicalCode:
@@ -173,8 +171,8 @@ def random_css(n: int, n_x: int, n_z: int, seed: int) -> CssCode:
     hx_rows = sample_independent(len(kernel), n_x, from_kernel)
     if hx_rows is None:
         raise RuntimeError("could not sample independent X-checks")
-    h_x = BitMatrix(n_x, n, hx_rows)
-    return CssCode.from_check_matrices(h_x, h_z)
+    # Every H_X row is a sum of kernel vectors of H_Z.
+    return CssCode._trusted(BitMatrix(n_x, n, hx_rows), h_z)
 
 
 FAMILIES = (

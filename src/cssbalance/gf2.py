@@ -415,10 +415,19 @@ def _format_row(v: int, cols: int) -> str:
 def _parse_row(line: str, cols: int) -> int:
     """The row written by _format_row as line; ValueError on anything else.
     Each character is counted at most once, so the counts add up to cols
-    exactly when every character is 0 or 1."""
-    if len(line) != cols or line.count("0") + line.count("1") != cols:
+    exactly when every character is 0 or 1. int() reads every character,
+    so a row with at most one 1 in 64 sets the bits of its ones instead."""
+    ones = line.count("1")
+    if len(line) != cols or line.count("0") + ones != cols:
         raise ValueError(f"bad matrix row: {line!r}")
-    return int(line[::-1], 2) if cols else 0
+    if ones * 64 > cols:
+        return int(line[::-1], 2)
+    v = 0
+    i = -1
+    for _ in range(ones):
+        i = line.index("1", i + 1)
+        v |= 1 << i
+    return v
 
 
 def write_pcm(a: BitMatrix) -> str:
@@ -450,4 +459,4 @@ def parse_pcm(text: str) -> BitMatrix:
     body = lines[1:]
     if len(body) != rows:
         raise ValueError(f"expected {rows} rows, found {len(body)}")
-    return BitMatrix(rows, cols, [_parse_row(ln, cols) for ln in body])
+    return BitMatrix._trusted(rows, cols, [_parse_row(ln, cols) for ln in body])

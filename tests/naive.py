@@ -6,8 +6,9 @@ membership and greedy bases decided by explicit span sets, and a
 column-by-column Gauss-Jordan elimination for matrices too wide for span
 sets. Nothing is shared with the package's elimination or enumeration
 code paths. The complex file's reference text is json.dumps of the whole
-object, and the reference CSS sampler tests each draw's independence by
-rebuilding the span set of all the rows accepted so far.
+object, the reference CSS sampler tests each draw's independence by
+rebuilding the span set of all the rows accepted so far, and the reference
+row reader looks at one character at a time.
 """
 
 import json
@@ -97,6 +98,21 @@ def naive_rref(h: BitMatrix) -> tuple[list[int], list[int]]:
                 rows[r] ^= rows[top]
         pivots.append(c)
     return rows[:len(pivots)], pivots
+
+
+def naive_parse_row(line: str, cols: int) -> int:
+    """The packed row of a pcm row line: bit c is set exactly when
+    character c is '1'. ValueError on a line of another length or with a
+    character other than '0' and '1'."""
+    if len(line) != cols:
+        raise ValueError(f"row of {len(line)} characters, expected {cols}")
+    v = 0
+    for c, ch in enumerate(line):
+        if ch == "1":
+            v |= 1 << c
+        elif ch != "0":
+            raise ValueError(f"character {ch!r} in a row")
+    return v
 
 
 def naive_distance(h: BitMatrix):

@@ -10,6 +10,7 @@ from cssbalance import (
     BitMatrix,
     ClassicalCode,
     ClassicalParams,
+    CssCode,
     DependentChecksError,
     QuantumParams,
     bound_check,
@@ -30,6 +31,7 @@ from cssbalance import (
     random_ldpc,
     rep_standard,
 )
+from cssbalance.balance import _swap
 
 H3 = BitMatrix.from_strings(["110", "011"])
 
@@ -309,3 +311,60 @@ def test_double_balance_matches_prediction_on_random_pairs(pair):
     assert _tiles(layout["qubits"], bal.n)
     assert _tiles(layout["z_checks"], bal.n_z)
     assert _tiles(layout["x_checks"], bal.n_x)
+
+
+def _ldpc(draw, seed: int) -> ClassicalCode:
+    t = draw(st.integers(2, 5))
+    s = draw(st.integers(1, t - 1))
+    col_w = draw(st.integers(1, s))
+    row_w = draw(st.integers(1, min(t, t * col_w // s)))
+    try:
+        return random_ldpc(t, s, row_w, col_w, seed)
+    except RuntimeError:  # no independent-check draw with this profile
+        reject()
+
+
+@st.composite
+def trusted_pairs(draw):
+    """A quantum code from random_css or q_complex(random_ldpc) and a
+    classical code from random_ldpc or rep: the inputs and outputs of every
+    builder that skips validation."""
+    seed = draw(st.integers(0, 1 << 16))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        n_z = draw(st.integers(0, n))
+        q = random_css(n, draw(st.integers(0, n - n_z)), n_z, seed)
+    else:
+        q = q_complex(_ldpc(draw, seed).h)
+    r = _ldpc(draw, seed + 1) if draw(st.booleans()) else rep_standard(draw(st.integers(2, 5)))
+    return q, r
+
+
+def _shape(code) -> tuple[int, int, int]:
+    return code.n, code.n_x, code.n_z
+
+
+def _assert_validated_twins(code: CssCode) -> None:
+    """code is valid, and equal in every view to the codes the validating
+    entry points build from its complex and from its check matrices."""
+    assert code.complex.validate() is None
+    for twin in (CssCode(code.complex), CssCode.from_check_matrices(code.h_x, code.h_z)):
+        assert (twin.h_x, twin.h_z) == (code.h_x, code.h_z)
+        assert twin.complex == code.complex and twin.complex.labels == code.complex.labels
+        assert _shape(twin) == _shape(code)
+        assert twin == code and hash(twin) == hash(code)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(trusted_pairs())
+def test_trusted_builders_give_valid_codes(pair):
+    q, r = pair
+    swapped = _swap(q)
+    assert (swapped.h_x, swapped.h_z) == (q.h_z, q.h_x)
+    once, twice = distance_balance(q, r).code, double_balance(q, r).code
+    qp = QuantumParams(q.n, 0, 0, 0, q.n_x, q.n_z)
+    rp = ClassicalParams(r.t, 0, 0, r.s)
+    assert _shape(once) == _shape(predicted_params(qp, rp))
+    assert _shape(twice) == _shape(predicted_double_params(qp, rp))
+    for code in (q, swapped, once, twice):
+        _assert_validated_twins(code)

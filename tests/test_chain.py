@@ -11,6 +11,7 @@ from cssbalance import (
     BitMatrix,
     ChainComplex,
     ClassicalCode,
+    CssCode,
     as_classical,
     as_css,
     cocomplex,
@@ -21,7 +22,7 @@ from cssbalance import (
     rep_standard,
     window,
 )
-from cssbalance.io import save_complex
+from cssbalance.io import load_code, load_css, save_complex
 from conftest import rand_valid_complex
 from naive import naive_complex_json
 
@@ -166,6 +167,31 @@ def test_as_css_rejects_wrong_arity_and_invalid():
         as_css(ChainComplex((1, 2, 2, 1), (BitMatrix.zeros(2, 1), BitMatrix.zeros(2, 2), BitMatrix.zeros(1, 2))))
     with pytest.raises(ValueError):
         as_css(toy_css("10", "10"))
+
+
+NONZERO_COMPOSITE = "invalid complex: nonzero composite at pair (d2, d1)"
+
+
+@pytest.mark.parametrize("enter", [
+    lambda c, path: CssCode(c),
+    lambda c, path: as_css(c),
+    lambda c, path: CssCode.from_check_matrices(c.diff(1), c.diff(2).transpose()),
+    lambda c, path: load_css(path),
+    lambda c, path: load_code(path),
+], ids=["CssCode", "as_css", "from_check_matrices", "load_css", "load_code"])
+def test_every_entry_point_rejects_a_nonzero_composite(enter, tmp_path):
+    bad = toy_css("10", "10")  # H_X * H_Z^T = 1
+    path = tmp_path / "bad.json"
+    path.write_text(complex_to_json(bad))
+    with pytest.raises(ValueError) as exc:
+        enter(bad, path)
+    assert str(exc.value) == NONZERO_COMPOSITE
+
+
+def test_from_check_matrices_rejects_mismatched_columns():
+    with pytest.raises(ValueError) as exc:
+        CssCode.from_check_matrices(BitMatrix.zeros(1, 3), BitMatrix.zeros(1, 4))
+    assert str(exc.value) == "H_X and H_Z must act on the same qubits"
 
 
 def test_as_classical():

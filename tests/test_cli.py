@@ -4,8 +4,8 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cssbalance import (
-    BitMatrix, ClassicalCode, CssCode, cli, complex_to_json, constructions, double_balance,
-    q_complex, rep_standard, write_pcm,
+    BitMatrix, ChainComplex, ClassicalCode, CssCode, cli, complex_to_json, constructions,
+    double_balance, q_complex, rep_standard, write_pcm,
 )
 from cssbalance.cli import SWEEP_HEADER, main
 from cssbalance.constructions import as_spec, random_css, random_ldpc
@@ -53,6 +53,17 @@ def test_gen_oversized_code_is_a_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "rep", "20000", "-o", str(out))
     assert code == 2
     assert "exceeds the generator limit of 268435456 entries" in err
+    assert not out.exists()
+
+
+def test_nonzero_composite_file_is_a_parse_error(tmp_path, capsys):
+    h = BitMatrix.from_strings(["10"])
+    bad, rep2, out = tmp_path / "bad.json", tmp_path / "rep2.pcm", tmp_path / "out.json"
+    bad.write_text(complex_to_json(ChainComplex((1, 2, 1), (h.transpose(), h))))
+    rep2.write_text(write_pcm(rep_standard(2).h))
+    for argv in (["analyze", bad], ["balance", bad, rep2, "-o", out], ["boundcheck", bad, rep2]):
+        code, _, err = run(capsys, *map(str, argv))
+        assert (code, err) == (2, "error: invalid complex: nonzero composite at pair (d2, d1)\n")
     assert not out.exists()
 
 

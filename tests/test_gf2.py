@@ -8,6 +8,7 @@ from naive import (
     naive_greedy_rows,
     naive_kernel,
     naive_mul,
+    naive_parse_row,
     naive_rank,
     naive_rref,
     naive_span,
@@ -465,3 +466,56 @@ def test_parse_pcm_raises_only_value_error(text):
     except ValueError:
         return
     assert parse_pcm(write_pcm(a)) == a
+
+
+@st.composite
+def pcm_row_texts(draw):
+    """(cols, row lines) with 0 to 3000 columns. A row's count of ones is
+    drawn up to one past the reader's switch (ones * 64 == cols), up to
+    cols, or is cols. Half the time the first row sits at the switch, with
+    ones * 64 within one of cols."""
+    counts = []
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3000 // 64))
+        cols = max(k, 64 * k + draw(st.integers(-1, 1)))
+        counts.append(k)
+    else:
+        cols = draw(st.integers(0, 3000))
+    counts += draw(st.lists(st.one_of(
+        st.integers(0, min(cols, cols // 64 + 1)), st.integers(0, cols), st.just(cols),
+    ), max_size=3))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    lines = []
+    for ones in counts:
+        where = set(rng.sample(range(cols), ones))
+        lines.append("".join("1" if c in where else "0" for c in range(cols)))
+    return cols, lines
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pcm_row_texts())
+@example((0, ["", ""]))
+@example((2648, ["0" * 2642 + "1" * 6, "1" * 64 + "0" * 2584, "0" * 2648]))
+def test_parse_pcm_matches_character_reader(case):
+    cols, lines = case
+    text = f"{len(lines)} {cols}\n" + "".join(ln + "\n" for ln in lines)
+    a = parse_pcm(text)
+    assert a.row_ints() == tuple(naive_parse_row(ln, cols) for ln in lines)
+    assert write_pcm(a) == text
+
+
+def _bad_rows(cols: int) -> list[str]:
+    """Rows of a cols-column matrix that are one character short, one
+    long, or hold a 2, a space or an underscore."""
+    zeros = "0" * (cols - 2)
+    return ["1" + zeros, "1" + zeros + "00", "12" + zeros, "1 " + zeros, "1_" + zeros]
+
+
+@pytest.mark.parametrize("cols", [2, 200])
+def test_parse_pcm_rejects_bad_rows_by_text(cols):
+    for line in _bad_rows(cols):
+        with pytest.raises(ValueError):
+            naive_parse_row(line, cols)
+        with pytest.raises(ValueError) as exc:
+            parse_pcm(f"1 {cols}\n{line}\n")
+        assert str(exc.value) == f"bad matrix row: {line!r}"
