@@ -43,9 +43,7 @@ from .constructions import (
 )
 from .gf2 import (
     BitMatrix,
-    BitVector,
     block,
-    nonsingular_row_partition,
     parse_pcm,
     row_basis,
     write_pcm,
@@ -61,7 +59,6 @@ from .oracle import (
     classical_distance,
     classical_soundness,
     component_soundness,
-    distance_to_code,
     locality,
     quantum_dimension,
     quantum_distance_x,

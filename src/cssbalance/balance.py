@@ -55,8 +55,6 @@ class BalancedCode:
     """
 
     code: CssCode
-    parent_quantum: str
-    parent_classical: str
     block_layout: dict
 
     @property
@@ -81,9 +79,7 @@ def _ranges(sizes: list[tuple[str, int]]) -> dict:
     return out
 
 
-def distance_balance(
-    q: CssCode, r: ClassicalCode, provenance: tuple[str, str] = ("", "")
-) -> BalancedCode:
+def distance_balance(q: CssCode, r: ClassicalCode) -> BalancedCode:
     """Balance q against r; requires independent checks and s <= t."""
     if r.s > r.t:
         raise ValueError(f"more checks than bits (s = {r.s} > t = {r.t})")
@@ -100,12 +96,7 @@ def distance_balance(
         "z_checks": _ranges([("nZ*t", n_z * t), ("n*s", n * s)]),
         "x_checks": _ranges([("nX*t", n_x * t)]),
     }
-    return BalancedCode(
-        code=code,
-        parent_quantum=provenance[0] or repr(q),
-        parent_classical=provenance[1] or repr(r),
-        block_layout=layout,
-    )
+    return BalancedCode(code=code, block_layout=layout)
 
 
 def _swap(q: CssCode) -> CssCode:
@@ -113,9 +104,7 @@ def _swap(q: CssCode) -> CssCode:
     return CssCode._trusted(q.h_z, q.h_x)
 
 
-def double_balance(
-    q: CssCode, r: ClassicalCode, provenance: tuple[str, str] = ("", "")
-) -> BalancedCode:
+def double_balance(q: CssCode, r: ClassicalCode) -> BalancedCode:
     """Balance, swap the X and Z roles, balance again, swap back.
 
     Both distances get multiplied by the classical distance and the
@@ -126,8 +115,6 @@ def double_balance(
     layout = second.block_layout
     return BalancedCode(
         code=_swap(second.code),
-        parent_quantum=provenance[0] or repr(q),
-        parent_classical=provenance[1] or repr(r),
         block_layout={**layout, "z_checks": layout["x_checks"], "x_checks": layout["z_checks"]},
     )
 

@@ -83,9 +83,6 @@ class ChainComplex:
                 return f"nonzero composite at pair (d{g}, d{g - 1})"
         return None
 
-    def is_valid(self) -> bool:
-        return self.validate() is None
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ChainComplex)

@@ -164,7 +164,10 @@ def _print_report(report: CodeReport, as_json: bool) -> None:
 
 def cmd_gen(args) -> int:
     spec = _spec_from_gen_args(args)
-    code = spec.build()
+    try:
+        code = spec.build()
+    except RuntimeError as exc:  # a random generator found no valid draw
+        raise ValueError(str(exc)) from None
     out = Path(args.out)
     if isinstance(code, ClassicalCode):
         save_classical(code, out)
@@ -200,8 +203,7 @@ def _fmt(v) -> str:
 
 def cmd_balance(args) -> int:
     q, r = _load_pair(args)
-    prov = (f"file:{args.quantum}", f"file:{args.classical}")
-    balanced = (double_balance if args.double else distance_balance)(q, r, prov)
+    balanced = (double_balance if args.double else distance_balance)(q, r)
     save_complex(balanced.code.complex, Path(args.out), balanced.block_layout)
 
     predicted = measured = None
@@ -305,12 +307,12 @@ def _build(spec: CodeSpec, seed: int, fixed: dict, role: int) -> tuple:
 
 def _sweep_row(label: str, specs: tuple[CodeSpec, CodeSpec], seed: int, cap: int,
                timing: bool, done: dict, fixed: dict) -> list[str]:
-    """One CSV row. A spec that cannot be built is a ValueError naming the
-    pair and the seed; a random generator that finds no valid draw gives an
-    all-NA row. `done` maps each pair this sweep has computed, keyed by the
-    normal forms of its two codes, to its fields other than seed and ms; a
-    pair isomorphic to one in it reuses those fields. `fixed` is the pair's
-    store for _build."""
+    """One CSV row. A spec that cannot be built, an unreadable file
+    included, is a ValueError naming the pair and the seed; a random
+    generator that finds no valid draw gives an all-NA row. `done` maps
+    each pair this sweep has computed, keyed by the normal forms of its two
+    codes, to its fields other than seed and ms; a pair isomorphic to one
+    in it reuses those fields. `fixed` is the pair's store for _build."""
     start = time.monotonic()
     row: dict[str, str] = {k: "NA" for k in SWEEP_HEADER}
     row["seed"] = str(seed)
@@ -321,7 +323,7 @@ def _sweep_row(label: str, specs: tuple[CodeSpec, CodeSpec], seed: int, cap: int
             raise ValueError("a pair needs a quantum spec and a classical spec")
     except RuntimeError:
         q = r = None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         what = f"missing parameter {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"sweep pair {label}, seed {seed}: {what}") from None
     if q is not None:

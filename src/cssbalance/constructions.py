@@ -6,6 +6,7 @@ same spec and seed always reproduce the same matrices bit for bit.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -223,19 +224,20 @@ class CodeSpec:
     def build(self) -> Union[ClassicalCode, CssCode]:
         p = self.params
         if self.family == "rep":
-            return rep_standard(int(p["l"]))
+            return rep_standard(_int_param(p, "l"))
         if self.family == "rep_modified":
-            return rep_modified(int(p["l"]))
+            return rep_modified(_int_param(p, "l"))
         if self.family == "hamming74":
             return hamming74()
         if self.family == "random_ldpc":
             return random_ldpc(
-                int(p["t"]), int(p["s"]), int(p["row_w"]), int(p["col_w"]),
-                int(p.get("seed", 0)),
+                _int_param(p, "t"), _int_param(p, "s"), _int_param(p, "row_w"),
+                _int_param(p, "col_w"), _int_param(p, "seed", 0),
             )
         if self.family == "random_css":
             return random_css(
-                int(p["n"]), int(p["n_x"]), int(p["n_z"]), int(p.get("seed", 0))
+                _int_param(p, "n"), _int_param(p, "n_x"), _int_param(p, "n_z"),
+                _int_param(p, "seed", 0),
             )
         if self.family == "q_complex":
             if "hhat" in p:
@@ -247,6 +249,19 @@ class CodeSpec:
         if self.family == "from_file":
             return load_code(Path(p["path"]))
         raise ValueError(f"unknown family {self.family!r}")
+
+
+def _int_param(params: dict, name: str, default: Optional[int] = None) -> int:
+    """params[name], or default when it is absent and a default is given
+    (KeyError otherwise), as an int. A float, a string or a bool is a
+    ValueError naming the parameter, so 2.7 is never read as 2."""
+    value = params[name] if default is None else params.get(name, default)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"parameter {name!r} must be an integer, not {value!r}")
 
 
 def as_spec(obj) -> CodeSpec:

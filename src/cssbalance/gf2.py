@@ -2,10 +2,9 @@
 
 Matrices store one Python int per row (bit c of row r is ``(row >> c) & 1``),
 so XOR is vector addition and ``int.bit_count`` is the Hamming weight. A
-vector is a packed int the same way; ``BitVector`` wraps one only where a
-caller passes or receives a vector (``mul_vec``, ``solve``). All
-values are immutable after construction and safe to share across threads.
-Every elimination (rank, pivots, kernel, solve, row bases) reads one
+vector is a packed int the same way, and the module has no other vector
+type. All values are immutable after construction and safe to share across
+threads. Every elimination (rank, pivots, kernel, row bases) reads one
 routine, ``BitMatrix._rref``, which gives the reduced echelon form and the
 rows that raised the rank; a matrix keeps that result once computed. It
 inserts the rows in order into an echelon form, then back-substitutes once
@@ -20,71 +19,6 @@ empty map.
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
-
-
-class BitVector:
-    """A vector over GF(2), packed into a single int."""
-
-    __slots__ = ("n", "value")
-
-    def __init__(self, n: int, value: int = 0):
-        if n < 0:
-            raise ValueError("vector length must be >= 0")
-        if value < 0 or value >> n:
-            raise ValueError(f"value does not fit in {n} bits")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("BitVector is immutable")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        bits = list(bits)
-        value = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value |= b << i
-        return cls(len(bits), value)
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError("bit index out of range")
-        return (self.value >> i) & 1
-
-    def bits(self) -> list[int]:
-        return [(self.value >> i) & 1 for i in range(self.n)]
-
-    def weight(self) -> int:
-        return self.value.bit_count()
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVector(self.n, self.value ^ other.value)
-
-    __add__ = __xor__
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.n == other.n
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.value))
-
-    def __repr__(self) -> str:
-        return f"BitVector({''.join(str(b) for b in self.bits())})"
 
 
 class BitMatrix:
@@ -198,18 +132,6 @@ class BitMatrix:
                 v ^= low
         return BitMatrix._trusted(self.cols, self.rows, cols)
 
-    def mul_vec(self, v: BitVector) -> BitVector:
-        """Matrix-vector product A*v over GF(2)."""
-        if self.cols != v.n:
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} times length {v.n}"
-            )
-        x = v.value
-        out = 0
-        for r, rv in enumerate(self._r):
-            out |= ((rv & x).bit_count() & 1) << r
-        return BitVector(self.rows, out)
-
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
@@ -314,23 +236,6 @@ class BitMatrix:
             mask |= 1 << p
         return [at[f] | 1 << f for f in range(self.cols) if not mask >> f & 1]
 
-    def solve(self, b: BitVector) -> Optional[BitVector]:
-        """Some x with A*x = b, or None when b is outside the column span."""
-        if b.n != self.rows:
-            raise ValueError("dimension mismatch in solve")
-        aug_col = self.cols
-        aug = BitMatrix._trusted(
-            self.rows, self.cols + 1,
-            [v | (b.value >> i & 1) << aug_col for i, v in enumerate(self._r)])
-        work, pivots, _ = aug._rref()
-        if pivots and pivots[-1] == aug_col:
-            return None
-        x = 0
-        for i, p in enumerate(pivots):
-            if (work[i] >> aug_col) & 1:
-                x |= 1 << p
-        return BitVector(self.cols, x)
-
 
 def block(grid: Sequence[Sequence]) -> BitMatrix:
     """Assemble a matrix from a grid of blocks.
@@ -391,20 +296,6 @@ def row_basis(a: BitMatrix) -> BitMatrix:
     """Rows of a that greedily (in ascending order) form a row-space basis."""
     kept = a._rref()[2]
     return BitMatrix._trusted(len(kept), a.cols, [a.row(r) for r in kept])
-
-
-def nonsingular_row_partition(a: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split row indices into (V', V'') with a[V'] square and invertible.
-
-    Requires the columns of a to be independent (rank == cols). The choice is
-    deterministic: scanning rows in ascending order, a row is kept exactly
-    when it raises the running rank, as the elimination records.
-    """
-    kept = a._rref()[2]
-    if len(kept) < a.cols:
-        raise ValueError("columns are dependent: no invertible row selection exists")
-    keep_set = set(kept)
-    return kept, tuple(r for r in range(a.rows) if r not in keep_set)
 
 
 def _format_row(v: int, cols: int) -> str:

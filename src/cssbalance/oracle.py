@@ -7,10 +7,10 @@ codeword or logical operator). Every result is independent of scan order.
 
 Minimum weights come from one of two exhaustive scans:
 
-- the Gray walk (``_walk``) visits the words v + (a sum of a subset of a
-  basis) in Gray-code order, one XOR and one popcount per step, keeping a
-  class that tells which words count; classical distance, the distance to
-  a code and the logical-distance walk all go through it;
+- the Gray walk (``_walk``) visits the sums of the subsets of a basis in
+  Gray-code order, one XOR and one popcount per step, keeping a class
+  that tells which words count; classical distance and the
+  logical-distance walk both go through it;
 - the coset-leader search (``_levels``) is a breadth-first search from
   syndrome 0 whose steps add one column of a check matrix, so the depth of
   a syndrome is the minimum weight of its coset (the standard array of
@@ -22,19 +22,17 @@ Minimum weights come from one of two exhaustive scans:
   with a bit-sliced adder, and the kernel basis of the other checks for a
   logical distance. It holds about rank + ceil(log2(s + 1)) + 8 sets.
 
-Classical distance and ``distance_to_code`` always walk the kernel and
-soundness always searches syndromes. Logical distances take whichever
-scan is cheaper, comparing 2^dim(kernel) with 2^rank times the number of
-columns; the choice is made from ranks alone, before any kernel is built
-or any set allocated.
+Classical distance always walks the kernel and soundness always searches
+syndromes. Logical distances take whichever scan is cheaper, comparing
+2^dim(kernel) with 2^rank times the number of columns; the choice is made
+from ranks alone, before any kernel is built or any set allocated.
 
 The enumeration budget is a hard cap on the size of the scan a call
 chooses: 2^dim(kernel) words for a Gray walk, 2^rank syndromes for the
 search. Per scan that is 2^dim ker H for classical distance;
 min(2^dim ker H_Z, 2^(n - rank H_X)) for the X-distance and the same with
-X and Z swapped for the Z-distance; 2^dim ker H for the distance to a
-code; and 2^rank H for soundness. ``CapExceeded`` is raised
-only when no scan fits.
+X and Z swapped for the Z-distance; and 2^rank H for soundness.
+``CapExceeded`` is raised only when no scan fits.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .chain import ClassicalCode, CssCode
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 
 DEFAULT_CAP = 1 << 24
 
@@ -111,13 +109,11 @@ def _gray_flips(m: int):
         yield (i & -i).bit_length() - 1
 
 
-def _walk(vals: list[int], masks: list[int], v: int = 0, cls: int = 0) -> Distance:
-    """Minimum weight over the words v + (a sum of a subset of vals) whose
-    class, cls XOR the masks of that subset, is nonzero; INFINITE when no
-    class is. A Gray walk over the subsets that stops at weight 1."""
-    best = v.bit_count() if cls else INFINITE
-    if best == 1:
-        return best
+def _walk(vals: list[int], masks: list[int]) -> Distance:
+    """Minimum weight over the sums of the subsets of vals whose class, the
+    XOR of the masks of that subset, is nonzero; INFINITE when no class is.
+    A Gray walk over the subsets that stops at weight 1."""
+    best, v, cls = INFINITE, 0, 0
     for j in _gray_flips(len(vals)):
         v ^= vals[j]
         cls ^= masks[j]
@@ -199,18 +195,6 @@ def classical_distance(code: ClassicalCode, cap: int = DEFAULT_CAP) -> Distance:
     _use_search("distance", cap, code.t - code.rank)
     ker = code.h.kernel_basis()
     return _walk(ker, ker)  # a nonzero kernel word is its own class
-
-
-def distance_to_code(x: BitVector, code: ClassicalCode, cap: int = DEFAULT_CAP) -> int:
-    """Hamming distance from x to ker(H): the minimum weight of the coset
-    x + ker(H), by a Gray walk over the kernel."""
-    if x.n != code.t:
-        raise ValueError("word length does not match the code length")
-    _use_search("distance to code", cap, code.t - code.rank)
-    if code.h.mul_vec(x).value == 0:
-        return 0
-    ker = code.h.kernel_basis()
-    return _walk(ker, [0] * len(ker), x.value, 1)  # no word of x + ker(H) is 0
 
 
 def classical_soundness(

@@ -2,15 +2,11 @@ import random
 
 import pytest
 
-from cssbalance import BitMatrix, BitVector, ChainComplex
+from cssbalance import BitMatrix, ChainComplex
 
 
 def rand_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
     return BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
-
-
-def rand_vector(rng: random.Random, n: int) -> BitVector:
-    return BitVector(n, rng.getrandbits(n))
 
 
 def rand_valid_complex(rng: random.Random, max_terms: int = 3, max_dim: int = 8) -> ChainComplex:

@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the fast oracles.
 
-Everything here is written in the most literal way possible: triple-loop
-matrix products, full sweeps over all 2^t words, ranks, row-space
+Everything here is written in the most literal way possible: bit-by-bit
+matrix-vector products, full sweeps over all 2^t words, ranks, row-space
 membership and greedy bases decided by explicit span sets, and a
 column-by-column Gauss-Jordan elimination for matrices too wide for span
 sets. Nothing is shared with the package's elimination or enumeration
@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from cssbalance import BitMatrix, BitVector, CssCode, write_pcm
+from cssbalance import BitMatrix, CssCode, write_pcm
 from cssbalance.constructions import MAX_RESAMPLES
 
 INF = float("inf")
@@ -28,9 +28,10 @@ def _matrix_bits(a: BitMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, a.to_bits()))
 
 
-def naive_mul(a: BitMatrix, v: BitVector) -> list[int]:
+def naive_mul(a: BitMatrix, v: int) -> list[int]:
+    """The bits of A*v, where bit c of the packed int v is coordinate c."""
     bits = _matrix_bits(a)
-    x = v.bits()
+    x = [(v >> c) & 1 for c in range(a.cols)]
     out = []
     for r in range(a.rows):
         acc = 0
@@ -40,12 +41,12 @@ def naive_mul(a: BitMatrix, v: BitVector) -> list[int]:
     return out
 
 
-def all_vectors(n: int):
-    for value in range(1 << n):
-        yield BitVector(n, value)
+def all_vectors(n: int) -> range:
+    """Every word of length n, as packed ints."""
+    return range(1 << n)
 
 
-def naive_kernel(h: BitMatrix) -> list[BitVector]:
+def naive_kernel(h: BitMatrix) -> list[int]:
     return [v for v in all_vectors(h.cols) if not any(naive_mul(h, v))]
 
 
@@ -116,12 +117,8 @@ def naive_parse_row(line: str, cols: int) -> int:
 
 
 def naive_distance(h: BitMatrix):
-    weights = [v.weight() for v in naive_kernel(h) if v.value]
+    weights = [v.bit_count() for v in naive_kernel(h) if v]
     return min(weights) if weights else INF
-
-
-def naive_distance_to_code(x: BitVector, h: BitMatrix) -> int:
-    return min((x ^ c).weight() for c in naive_kernel(h))
 
 
 def naive_soundness(h: BitMatrix):
@@ -138,25 +135,25 @@ def naive_soundness(h: BitMatrix):
         syndrome = sum(naive_mul(h, x))
         if syndrome == 0:
             continue
-        distance = min((x ^ c).weight() for c in kernel)
+        distance = min((x ^ c).bit_count() for c in kernel)
         ratio = Fraction(t * syndrome, s * distance)
         if best is None or ratio < best:
             best = ratio
     return best
 
 
-def in_row_space(m: BitMatrix, v: BitVector) -> bool:
+def in_row_space(m: BitMatrix, v: int) -> bool:
     """Membership in the explicit set of all row sums."""
-    return v.value in naive_span(m)
+    return v in naive_span(m)
 
 
 def naive_quantum_distances(h_x: BitMatrix, h_z: BitMatrix):
     n = h_x.cols
     d_x = d_z = INF
     for v in all_vectors(n):
-        if v.value == 0:
+        if v == 0:
             continue
-        w = v.weight()
+        w = v.bit_count()
         if not any(naive_mul(h_z, v)) and not in_row_space(h_x, v):
             d_x = min(d_x, w)
         if not any(naive_mul(h_x, v)) and not in_row_space(h_z, v):

@@ -215,12 +215,6 @@ def test_balanced_equalities_random_pairs():
         assert result.all_hold
 
 
-def test_provenance_recorded():
-    bal = distance_balance(q_rep3(), rep_standard(2), ("my-q", "my-r"))
-    assert bal.parent_quantum == "my-q"
-    assert bal.parent_classical == "my-r"
-
-
 # The paper's theorem on seeded random inputs: a random CSS code with both
 # kinds of checks, balanced against an independent-check random LDPC code.
 THEOREM = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -531,13 +531,27 @@ def test_sweep_spec_that_cannot_be_built_is_a_parse_error(tmp_path, capsys):
     rep = {"family": "rep", "params": {"l": 2}}
     good = {"quantum": {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}},
             "classical": rep, "seeds": [0]}
-    for bad in ({"n": 4, "n_x": 3, "n_z": 3}, {"n": 4, "n_x": 1}, {"n": [4], "n_x": 1, "n_z": 1}):
-        pair = {"quantum": {"family": "random_css", "params": bad}, "classical": rep,
-                "seeds": [5]}
+
+    def css(params):
+        return {"family": "random_css", "params": params}
+
+    def q_of_rep(l):
+        return {"family": "q_complex", "params": {"hhat": {"family": "rep", "params": {"l": l}}}}
+
+    # A size that is not an int is refused by name, not truncated or parsed.
+    for bad in (css({"n": 4, "n_x": 3, "n_z": 3}), css({"n": 4, "n_x": 1}),
+                css({"n": [4], "n_x": 1, "n_z": 1}), css({"n": True, "n_x": 0, "n_z": 0}),
+                q_of_rep(2.7), q_of_rep("3"),
+                {"family": "from_file", "params": {"path": str(tmp_path / "nope.json")}},
+                {"family": "q_complex", "params": {"path": str(tmp_path / "nope.pcm")}}):
+        pair = {"quantum": bad, "classical": rep, "seeds": [5]}
         job.write_text(json.dumps({"pairs": [good, pair]}))
         code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
         assert code == 2, bad
         assert "pair 2" in err and "seed 5" in err, err
+        assert "Traceback" not in err
+        if bad in (q_of_rep(2.7), q_of_rep("3")):
+            assert "parameter 'l' must be an integer" in err, err
     job.write_text(json.dumps({"pairs": [{"quantum": rep, "classical": rep}]}))
     code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
     assert code == 2
@@ -555,6 +569,18 @@ def test_sweep_generator_without_a_draw_gives_na_row(tmp_path, capsys, monkeypat
     out = tmp_path / "na.csv"
     assert run(capsys, "sweep", str(job), "-o", str(out))[0] == 0
     assert out.read_text().split("\n")[1] == ",".join(["0"] + ["NA"] * 15 + ["0"])
+
+
+def test_gen_generator_without_a_draw_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    """A random generator that finds no valid draw ends gen with exit 2 and
+    an error line, and writes nothing."""
+    monkeypatch.setattr(constructions, "MAX_RESAMPLES", 0)
+    for argv in (["ldpc", "4", "2"], ["randomcss", "4", "1", "1"]):
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "gen", *argv, "-o", str(out))
+        assert code == 2, argv
+        assert err.startswith("error: "), err
+        assert not out.exists()
 
 
 def test_sweep_cap_exceeding_instance_flagged(tmp_path, capsys):

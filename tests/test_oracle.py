@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from naive import (
     naive_distance,
-    naive_distance_to_code,
     naive_quantum_distances,
     naive_soundness,
 )
@@ -14,7 +13,6 @@ from naive import (
 from cssbalance import (
     INFINITE,
     BitMatrix,
-    BitVector,
     CapExceeded,
     ChainComplex,
     ClassicalCode,
@@ -27,7 +25,6 @@ from cssbalance import (
     classical_soundness,
     cocomplex,
     component_soundness,
-    distance_to_code,
     hamming74,
     locality,
     q_complex,
@@ -67,13 +64,6 @@ def test_classical_distance_matches_naive(rng):
     for _ in range(30):
         h = rand_matrix(rng, rng.randint(0, 5), rng.randint(1, 7))
         assert classical_distance(ClassicalCode(h)) == naive_distance(h)
-
-
-def test_distance_to_code_examples():
-    rep3 = rep_standard(3)
-    assert distance_to_code(BitVector.from_bits([1, 1, 1]), rep3) == 0
-    assert distance_to_code(BitVector.from_bits([1, 1, 0]), rep3) == 1
-    assert distance_to_code(BitVector.from_bits([1, 0, 0]), rep3) == 1
 
 
 def test_soundness_rep3():
@@ -399,11 +389,3 @@ def test_logical_distance_scans_match_naive(pair):
     assert _logical_walk(h_z, h_x) == _logical_search(h_z, h_x) == d_x
     assert _logical_walk(h_x, h_z) == _logical_search(h_x, h_z) == d_z
     assert quantum_distances(CssCode.from_check_matrices(h_x, h_z)) == (d_x, d_z)
-
-
-@PROPERTY
-@given(st.data())
-def test_distance_to_code_matches_naive(data):
-    h = data.draw(check_matrices())
-    x = BitVector(h.cols, data.draw(st.integers(0, (1 << h.cols) - 1)))
-    assert distance_to_code(x, ClassicalCode(h)) == naive_distance_to_code(x, h)
