@@ -57,18 +57,6 @@ class BalancedCode:
     code: CssCode
     block_layout: dict
 
-    @property
-    def n(self) -> int:
-        return self.code.n
-
-    @property
-    def n_x(self) -> int:
-        return self.code.n_x
-
-    @property
-    def n_z(self) -> int:
-        return self.code.n_z
-
 
 def _ranges(sizes: list[tuple[str, int]]) -> dict:
     out = {}
@@ -89,7 +77,7 @@ def distance_balance(q: CssCode, r: ClassicalCode) -> BalancedCode:
         )
     # The product of two valid complexes is valid, and so is its window.
     w = window(homological_product(q.complex, cocomplex(r.complex)), 2, 0)
-    code = CssCode._trusted(w.diff(1), w.diff(2).transpose(), w)
+    code = CssCode._trusted(w.diff(1), w.diff(2).transpose())
     n, n_x, n_z, t, s = q.n, q.n_x, q.n_z, r.t, r.s
     layout = {
         "qubits": _ranges([("n*t", n * t), ("nX*s", n_x * s)]),

@@ -165,16 +165,18 @@ def homological_product(x: ChainComplex, y: ChainComplex) -> ChainComplex:
 
 class CssCode:
     """A quantum CSS code: its check matrices H_X and H_Z, with
-    H_X * H_Z^T = 0.
+    H_X * H_Z^T = 0, and nothing else; two codes are equal when their
+    check matrices are.
 
     Its complex has H_Z transposed as the top differential and H_X as the
-    bottom one, so H_X * H_Z^T = 0 is exactly the chain condition. A code
-    is validated where it enters: this constructor, ``from_check_matrices``
+    bottom one, so H_X * H_Z^T = 0 is exactly the chain condition; it is
+    built, with the default labels, each time it is read. A code is
+    validated where it enters: this constructor, ``from_check_matrices``
     and ``as_css``. The builders whose codes are valid by construction use
-    ``_trusted``, and the complex is then built the first time it is read.
+    ``_trusted``.
     """
 
-    __slots__ = ("h_x", "h_z", "_complex")
+    __slots__ = ("h_x", "h_z")
 
     def __init__(self, complex: ChainComplex):
         if complex.top_grade != 2:
@@ -182,34 +184,26 @@ class CssCode:
                 f"a CSS code needs a 3-term complex, got {complex.top_grade + 1} terms"
             )
         _check(complex)
-        self._set(complex.diff(1), complex.diff(2).transpose(), complex)
+        self._set(complex.diff(1), complex.diff(2).transpose())
 
     @classmethod
-    def _trusted(
-        cls, h_x: BitMatrix, h_z: BitMatrix, complex: Optional[ChainComplex] = None
-    ) -> "CssCode":
+    def _trusted(cls, h_x: BitMatrix, h_z: BitMatrix) -> "CssCode":
         """The code of these check matrices, which act on the same qubits
-        and give H_X * H_Z^T = 0 by construction; complex, when given, is
-        the code's complex."""
+        and give H_X * H_Z^T = 0 by construction."""
         code = object.__new__(cls)
-        code._set(h_x, h_z, complex)
+        code._set(h_x, h_z)
         return code
 
-    def _set(self, h_x: BitMatrix, h_z: BitMatrix, complex: Optional[ChainComplex]) -> None:
+    def _set(self, h_x: BitMatrix, h_z: BitMatrix) -> None:
         object.__setattr__(self, "h_x", h_x)
         object.__setattr__(self, "h_z", h_z)
-        object.__setattr__(self, "_complex", complex)
 
     def __setattr__(self, name, val):
         raise AttributeError("CssCode is immutable")
 
     @property
     def complex(self) -> ChainComplex:
-        if self._complex is None:
-            object.__setattr__(self, "_complex", ChainComplex(
-                (self.n_z, self.n, self.n_x), (self.h_z.transpose(), self.h_x)
-            ))
-        return self._complex
+        return ChainComplex((self.n_z, self.n, self.n_x), (self.h_z.transpose(), self.h_x))
 
     @property
     def n(self) -> int:
@@ -232,10 +226,10 @@ class CssCode:
         return code
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CssCode) and self.complex == other.complex
+        return isinstance(other, CssCode) and (self.h_x, self.h_z) == (other.h_x, other.h_z)
 
     def __hash__(self) -> int:
-        return hash(self.complex)
+        return hash((self.h_x, self.h_z))
 
     def __repr__(self) -> str:
         return f"CssCode(n={self.n}, n_x={self.n_x}, n_z={self.n_z})"

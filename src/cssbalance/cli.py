@@ -155,11 +155,12 @@ def _spec_from_gen_args(args) -> CodeSpec:
     raise ValueError(f"unknown family {args.family!r}")
 
 
-def _print_report(report: CodeReport, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.to_obj()))
-    else:
-        print(report.to_text())
+def _report(code, cap: int, provenance: str, as_json: bool) -> CodeReport:
+    """Analyze a classical or CSS code and print its report."""
+    analyze = analyze_classical if isinstance(code, ClassicalCode) else analyze_quantum
+    report = analyze(code, cap, provenance=provenance)
+    print(json.dumps(report.to_obj()) if as_json else report.to_text())
+    return report
 
 
 def cmd_gen(args) -> int:
@@ -171,21 +172,15 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     if isinstance(code, ClassicalCode):
         save_classical(code, out)
-        report = analyze_classical(code, args.cap, provenance=spec.describe())
     else:
         save_complex(code.complex, out)
-        report = analyze_quantum(code, args.cap, provenance=spec.describe())
-    _print_report(report, args.json)
+    _report(code, args.cap, spec.describe(), args.json)
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
     code = load_code(Path(args.path))
-    if isinstance(code, ClassicalCode):
-        report = analyze_classical(code, args.cap, provenance=f"file:{args.path}")
-    else:
-        report = analyze_quantum(code, args.cap, provenance=f"file:{args.path}")
-    _print_report(report, args.json)
+    report = _report(code, args.cap, f"file:{args.path}", args.json)
     return EXIT_CAP if report.incomplete else EXIT_OK
 
 
@@ -197,55 +192,39 @@ def _load_pair(args) -> tuple[CssCode, ClassicalCode]:
     return q, r
 
 
-def _fmt(v) -> str:
-    return str(distance_obj(v))
+def _params_obj(p) -> dict:
+    return {"n": p.n, "K": p.dimension, "dX": distance_obj(p.d_x), "dZ": distance_obj(p.d_z)}
 
 
 def cmd_balance(args) -> int:
     q, r = _load_pair(args)
     balanced = (double_balance if args.double else distance_balance)(q, r)
-    save_complex(balanced.code.complex, Path(args.out), balanced.block_layout)
+    code = balanced.code
+    save_complex(code.complex, Path(args.out), balanced.block_layout)
 
-    predicted = measured = None
-    note = ""
+    obj = {"out": str(args.out), "n": code.n, "nX": code.n_x, "nZ": code.n_z}
     try:
         qp = measured_quantum_params(q, args.cap)
         rp = measured_classical_params(r, args.cap)
         predict = predicted_double_params if args.double else predicted_params
-        predicted = predict(qp, rp)
-        measured = measured_quantum_params(balanced.code, args.cap)
+        obj["predicted"], obj["measured"] = (
+            _params_obj(predict(qp, rp)),
+            _params_obj(measured_quantum_params(code, args.cap)))
     except CapExceeded as exc:
-        note = f"measurement skipped: {exc}"
+        obj["note"] = f"measurement skipped: {exc}"
 
     if args.json:
-        obj = {"out": str(args.out), "n": balanced.n, "nX": balanced.n_x, "nZ": balanced.n_z}
-        if predicted is not None and measured is not None:
-            obj["predicted"] = {
-                "n": predicted.n, "K": predicted.dimension,
-                "dX": distance_obj(predicted.d_x), "dZ": distance_obj(predicted.d_z),
-            }
-            obj["measured"] = {
-                "n": measured.n, "K": measured.dimension,
-                "dX": distance_obj(measured.d_x), "dZ": distance_obj(measured.d_z),
-            }
-        if note:
-            obj["note"] = note
         print(json.dumps(obj))
         return EXIT_OK
-
-    print(f"wrote {args.out}  (n={balanced.n}, nX={balanced.n_x}, nZ={balanced.n_z})")
-    if predicted is not None and measured is not None:
+    print(f"wrote {args.out}  (n={code.n}, nX={code.n_x}, nZ={code.n_z})")
+    if "measured" in obj:
+        predicted, measured = obj["predicted"], obj["measured"]
         print(f"{'':<12}{'predicted':>12}{'measured':>12}")
-        for name, p, m in (
-            ("n", predicted.n, measured.n),
-            ("K", predicted.dimension, measured.dimension),
-            ("dX", predicted.d_x, measured.d_x),
-            ("dZ", predicted.d_z, measured.d_z),
-        ):
-            mark = "" if p == m else "   MISMATCH"
-            print(f"{name:<12}{_fmt(p):>12}{_fmt(m):>12}{mark}")
-    if note:
-        print(note)
+        for name, p in predicted.items():
+            mark = "" if p == measured[name] else "   MISMATCH"
+            print(f"{name:<12}{p:>12}{measured[name]:>12}{mark}")
+    if "note" in obj:
+        print(obj["note"])
     return EXIT_OK
 
 
@@ -340,7 +319,7 @@ def _fill_sweep_row(row: dict[str, str], q: CssCode, r: ClassicalCode, cap: int)
     """The row's balanced parameters; those that fail to compute stay NA."""
     try:
         balanced = distance_balance(q, r)
-        row["n"] = str(balanced.n)
+        row["n"] = str(balanced.code.n)
         row["K"] = str(quantum_dimension(balanced.code))
         row["locality"] = str(locality(balanced.code))
         try:
@@ -402,6 +381,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("a sweep job must be an object whose 'pairs' is a list of objects")
     specs = [_pair_specs(i, pair) for i, pair in enumerate(pairs, 1)]
     seed_lists = [_pair_seeds(pair) for pair in pairs]
+    if not Path(args.out).parent.is_dir():
+        raise ValueError(f"cannot write {args.out}: its directory does not exist")
     rows = []
     done: dict = {}
     for i, (pair_specs, seeds) in enumerate(zip(specs, seed_lists), 1):

@@ -38,7 +38,7 @@ X and Z swapped for the Z-distance; and 2^rank H for soundness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -359,70 +359,30 @@ def distance_obj(d):
 class CodeReport:
     """Exact analysis record for a classical or quantum code.
 
-    Fields skipped because their enumeration exceeded the cap are listed in
-    ``incomplete`` and serialize as "cap-exceeded"; an undefined soundness
-    serializes as "undefined".
+    ``obj`` is the record's JSON object, its keys in output order, and
+    ``to_text`` renders the same object as text. Fields skipped because
+    their enumeration exceeded the cap are listed in ``incomplete`` and
+    read "cap-exceeded"; an undefined soundness reads "undefined", and
+    ``undefined_sides`` names the component sides ("X", "Z") whose
+    soundness is undefined.
     """
 
-    kind: str
-    n: int
-    dimension: int
-    locality: int
-    soundness: Optional[Fraction]
-    provenance: str
-    d: Optional[Distance] = None
-    d_x: Optional[Distance] = None
-    d_z: Optional[Distance] = None
-    s: Optional[int] = None
-    n_x: Optional[int] = None
-    n_z: Optional[int] = None
-    soundness_x: Optional[Fraction] = None
-    soundness_z: Optional[Fraction] = None
-    incomplete: tuple[str, ...] = field(default_factory=tuple)
+    obj: dict
+    incomplete: tuple[str, ...] = ()
+    undefined_sides: tuple[str, ...] = ()
 
     def to_obj(self) -> dict:
-        def dist(name, value):
-            return "cap-exceeded" if name in self.incomplete else distance_obj(value)
-
-        soundness = ("cap-exceeded" if "soundness" in self.incomplete
-                     else fraction_obj(self.soundness))
-        if self.kind == "classical":
-            return {
-                "kind": "classical",
-                "n": self.n,
-                "K": self.dimension,
-                "d": dist("d", self.d),
-                "locality": self.locality,
-                "soundness": soundness,
-                "s": self.s,
-                "provenance": self.provenance,
-            }
-        return {
-            "kind": "quantum",
-            "n": self.n,
-            "K": self.dimension,
-            "dX": dist("dX", self.d_x),
-            "dZ": dist("dZ", self.d_z),
-            "locality": self.locality,
-            "soundness": soundness,
-            "nX": self.n_x,
-            "nZ": self.n_z,
-            "provenance": self.provenance,
-        }
+        return self.obj
 
     def to_text(self) -> str:
-        obj = self.to_obj()
         lines = []
-        for key, val in obj.items():
+        for key, val in self.obj.items():
             if isinstance(val, dict):
                 val = val["num"] if val["den"] == 1 else f"{val['num']}/{val['den']}"
-            if key == "soundness" and self.kind == "quantum":
+            if key == "soundness" and self.obj["kind"] == "quantum":
                 key = "soundness (component)"
                 if val == "undefined":
-                    missing = [name for name, rho in
-                               (("X", self.soundness_x), ("Z", self.soundness_z))
-                               if rho is None]
-                    val = f"undefined ({'/'.join(missing)} side)"
+                    val = f"undefined ({'/'.join(self.undefined_sides)} side)"
             lines.append(f"{key:<22} {val}")
         return "\n".join(lines)
 
@@ -436,23 +396,26 @@ def _unless_capped(incomplete: list[str], name: str, measure, *args):
         return None
 
 
+def _soundness_obj(incomplete: list[str], rho: Optional[Fraction]):
+    return "cap-exceeded" if "soundness" in incomplete else fraction_obj(rho)
+
+
 def analyze_classical(
     code: ClassicalCode, cap: int = DEFAULT_CAP, provenance: str = ""
 ) -> CodeReport:
     incomplete = []
     d = _unless_capped(incomplete, "d", classical_distance, code, cap)
     rho = _unless_capped(incomplete, "soundness", classical_soundness, code, cap)
-    return CodeReport(
-        kind="classical",
-        n=code.t,
-        dimension=classical_dimension(code),
-        locality=locality(code),
-        soundness=rho,
-        provenance=provenance,
-        d=d,
-        s=code.s,
-        incomplete=tuple(incomplete),
-    )
+    return CodeReport({
+        "kind": "classical",
+        "n": code.t,
+        "K": classical_dimension(code),
+        "d": distance_obj(d),
+        "locality": locality(code),
+        "soundness": _soundness_obj(incomplete, rho),
+        "s": code.s,
+        "provenance": provenance,
+    }, tuple(incomplete))
 
 
 def analyze_quantum(
@@ -461,20 +424,20 @@ def analyze_quantum(
     incomplete = []
     d_x = _unless_capped(incomplete, "dX", quantum_distance_x, q, cap)
     d_z = _unless_capped(incomplete, "dZ", quantum_distance_z, q, cap)
-    rho_x, rho_z = (_unless_capped(incomplete, "soundness", component_soundness, q, cap)
-                    or (None, None))
-    return CodeReport(
-        kind="quantum",
-        n=q.n,
-        dimension=quantum_dimension(q),
-        locality=locality(q),
-        soundness=_component_min(rho_x, rho_z),
-        provenance=provenance,
-        d_x=d_x,
-        d_z=d_z,
-        n_x=q.n_x,
-        n_z=q.n_z,
-        soundness_x=rho_x,
-        soundness_z=rho_z,
-        incomplete=tuple(incomplete),
-    )
+    sides = _unless_capped(incomplete, "soundness", component_soundness, q, cap)
+    rho, undefined = None, ()
+    if sides is not None:
+        rho = _component_min(*sides)
+        undefined = tuple(name for name, side in zip("XZ", sides) if side is None)
+    return CodeReport({
+        "kind": "quantum",
+        "n": q.n,
+        "K": quantum_dimension(q),
+        "dX": distance_obj(d_x),
+        "dZ": distance_obj(d_z),
+        "locality": locality(q),
+        "soundness": _soundness_obj(incomplete, rho),
+        "nX": q.n_x,
+        "nZ": q.n_z,
+        "provenance": provenance,
+    }, tuple(incomplete), undefined)

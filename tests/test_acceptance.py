@@ -201,7 +201,7 @@ def test_05_double_balance_audit():
         qp = measured_quantum_params(q)
         rp = measured_classical_params(r)
         once = predicted_params(qp, rp)
-        assert bal.n == once.n * rp.t + once.n_z * rp.s
+        assert bal.code.n == once.n * rp.t + once.n_z * rp.s
 
 
 def test_06_doubled_check_complex_parameters():

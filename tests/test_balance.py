@@ -42,7 +42,7 @@ def q_rep3():
 
 def test_balanced_dimensions():
     bal = distance_balance(q_rep3(), rep_standard(2))
-    assert (bal.n, bal.n_x, bal.n_z) == (14, 4, 12)
+    assert (bal.code.n, bal.code.n_x, bal.code.n_z) == (14, 4, 12)
     assert bal.code.complex.validate() is None
 
 
@@ -173,7 +173,7 @@ def test_double_balance_parameters():
     qp = measured_quantum_params(q_rep3())
     rp = measured_classical_params(rep_standard(2))
     once = predicted_params(qp, rp)
-    assert bal.n == once.n * rp.t + once.n_z * rp.s == 40
+    assert bal.code.n == once.n * rp.t + once.n_z * rp.s == 40
     predicted = predicted_double_params(qp, rp)
     assert (predicted.n, predicted.dimension, predicted.d_x, predicted.d_z) == (40, 1, 4, 6)
     assert (predicted.n_x, predicted.n_z) == (bal.code.n_x, bal.code.n_z) == (22, 24)
@@ -206,7 +206,7 @@ def test_balanced_equalities_random_pairs():
         predicted = predicted_params(qp, rp)
         bal = distance_balance(q, r)
         assert bal.code.complex.validate() is None
-        assert (bal.n, bal.n_x, bal.n_z) == (predicted.n, predicted.n_x, predicted.n_z)
+        assert (bal.code.n, bal.code.n_x, bal.code.n_z) == (predicted.n, predicted.n_x, predicted.n_z)
         assert quantum_dimension(bal.code) == predicted.dimension
         d_x, d_z = quantum_distances(bal.code)
         assert d_x == predicted.d_x
@@ -247,7 +247,7 @@ def test_balancing_theorem_on_random_pairs(pair):
     rp = measured_classical_params(r)
     bal = distance_balance(q, r)
     assert bal.code.complex.validate() is None
-    assert bal.n == q.n * r.t + q.n_x * r.s
+    assert bal.code.n == q.n * r.t + q.n_x * r.s
     k = quantum_dimension(bal.code)
     assert k == qp.dimension * rp.dimension
     # A code that encodes nothing has no logical operator on either side.
@@ -302,9 +302,9 @@ def test_double_balance_matches_prediction_on_random_pairs(pair):
     assert replace(measured, locality=predicted.locality) == predicted
     assert measured.locality <= predicted.locality
     layout = bal.block_layout
-    assert _tiles(layout["qubits"], bal.n)
-    assert _tiles(layout["z_checks"], bal.n_z)
-    assert _tiles(layout["x_checks"], bal.n_x)
+    assert _tiles(layout["qubits"], bal.code.n)
+    assert _tiles(layout["z_checks"], bal.code.n_z)
+    assert _tiles(layout["x_checks"], bal.code.n_x)
 
 
 def _ldpc(draw, seed: int) -> ClassicalCode:

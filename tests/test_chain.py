@@ -194,6 +194,19 @@ def test_from_check_matrices_rejects_mismatched_columns():
     assert str(exc.value) == "H_X and H_Z must act on the same qubits"
 
 
+def test_css_code_is_its_check_matrices(tmp_path):
+    """A code read from a complex file equals the q_complex build of the
+    same check matrices, and hashes the same, whatever the file's labels;
+    its complex carries the default labels."""
+    built = q_complex(H3)
+    c = built.complex
+    path = tmp_path / "q.json"
+    path.write_text(complex_to_json(ChainComplex(c.spaces, c.diffs, ["a", "b", "c"])))
+    loaded = load_css(path)
+    assert loaded == built and hash(loaded) == hash(built)
+    assert loaded.complex == c and loaded.complex.labels == ("C2", "C1", "C0")
+
+
 def test_as_classical():
     code = as_classical(ChainComplex((3, 2), (H3,)))
     assert (code.t, code.s) == (3, 2)

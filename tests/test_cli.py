@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 from hypothesis import given, reject, settings
@@ -294,6 +295,41 @@ def test_sweep_deterministic_and_empty(tmp_path, capsys):
     out3 = tmp_path / "c.csv"
     assert run(capsys, "sweep", str(empty), "-o", str(out3))[0] == 0
     assert out3.read_text().strip() == ",".join(SWEEP_HEADER)
+
+
+def test_sweep_into_a_missing_directory_runs_no_row(tmp_path, capsys, monkeypatch):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"pairs": [{
+        "quantum": {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}},
+        "classical": {"family": "rep", "params": {"l": 2}},
+    }]}))
+    calls = counted_fills(monkeypatch)
+    out = tmp_path / "no_such_dir" / "out.csv"
+    code, stdout, err = run(capsys, "sweep", str(job), "-o", str(out))
+    assert (code, stdout, calls) == (2, "", [])
+    assert err.startswith("error:") and str(out) in err
+    assert not out.parent.exists()
+
+
+def test_sweep_timing_fills_only_the_ms_column(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"pairs": [{
+        "quantum": {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}},
+        "classical": {"family": "random_ldpc",
+                      "params": {"t": 4, "s": 2, "row_w": 2, "col_w": 2}},
+        "seeds": [0, 1, 2, 1],
+    }]}))
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert run(capsys, "sweep", str(job), "-o", str(plain))[0] == 0
+    assert run(capsys, "sweep", str(job), "-o", str(timed), "--timing")[0] == 0
+    plain_rows = [line.split(",") for line in plain.read_text().splitlines()]
+    timed_rows = [line.split(",") for line in timed.read_text().splitlines()]
+    ms = SWEEP_HEADER.index("ms")
+    assert plain_rows[0] == timed_rows[0] == SWEEP_HEADER
+    assert len(timed_rows) == 5
+    for p, t in zip(plain_rows[1:], timed_rows[1:]):
+        assert p[:ms] + p[ms + 1:] == t[:ms] + t[ms + 1:]
+        assert t[ms].isdigit(), t  # a non-negative integer
 
 
 def sweep_lines(capsys, tmp_path, pairs):
@@ -660,3 +696,100 @@ def test_analyze_malformed_complex_is_a_parse_error(tmp_path, capsys):
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2, bad
         assert "error" in err
+
+
+def text_report(*rows) -> str:
+    """The lines of a text report or table: each (key, value) row padded as
+    the CLI pads it; a plain string is a line as it stands."""
+    return "".join(
+        (row if isinstance(row, str) else f"{row[0]:<22} {row[1]}") + "\n" for row in rows)
+
+
+def test_analyze_text_report_of_rep3(tmp_path, capsys):
+    pcm = tmp_path / "h3.pcm"
+    pcm.write_text("2 3\n110\n011\n")
+    assert run(capsys, "analyze", str(pcm)) == (0, text_report(
+        ("kind", "classical"), ("n", 3), ("K", 1), ("d", 3), ("locality", 2),
+        ("soundness", "3/2"), ("s", 2), ("provenance", f"file:{pcm}"),
+    ), "")
+
+
+def test_analyze_text_report_of_q_rep3(tmp_path, capsys):
+    qfile = tmp_path / "q.json"
+    qfile.write_text(complex_to_json(q_complex(rep_standard(3).h).complex))
+    assert run(capsys, "analyze", str(qfile)) == (0, text_report(
+        ("kind", "quantum"), ("n", 6), ("K", 1), ("dX", 2), ("dZ", 3), ("locality", 4),
+        ("soundness (component)", 2), ("nX", 2), ("nZ", 3), ("provenance", f"file:{qfile}"),
+    ), "")
+
+
+def test_analyze_text_report_with_a_capped_distance(tmp_path, capsys):
+    zero = tmp_path / "zero.pcm"
+    zero.write_text("1 30\n" + "0" * 30 + "\n")
+    assert run(capsys, "analyze", "--cap", "4096", str(zero)) == (3, text_report(
+        ("kind", "classical"), ("n", 30), ("K", 30), ("d", "cap-exceeded"), ("locality", 0),
+        ("soundness", "undefined"), ("s", 1), ("provenance", f"file:{zero}"),
+    ), "")
+
+
+def test_analyze_text_report_names_the_undefined_soundness_side(tmp_path, capsys):
+    # H_X = [1111] and no Z checks: the Z component has no checks.
+    h_x = BitMatrix.from_strings(["1111"])
+    qfile = tmp_path / "q.json"
+    qfile.write_text(complex_to_json(ChainComplex((0, 4, 1), (BitMatrix.zeros(4, 0), h_x))))
+    assert run(capsys, "analyze", str(qfile)) == (0, text_report(
+        ("kind", "quantum"), ("n", 4), ("K", 3), ("dX", 1), ("dZ", 2), ("locality", 4),
+        ("soundness (component)", "undefined (Z side)"), ("nX", 1), ("nZ", 0),
+        ("provenance", f"file:{qfile}"),
+    ), "")
+
+
+def balance_files(tmp_path, l: int, m: int):
+    """q(rep l) as a complex file and rep m as a pcm file."""
+    qfile, rfile = tmp_path / f"q{l}.json", tmp_path / f"rep{m}.pcm"
+    qfile.write_text(complex_to_json(q_complex(rep_standard(l).h).complex))
+    rfile.write_text(write_pcm(rep_standard(m).h))
+    return str(qfile), str(rfile)
+
+
+def test_balance_text_table(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert run(capsys, "balance", *balance_files(tmp_path, 3, 2), "-o", str(out)) == (
+        0, text_report(
+            f"wrote {out}  (n=14, nX=4, nZ=12)",
+            "               predicted    measured",
+            "n                     14          14",
+            "K                      1           1",
+            "dX                     4           4",
+            "dZ                     3           3",
+        ), "")
+
+
+def test_balance_double_text_notes_a_skipped_measurement(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    argv = ("balance", "--double", *balance_files(tmp_path, 4, 4), "-o", str(out))
+    assert run(capsys, *argv) == (0, text_report(
+        f"wrote {out}  (n=284, nX=171, nZ=160)",
+        "measurement skipped: X-distance needs 2^136 words (Gray walk) or 2^149 "
+        "syndromes (BFS), cap is 2^24",
+    ), "")
+
+
+def test_balance_text_table_marks_a_mismatch(tmp_path, capsys, monkeypatch):
+    predict = cli.predicted_params
+
+    def one_qubit_too_many(qp, rp):
+        predicted = predict(qp, rp)
+        return dataclasses.replace(predicted, n=predicted.n + 1)
+
+    monkeypatch.setattr(cli, "predicted_params", one_qubit_too_many)
+    out = tmp_path / "b.json"
+    assert run(capsys, "balance", *balance_files(tmp_path, 3, 2), "-o", str(out)) == (
+        0, text_report(
+            f"wrote {out}  (n=14, nX=4, nZ=12)",
+            "               predicted    measured",
+            "n                     15          14   MISMATCH",
+            "K                      1           1",
+            "dX                     4           4",
+            "dZ                     3           3",
+        ), "")
