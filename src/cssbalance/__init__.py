@@ -29,7 +29,6 @@ from .chain import (
     complex_from_json,
     complex_to_json,
     homological_product,
-    window,
 )
 from .constructions import (
     CodeSpec,

@@ -1,7 +1,9 @@
 """Distance balancing of CSS codes against classical codes.
 
 Tensor a 3-term quantum complex with the reversed 2-term complex of a
-classical code and keep the bottom three terms of the 4-term result. With
+classical code and keep the bottom three terms of the 4-term result; they
+are H_X' = [H_X (x) I_t | I_{n_X} (x) H^T] and H_Z' = [[H_Z (x) I_t, 0],
+[I_n (x) H, H_X^T (x) I_s]], which ``distance_balance`` builds directly. With
 an independent-check classical [t, k, d] code this multiplies the quantum
 dimension by k and the X-distance by d while preserving the Z-distance,
 at the price of n*t + n_X*s qubits. Double balancing is that step, an X/Z
@@ -18,7 +20,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .chain import ClassicalCode, CssCode, cocomplex, homological_product, window
+from .chain import ClassicalCode, CssCode
+from .gf2 import BitMatrix, block
 from .oracle import (
     DEFAULT_CAP,
     INFINITE,
@@ -75,16 +78,18 @@ def distance_balance(q: CssCode, r: ClassicalCode) -> BalancedCode:
         raise DependentChecksError(
             f"classical code has dependent checks (rank {r.rank} < s = {r.s})"
         )
-    # The product of two valid complexes is valid, and so is its window.
-    w = window(homological_product(q.complex, cocomplex(r.complex)), 2, 0)
-    code = CssCode._trusted(w.diff(1), w.diff(2).transpose())
     n, n_x, n_z, t, s = q.n, q.n_x, q.n_z, r.t, r.s
+    eye = BitMatrix.identity
+    # H_X' H_Z'^T = [(H_X H_Z^T) (x) I_t | H_X (x) H^T + H_X (x) H^T] = 0.
+    h_z = block([[q.h_z.kron(eye(t)), BitMatrix.zeros(n_z * t, n_x * s)],
+                 [eye(n).kron(r.h), q.h_x.transpose().kron(eye(s))]])
+    h_x = block([[q.h_x.kron(eye(t)), eye(n_x).kron(r.h.transpose())]])
     layout = {
         "qubits": _ranges([("n*t", n * t), ("nX*s", n_x * s)]),
         "z_checks": _ranges([("nZ*t", n_z * t), ("n*s", n * s)]),
         "x_checks": _ranges([("nX*t", n_x * t)]),
     }
-    return BalancedCode(code=code, block_layout=layout)
+    return BalancedCode(code=CssCode._trusted(h_x, h_z), block_layout=layout)
 
 
 def _swap(q: CssCode) -> CssCode:

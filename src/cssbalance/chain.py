@@ -109,22 +109,13 @@ def cocomplex(c: ChainComplex) -> ChainComplex:
     )
 
 
-def window(c: ChainComplex, hi: int, lo: int) -> ChainComplex:
-    """The sub-complex spanning grades hi down to lo, inclusive."""
-    if not (0 <= lo <= hi <= c.top_grade):
-        raise IndexError("window grades out of range")
-    a = c.top_grade - hi
-    b = c.top_grade - lo
-    return ChainComplex(c.spaces[a : b + 1], c.diffs[a:b], c.labels[a : b + 1])
-
-
 def homological_product(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     """Tensor product of complexes: the grade-p space is the direct sum of
     x_i (x) y_{p-i}, and d(u(x)v) = du(x)v + u(x)dv (no signs over GF(2)).
 
     Summands are laid out with the x grade descending, matching the order in
-    which blocks appear in the balanced-code check matrices, and each
-    summand is indexed left factor major.
+    which blocks appear in the check matrices ``distance_balance`` builds,
+    and each summand is indexed left factor major.
     """
     for name, c in (("left", x), ("right", y)):
         problem = c.validate()
@@ -138,27 +129,20 @@ def homological_product(x: ChainComplex, y: ChainComplex) -> ChainComplex:
         lo_i = max(0, p - ky)
         return [(i, p - i) for i in range(top_i, lo_i - 1, -1)]
 
-    spaces = []
-    for p in range(kx + ky, -1, -1):
-        spaces.append(sum(x.dim(i) * y.dim(j) for i, j in summands(p)))
+    spaces = [sum(x.dim(i) * y.dim(j) for i, j in summands(p)) for p in range(kx + ky, -1, -1)]
 
     diffs = []
     for p in range(kx + ky, 0, -1):
         src = summands(p)
         dst = summands(p - 1)
         dst_index = {ij: row for row, ij in enumerate(dst)}
-        grid: list[list] = [[None] * len(src) for _ in dst]
-        # Every summand provably touches at least one map, so block() can
-        # always infer the shape of the remaining zero blocks.
+        grid = [[BitMatrix.zeros(x.dim(a) * y.dim(b), x.dim(i) * y.dim(j)) for i, j in src]
+                for a, b in dst]
         for col, (i, j) in enumerate(src):
-            if i >= 1 and (i - 1, j) in dst_index:
-                grid[dst_index[(i - 1, j)]][col] = x.diff(i).kron(
-                    BitMatrix.identity(y.dim(j))
-                )
-            if j >= 1 and (i, j - 1) in dst_index:
-                grid[dst_index[(i, j - 1)]][col] = BitMatrix.identity(x.dim(i)).kron(
-                    y.diff(j)
-                )
+            if (i - 1, j) in dst_index:
+                grid[dst_index[(i - 1, j)]][col] = x.diff(i).kron(BitMatrix.identity(y.dim(j)))
+            if (i, j - 1) in dst_index:
+                grid[dst_index[(i, j - 1)]][col] = BitMatrix.identity(x.dim(i)).kron(y.diff(j))
         diffs.append(block(grid))
     return ChainComplex(spaces, diffs)
 

@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -54,13 +55,25 @@ EXIT_DEPENDENT = 4
 EXIT_UNDEFINED = 5
 
 MIN_CAP = 1 << 10
+MAX_DIGITS = 4300  # the most digits str() gives an int by default
 
 
 def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
+    """Fraction(text), refused when its numerator or denominator has more
+    than MAX_DIGITS digits; a huge exponent is refused before it is applied."""
+    exp = re.search(r"(?<=[eE])[-+]?\d+(?:_\d+)*(?=\s*\Z)", text)
+    try:  # text with exponent 0 has the same syntax
+        value = Fraction(text if exp is None else f"{text[:exp.start()]}0{text[exp.end():]}")
+        e = int(exp.group()) if exp is not None and value else 0
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+    # The terms of the nonzero mantissa have at most len(text) digits.
+    if abs(e) <= MAX_DIGITS + len(text):
+        value *= Fraction(10) ** e
+        if max(abs(value.numerator), value.denominator) < 10 ** MAX_DIGITS:
+            return value
+    raise argparse.ArgumentTypeError(
+        f"{text!r} has a numerator or denominator of more than {MAX_DIGITS} digits")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,6 +394,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("a sweep job must be an object whose 'pairs' is a list of objects")
     specs = [_pair_specs(i, pair) for i, pair in enumerate(pairs, 1)]
     seed_lists = [_pair_seeds(pair) for pair in pairs]
+    if Path(args.out).is_dir():  # "" names the current directory
+        raise ValueError(f"cannot write {args.out!r}: it is a directory")
     if not Path(args.out).parent.is_dir():
         raise ValueError(f"cannot write {args.out}: its directory does not exist")
     rows = []

@@ -237,59 +237,30 @@ class BitMatrix:
         return [at[f] | 1 << f for f in range(self.cols) if not mask >> f & 1]
 
 
-def block(grid: Sequence[Sequence]) -> BitMatrix:
-    """Assemble a matrix from a grid of blocks.
-
-    Entries are BitMatrix, or None/0 for an all-zero block whose shape is
-    inferred from its row and column neighbours. Blocks in a grid row must
-    share row counts and blocks in a grid column must share column counts.
-    """
-    nrows = len(grid)
-    ncols = len(grid[0]) if nrows else 0
-    for row in grid:
-        if len(row) != ncols:
-            raise ValueError("ragged block grid")
-
-    def entry(i, j):
-        e = grid[i][j]
-        return e if isinstance(e, BitMatrix) else None
-
-    heights: list[Optional[int]] = [None] * nrows
-    widths: list[Optional[int]] = [None] * ncols
-    for i in range(nrows):
-        for j in range(ncols):
-            e = entry(i, j)
-            if e is None:
-                continue
-            if heights[i] is None:
-                heights[i] = e.rows
-            elif heights[i] != e.rows:
-                raise ValueError(f"inconsistent block heights in grid row {i}")
-            if widths[j] is None:
-                widths[j] = e.cols
-            elif widths[j] != e.cols:
-                raise ValueError(f"inconsistent block widths in grid column {j}")
-    if any(h is None for h in heights) or any(w is None for w in widths):
-        raise ValueError("cannot infer the shape of an all-zero block row or column")
-
-    col_offsets = [0] * ncols
-    off = 0
-    for j in range(ncols):
-        col_offsets[j] = off
-        off += widths[j]
-    total_cols = off
+def block(grid: Sequence[Sequence[BitMatrix]]) -> BitMatrix:
+    """Assemble a matrix from a grid of BitMatrix blocks, zero blocks
+    included. A grid row's height is that of its first block and a grid
+    column's width that of its block in the first grid row."""
+    if not all(isinstance(e, BitMatrix) for row in grid for e in row):
+        raise TypeError("every block must be a BitMatrix")
+    widths = [e.cols for e in grid[0]] if grid else []
+    if grid and not widths:
+        raise ValueError("a block grid row needs at least one block")
     vals: list[int] = []
-    for i in range(nrows):
-        rows_here = [0] * heights[i]
-        for j in range(ncols):
-            e = entry(i, j)
-            if e is None:
-                continue
-            shift = col_offsets[j]
-            for r in range(e.rows):
-                rows_here[r] |= e.row(r) << shift
+    for i, row in enumerate(grid):
+        if len(row) != len(widths):
+            raise ValueError("ragged block grid")
+        rows_here, shift = [0] * row[0].rows, 0
+        for j, e in enumerate(row):
+            if e.rows != len(rows_here):
+                raise ValueError(f"inconsistent block heights in grid row {i}")
+            if e.cols != widths[j]:
+                raise ValueError(f"inconsistent block widths in grid column {j}")
+            for r, v in enumerate(e.row_ints()):
+                rows_here[r] |= v << shift
+            shift += e.cols
         vals.extend(rows_here)
-    return BitMatrix._trusted(sum(heights), total_cols, vals)
+    return BitMatrix._trusted(len(vals), sum(widths), vals)
 
 
 def row_basis(a: BitMatrix) -> BitMatrix:

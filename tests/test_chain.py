@@ -17,13 +17,14 @@ from cssbalance import (
     cocomplex,
     complex_from_json,
     complex_to_json,
+    distance_balance,
+    double_balance,
     homological_product,
     q_complex,
     rep_standard,
-    window,
 )
 from cssbalance.io import load_code, load_css, save_complex
-from conftest import rand_valid_complex
+from conftest import rand_matrix, rand_valid_complex
 from naive import naive_complex_json
 
 H3 = BitMatrix.from_strings(["110", "011"])
@@ -117,9 +118,43 @@ def test_product_rejects_invalid_input():
         homological_product(bad, rep_standard(2).complex)
 
 
+def _random_css(rng: random.Random, n: int, n_x: int, n_z: int) -> CssCode:
+    """A random code of these sizes: each H_X row is drawn from ker H_Z."""
+    h_z = rand_matrix(rng, n_z, n)
+    kernel = h_z.kernel_basis()
+    rows = []
+    for _ in range(n_x):
+        v = 0
+        for b in kernel:
+            if rng.getrandbits(1):
+                v ^= b
+        rows.append(v)
+    return CssCode.from_check_matrices(BitMatrix(n_x, n, rows), h_z)
+
+
+def _random_independent(rng: random.Random, t: int, s: int) -> ClassicalCode:
+    while True:
+        r = ClassicalCode(rand_matrix(rng, s, t))
+        if r.independent_checks:
+            return r
+
+
+def _swap(c: CssCode) -> CssCode:
+    return CssCode.from_check_matrices(c.h_z, c.h_x)
+
+
+def _product_balance(q: CssCode, r: ClassicalCode) -> CssCode:
+    """The balanced code read off the bottom three terms of the product."""
+    p = homological_product(q.complex, cocomplex(r.complex))
+    return CssCode.from_check_matrices(p.diffs[2], p.diffs[1].transpose())
+
+
 def test_product_blocks_match_explicit_layout():
     """The two differentials of (3-term) x (reversed 2-term) are exactly the
-    advertised block matrices."""
+    advertised block matrices, and the balancing builders give them: on
+    every shape with n <= 4, n_X + n_Z <= n and s <= t <= 3, zero sizes
+    included, one step is the bottom of the product, and the double step is
+    the product composed as balance, swap, balance, swap."""
     from cssbalance import block, q_complex
 
     q = q_complex(H3)
@@ -129,30 +164,22 @@ def test_product_blocks_match_explicit_layout():
     eye = BitMatrix.identity
     d2 = block([
         [h_z_t.kron(eye(t)), eye(q.n).kron(h.transpose())],
-        [None, h_x.kron(eye(s))],
+        [BitMatrix.zeros(q.n_x * s, q.n_z * t), h_x.kron(eye(s))],
     ])
     d1 = block([[h_x.kron(eye(t)), eye(q.n_x).kron(h.transpose())]])
     d3 = block([[eye(q.n_z).kron(h.transpose())], [h_z_t.kron(eye(s))]])
     assert p.diffs == (d3, d2, d1)
 
-
-def test_window_full_and_bottom():
-    c = rand_valid_complex(random.Random(7), max_terms=3)
-    assert window(c, c.top_grade, 0) == ChainComplex(c.spaces, c.diffs, c.labels)
-    if c.top_grade >= 1:
-        w = window(c, 1, 0)
-        assert w.spaces == c.spaces[-2:]
-        assert w.diffs == (c.diffs[-1],)
-    with pytest.raises(IndexError):
-        window(c, c.top_grade + 1, 0)
-
-
-def test_window_of_product_keeps_last_three_terms():
-    q = toy_css("11", "11")
-    p = homological_product(q, cocomplex(rep_standard(2).complex))
-    w = window(p, 2, 0)
-    assert w.spaces == p.spaces[1:]
-    assert w.diffs == p.diffs[1:]
+    shapes = [(n, n_x, n_z, t, s) for n in range(5) for n_x in range(n + 1)
+              for n_z in range(n + 1 - n_x) for t in range(4) for s in range(t + 1)]
+    assert len(shapes) == 350
+    rng = random.Random(17)
+    for n, n_x, n_z, t, s in shapes * 3:
+        q, r = _random_css(rng, n, n_x, n_z), _random_independent(rng, t, s)
+        bal = distance_balance(q, r)
+        p = homological_product(q.complex, cocomplex(r.complex))
+        assert (bal.code.h_z.transpose(), bal.code.h_x) == p.diffs[1:]
+        assert double_balance(q, r).code == _swap(_product_balance(_swap(_product_balance(q, r)), r))
 
 
 def test_as_css_reads_off_checks():

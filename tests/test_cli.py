@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import time
 
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -249,6 +251,34 @@ def test_boundcheck_assume_rho_warning(tmp_path, capsys):
         assert err.startswith("error:") and "must be positive" in err
 
 
+def test_huge_exponents_are_refused_at_parse_time(tmp_path, capsys, monkeypatch):
+    """A numerator or denominator past 4300 digits could not be printed,
+    and a huge exponent would take unbounded time to apply: both are usage
+    errors before any file is read or any work is done."""
+    pcm = tmp_path / "h3.pcm"
+    run(capsys, "gen", "rep", "3", "-o", str(pcm))
+    qfile = tmp_path / "q.json"
+    run(capsys, "gen", "q", "--hhat", str(pcm), "-o", str(qfile))
+    rep2 = tmp_path / "rep2.pcm"
+    run(capsys, "gen", "rep", "2", "-o", str(rep2))
+    calls = []
+    bound_check = cli.bound_check
+    monkeypatch.setattr(cli, "bound_check", lambda *a, **k: (calls.append(a), bound_check(*a, **k))[1])
+    for argv in (["boundcheck", str(qfile), str(rep2), "--assume-rho", "1e999999999"],
+                 ["table", "exampleParams", "--alpha", "1e-999999999"],
+                 ["boundcheck", str(qfile), str(rep2), "--assume-rho", "1e5000"]):
+        start = time.monotonic()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and time.monotonic() - start < 2
+        err = capsys.readouterr().err
+        assert "more than 4300 digits" in err and "Traceback" not in err
+    assert calls == []
+    decimal, ratio = (run(capsys, "boundcheck", str(qfile), str(rep2), "--assume-rho", rho)
+                      for rho in ("5e-1", "1/2"))
+    assert decimal == ratio and decimal[0] == 0 and len(calls) == 2
+
+
 def test_boundcheck_undefined_soundness_exit_5(tmp_path, capsys):
     # A quantum code with no X checks has no X-component soundness.
     qfile = tmp_path / "q.json"
@@ -298,17 +328,22 @@ def test_sweep_deterministic_and_empty(tmp_path, capsys):
 
 
 def test_sweep_into_a_missing_directory_runs_no_row(tmp_path, capsys, monkeypatch):
+    """A missing directory, an existing one and the empty path (the current
+    directory) are all refused before any row runs, and nothing is made."""
+    monkeypatch.chdir(tmp_path)
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"pairs": [{
         "quantum": {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}},
         "classical": {"family": "rep", "params": {"l": 2}},
     }]}))
     calls = counted_fills(monkeypatch)
-    out = tmp_path / "no_such_dir" / "out.csv"
-    code, stdout, err = run(capsys, "sweep", str(job), "-o", str(out))
-    assert (code, stdout, calls) == (2, "", [])
-    assert err.startswith("error:") and str(out) in err
-    assert not out.parent.exists()
+    missing = str(tmp_path / "no_such_dir" / "out.csv")
+    for out, named in ((missing, missing), (".", "'.'"), (str(tmp_path), repr(str(tmp_path))),
+                       ("", "''")):
+        code, stdout, err = run(capsys, "sweep", str(job), "-o", out)
+        assert (code, stdout, calls) == (2, "", [])
+        assert err.startswith("error:") and named in err
+        assert list(tmp_path.iterdir()) == [job]
 
 
 def test_sweep_timing_fills_only_the_ms_column(tmp_path, capsys):

@@ -119,7 +119,16 @@ def test_matmul_vec_associativity(rng):
 
 
 def test_block_diagonal():
-    assert block([[BitMatrix.identity(2), None], [0, BitMatrix.identity(3)]]) == BitMatrix.identity(5)
+    eye, zeros = BitMatrix.identity, BitMatrix.zeros
+    assert block([[eye(2), zeros(2, 3)], [zeros(3, 2), eye(3)]]) == BitMatrix.identity(5)
+
+
+def test_block_takes_only_matrices():
+    with pytest.raises(TypeError):
+        block([[BitMatrix.identity(2), None], [0, BitMatrix.identity(3)]])
+    with pytest.raises(ValueError):
+        block([[]])
+    assert block([]) == BitMatrix.zeros(0, 0)
 
 
 def test_block_horizontal_shape():
