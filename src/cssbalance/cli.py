@@ -34,7 +34,7 @@ from .balance import (
 from .chain import ClassicalCode, CssCode, _list_of
 from .constructions import CodeSpec, as_spec, param_table
 from .gf2 import BitMatrix, row_basis
-from .io import load_classical, load_code, load_css, save_classical, save_complex
+from .io import load_code, save_classical, save_complex
 from .oracle import (
     DEFAULT_CAP,
     CapExceeded,
@@ -104,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
 
     p = sub.add_parser("balance", parents=[common], help="balance a quantum code against a classical one")
-    p.add_argument("quantum", help="3-term complex JSON file")
-    p.add_argument("classical", help="parity-check matrix file")
+    p.add_argument("quantum", help="CSS code file: a 3-term complex JSON")
+    p.add_argument("classical",
+                   help="classical code file: a parity-check matrix or a 2-term complex JSON")
     p.add_argument("-o", "--out", required=True, help="output path for the balanced complex")
     p.add_argument("--double", action="store_true", help="balance twice with an X/Z swap between")
     p.add_argument("--reduce-checks", action="store_true",
@@ -113,8 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boundcheck", parents=[common],
                        help="verify the soundness lower bounds on a balanced pair")
-    p.add_argument("quantum")
-    p.add_argument("classical")
+    p.add_argument("quantum", help="CSS code file: a 3-term complex JSON")
+    p.add_argument("classical",
+                   help="classical code file: a parity-check matrix or a 2-term complex JSON")
     p.add_argument("--assume-rho", type=_fraction_arg, default=None,
                    help="use this soundness for both components instead of measuring")
     p.add_argument("--reduce-checks", action="store_true")
@@ -198,8 +200,16 @@ def cmd_analyze(args) -> int:
 
 
 def _load_pair(args) -> tuple[CssCode, ClassicalCode]:
-    q = load_css(Path(args.quantum))
-    r = load_classical(Path(args.classical))
+    """The quantum and classical arguments, each read as analyze reads a
+    file; ValueError naming the argument that holds the other kind."""
+    q = load_code(Path(args.quantum))
+    if not isinstance(q, CssCode):
+        raise ValueError(f"the quantum argument {args.quantum} holds a classical code, "
+                         "not a CSS code (a 3-term complex)")
+    r = load_code(Path(args.classical))
+    if not isinstance(r, ClassicalCode):
+        raise ValueError(f"the classical argument {args.classical} holds a CSS code, "
+                         "not a classical code (a matrix or a 2-term complex)")
     if args.reduce_checks and not r.independent_checks:
         r = ClassicalCode(row_basis(r.h))
     return q, r

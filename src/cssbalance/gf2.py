@@ -18,7 +18,12 @@ empty map.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Optional, Sequence
+
+
+# memoryview formats of unsigned fields of 1, 2, 4 and 8 bytes.
+_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class BitMatrix:
@@ -69,10 +74,17 @@ class BitMatrix:
 
     @classmethod
     def from_strings(cls, lines: Sequence[str], cols: Optional[int] = None) -> "BitMatrix":
+        """The matrix whose rows are these lines of 0/1 characters, column 0
+        first; ValueError naming the first line that is anything else."""
         lines = list(lines)
         if cols is None:
             cols = len(lines[0]) if lines else 0
-        return cls(len(lines), cols, [_parse_row(ln, cols) for ln in lines])
+        vals = _read_rows("".join(ln + "\n" for ln in lines), 0, len(lines), cols)
+        if vals is None:
+            for ln in lines:
+                if len(ln) != cols or ln.count("0") + ln.count("1") != cols:
+                    raise ValueError(f"bad matrix row: {ln!r}")
+        return cls._trusted(len(lines), cols, vals)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -148,31 +160,55 @@ class BitMatrix:
 
     def kron(self, other: "BitMatrix") -> "BitMatrix":
         """Kronecker product, left factor major: row (i,j) -> i*other.rows + j,
-        column (p,q) -> p*other.cols + q."""
+        column (p,q) -> p*other.cols + q. Row (a, b) is spread(a) * b, where
+        spread(a) puts bit p of a at bit p*other.cols; b < 2^other.cols, so
+        the product carries nothing."""
         bc = other.cols
-        vals = []
+        spreads = []
         for a in self._r:
-            for b in other._r:
-                row = 0
-                v = a
-                while v:
-                    low = v & -v
-                    row |= b << ((low.bit_length() - 1) * bc)
-                    v ^= low
-                vals.append(row)
-        return BitMatrix._trusted(self.rows * other.rows, self.cols * other.cols, vals)
+            spread = 0
+            while a:
+                low = a & -a
+                spread |= 1 << (low.bit_length() - 1) * bc
+                a ^= low
+            spreads.append(spread)
+        return BitMatrix._trusted(self.rows * other.rows, self.cols * other.cols,
+                                  [s * b for s in spreads for b in other._r])
 
     def row_weights(self) -> list[int]:
         return [v.bit_count() for v in self._r]
 
     def col_weights(self) -> list[int]:
-        w = [0] * self.cols
+        """Each column's count of ones. The rows are added into carry-save
+        planes (bit c of planes[k] is bit k of column c's count), and each
+        plane is spread to one field of `size` bytes per column, so the
+        fields of the planes' sum are the counts. The planes cost about as
+        much as peeling four ones per row plus 64, so a sparser matrix
+        peels its ones instead."""
+        if sum(map(int.bit_count, self._r)) <= 4 * self.rows + 64:
+            w = [0] * self.cols
+            for v in self._r:
+                while v:
+                    low = v & -v
+                    w[low.bit_length() - 1] += 1
+                    v ^= low
+            return w
+        planes: list[int] = []
         for v in self._r:
-            while v:
-                low = v & -v
-                w[low.bit_length() - 1] += 1
-                v ^= low
-        return w
+            for k, p in enumerate(planes):
+                if not v:
+                    break
+                planes[k], v = p ^ v, p & v
+            if v:
+                planes.append(v)
+        size = 1  # each count is below 2**len(planes)
+        while 8 * size < len(planes):
+            size *= 2
+        gap, total = "0" * (8 * size - 1), 0
+        for k, p in enumerate(planes):
+            total |= int(gap.join(format(p, "b")), 2) << k
+        fields = memoryview(total.to_bytes(self.cols * size, sys.byteorder))
+        return fields.cast(_FIELD_FORMATS[size]).tolist()
 
     def rank(self) -> int:
         return len(self._rref()[1])
@@ -269,56 +305,109 @@ def row_basis(a: BitMatrix) -> BitMatrix:
     return BitMatrix._trusted(len(kept), a.cols, [a.row(r) for r in kept])
 
 
-def _format_row(v: int, cols: int) -> str:
-    """Row v as cols characters 0/1, column 0 first."""
-    return format(v, f"0{cols}b")[::-1] if cols else ""
+# The pcm codec. A row with at most one 1 per _DENSE_SPAN columns is read
+# and written one byte per 1; a denser row goes through one int() or
+# format() call, whose cost follows the width instead.
+_DENSE_SPAN = 128
+_CHUNK_BYTES = 1 << 16
 
 
-def _parse_row(line: str, cols: int) -> int:
-    """The row written by _format_row as line; ValueError on anything else.
-    Each character is counted at most once, so the counts add up to cols
-    exactly when every character is 0 or 1. int() reads every character,
-    so a row with at most one 1 in 64 sets the bits of its ones instead."""
-    ones = line.count("1")
-    if len(line) != cols or line.count("0") + ones != cols:
-        raise ValueError(f"bad matrix row: {line!r}")
-    if ones * 64 > cols:
-        return int(line[::-1], 2)
-    v = 0
-    i = -1
-    for _ in range(ones):
-        i = line.index("1", i + 1)
-        v |= 1 << i
-    return v
+def _read_rows(text: str, at: int, rows: int, cols: int) -> Optional[list[int]]:
+    """The packed rows of text[at:] when it is rows lines of cols
+    characters 0/1, each ended by a newline (the last one optional when
+    cols > 0); None otherwise. The text is encoded and checked in chunks
+    of _CHUNK_BYTES, never copied whole."""
+    width, size = cols + 1, len(text) - at
+    if size != rows * width and not (cols and size == rows * width - 1):
+        return None
+    limit = cols // _DENSE_SPAN  # a row with more ones is dense
+    step = max(1, _CHUNK_BYTES // width) * width
+    # Made whole up front: a list grown row by row between the chunks
+    # scatters the heap, and rows is now at most size + 1.
+    vals = [0] * rows
+    for first in range(at, len(text), step):
+        try:
+            raw = text[first:first + step].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        if len(raw) % width:  # the last row has no newline
+            raw += b"\n"
+        newlines = b"\n" * (len(raw) // width)
+        if raw.translate(None, b"01") != newlines or raw[cols::width] != newlines:
+            return None
+        for r, start in enumerate(range(0, len(raw), width), (first - at) // width):
+            end = start + cols
+            v, left = 0, limit
+            i = raw.find(b"1", start, end)
+            while i >= 0:
+                if not left:
+                    v = int(raw[start:end][::-1], 2)
+                    break
+                v |= 1 << i - start
+                left -= 1
+                i = raw.find(b"1", i + 1, end)
+            vals[r] = v
+    return vals
+
+
+def _dims(line: str) -> tuple[int, int]:
+    """The rows and columns of a header line; ValueError otherwise."""
+    header = line.split()
+    if len(header) != 2:
+        raise ValueError(f"bad header line: {line!r}")
+    try:
+        rows, cols = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"bad header line: {line!r}") from None
+    if rows < 0 or cols < 0:
+        raise ValueError("negative dimensions")
+    return rows, cols
 
 
 def write_pcm(a: BitMatrix) -> str:
     """Canonical text serialization: header line 'rows cols', then one 0/1
-    line per row."""
-    lines = [f"{a.rows} {a.cols}"] + [_format_row(v, a.cols) for v in a.row_ints()]
-    return "\n".join(lines) + "\n"
+    line per row, column 0 first."""
+    rows, cols = a.rows, a.cols
+    head = f"{rows} {cols}\n".encode()
+    width, limit, spec = cols + 1, cols // _DENSE_SPAN, f"0{cols}b"
+    buf = bytearray(b"0") * (len(head) + rows * width)
+    buf[:len(head)] = head
+    buf[len(head) + cols::width] = b"\n" * rows
+    start = len(head)
+    for v in a.row_ints():
+        if v.bit_count() > limit:
+            buf[start:start + cols] = format(v, spec)[::-1].encode()
+        else:
+            while v:
+                low = v & -v
+                buf[start + low.bit_length() - 1] = 49  # ord("1")
+                v ^= low
+        start += width
+    return buf.decode()
 
 
 def parse_pcm(text: str) -> BitMatrix:
     """Parse the text format written by write_pcm. Lines starting with '#'
     are comments; the trailing newline is optional. Row lines of a
-    zero-column matrix are legitimately empty, so blank lines are rows."""
+    zero-column matrix are legitimately empty, so blank lines are rows.
+    Text other than write_pcm's is split into lines, its comments dropped,
+    and read again or refused at its first fault."""
+    at = text.find("\n") + 1 or len(text)  # where the rows start
+    try:
+        rows, cols = _dims(text[:at])
+    except ValueError:
+        pass
+    else:
+        vals = _read_rows(text, at, rows, cols)
+        if vals is not None:
+            return BitMatrix._trusted(rows, cols, vals)
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     lines = [ln for ln in lines if not ln.startswith("#")]
     if not lines:
         raise ValueError("empty matrix file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"bad header line: {lines[0]!r}")
-    try:
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"bad header line: {lines[0]!r}") from None
-    if rows < 0 or cols < 0:
-        raise ValueError("negative dimensions")
-    body = lines[1:]
-    if len(body) != rows:
-        raise ValueError(f"expected {rows} rows, found {len(body)}")
-    return BitMatrix._trusted(rows, cols, [_parse_row(ln, cols) for ln in body])
+    rows, cols = _dims(lines[0])
+    if len(lines) - 1 != rows:
+        raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
+    return BitMatrix.from_strings(lines[1:], cols)

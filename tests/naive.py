@@ -69,6 +69,23 @@ def naive_transpose(h: BitMatrix) -> BitMatrix:
     )
 
 
+def naive_kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """The Kronecker product entry by entry: entry (i*b.rows + j,
+    p*b.cols + q) is a[i][p] * b[j][q]."""
+    x, y = a.to_bits(), b.to_bits()
+    return BitMatrix.from_rows(
+        [[x[i][p] * y[j][q] for p in range(a.cols) for q in range(b.cols)]
+         for i in range(a.rows) for j in range(b.rows)],
+        a.cols * b.cols,
+    )
+
+
+def naive_col_weights(h: BitMatrix) -> list[int]:
+    """Each column's count of ones, one entry at a time."""
+    bits = h.to_bits()
+    return [sum(bits[r][c] for r in range(h.rows)) for c in range(h.cols)]
+
+
 def naive_greedy_rows(h: BitMatrix) -> list[int]:
     """Indices of the rows an ascending scan keeps when it keeps a row
     exactly if it lies outside the span of the rows kept before it."""

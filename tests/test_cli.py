@@ -231,6 +231,55 @@ def test_boundcheck_holds_exit_0(tmp_path, capsys):
     assert sides[0]["bound"] == {"num": 7, "den": 12}
 
 
+def _pair_files(tmp_path, capsys):
+    """q(rep3) as complex JSON, rep2 as a matrix file and as a 2-term
+    complex JSON."""
+    pcm, qfile = tmp_path / "h3.pcm", tmp_path / "q.json"
+    run(capsys, "gen", "rep", "3", "-o", str(pcm))
+    run(capsys, "gen", "q", "--hhat", str(pcm), "-o", str(qfile))
+    rep2, rep2_json = tmp_path / "rep2.pcm", tmp_path / "rep2.json"
+    run(capsys, "gen", "rep", "2", "-o", str(rep2))
+    rep2_json.write_text(complex_to_json(rep_standard(2).complex))
+    return qfile, rep2, rep2_json
+
+
+@pytest.mark.parametrize("command", ["balance", "boundcheck"])
+def test_pair_commands_read_files_as_analyze_does(tmp_path, capsys, command):
+    """A 2-term complex JSON is a classical code for balance and
+    boundcheck, as it is for analyze: same output as its matrix file."""
+    qfile, rep2, rep2_json = _pair_files(tmp_path, capsys)
+    outputs = []
+    for classical in (rep2, rep2_json):
+        out = tmp_path / f"{classical.stem}-{classical.suffix[1:]}.out.json"
+        extra = ["-o", str(out)] if command == "balance" else []
+        code, stdout, err = run(capsys, command, "--json", str(qfile), str(classical), *extra)
+        assert (code, err) == (0, "")
+        record = json.loads(stdout)
+        if extra:  # balance names its output file
+            assert record.pop("out") == str(out)
+        outputs.append((record, out.read_text() if extra else None))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["balance", "boundcheck"])
+def test_pair_commands_name_an_argument_of_the_wrong_kind(tmp_path, capsys, command):
+    qfile, rep2, rep2_json = _pair_files(tmp_path, capsys)
+    out = tmp_path / "out.json"
+    extra = ["-o", str(out)] if command == "balance" else []
+    cases = [
+        ((rep2, rep2), f"error: the quantum argument {rep2} holds a classical code, "
+                       "not a CSS code (a 3-term complex)\n"),
+        ((rep2_json, rep2), f"error: the quantum argument {rep2_json} holds a classical "
+                            "code, not a CSS code (a 3-term complex)\n"),
+        ((qfile, qfile), f"error: the classical argument {qfile} holds a CSS code, "
+                         "not a classical code (a matrix or a 2-term complex)\n"),
+    ]
+    for (quantum, classical), message in cases:
+        code, stdout, err = run(capsys, command, str(quantum), str(classical), *extra)
+        assert (code, stdout, err) == (2, "", message)
+    assert not out.exists()
+
+
 def test_boundcheck_assume_rho_warning(tmp_path, capsys):
     pcm = tmp_path / "h3.pcm"
     run(capsys, "gen", "rep", "3", "-o", str(pcm))

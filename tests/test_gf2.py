@@ -4,8 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from naive import (
+    naive_col_weights,
     naive_greedy_rows,
     naive_kernel,
+    naive_kron,
     naive_parse_row,
     naive_rank,
     naive_rref,
@@ -25,6 +27,8 @@ from cssbalance import (
     row_basis,
     write_pcm,
 )
+from cssbalance import gf2
+from cssbalance.gf2 import _DENSE_SPAN
 from conftest import rand_matrix
 
 H3 = BitMatrix.from_strings(["110", "011"])
@@ -221,6 +225,41 @@ def matrices(draw, max_rows=5, max_cols=5):
     return BitMatrix(len(rows), cols, rows)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(matrices(max_rows=4, max_cols=5), matrices(max_rows=4, max_cols=5))
+@example(BitMatrix.zeros(0, 3), H3)  # no rows on the left
+@example(H3, BitMatrix.zeros(0, 2))  # no rows on the right
+@example(BitMatrix.zeros(2, 0), H3)  # no columns on the left
+@example(H3, BitMatrix.zeros(2, 0))  # no columns on the right
+@example(BitMatrix.from_strings(["111", "101"]), BitMatrix.from_strings(["11", "11"]))
+def test_kron_matches_naive(a, b):
+    assert a.kron(b) == naive_kron(a, b)
+
+
+@st.composite
+def dense_matrices(draw, max_rows=40, max_cols=40):
+    """Rows of uniform random bits: most of them average more ones than
+    col_weights peels, so they go through the bit planes."""
+    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    return rand_matrix(random.Random(draw(st.integers(0, 1 << 32))), rows, cols)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(matrices(max_rows=9, max_cols=8), dense_matrices()))
+@example(BitMatrix.zeros(0, 4))
+@example(BitMatrix.zeros(3, 0))
+@example(BitMatrix(300, 8, [0xFF] * 299 + [0x0F]))  # bit planes, counts past one byte
+def test_col_weights_match_naive(a):
+    assert a.col_weights() == naive_col_weights(a)
+
+
+def test_col_weights_past_two_bytes():
+    """Counts that need 4-byte fields: 70000 rows of five ones go through
+    the bit planes."""
+    a = BitMatrix(70000, 6, [0b011111, 0b111110] * 35000)
+    assert a.col_weights() == naive_col_weights(a) == [35000] + [70000] * 4 + [35000]
+
+
 def _check_rank(a):
     assert a.rank() == naive_rank(a)
 
@@ -355,18 +394,18 @@ def test_parse_pcm_raises_only_value_error(text):
 @st.composite
 def pcm_row_texts(draw):
     """(cols, row lines) with 0 to 3000 columns. A row's count of ones is
-    drawn up to one past the reader's switch (ones * 64 == cols), up to
-    cols, or is cols. Half the time the first row sits at the switch, with
-    ones * 64 within one of cols."""
+    drawn up to one past the reader's switch (ones * _DENSE_SPAN == cols),
+    up to cols, or is cols. Half the time the first row sits at the switch,
+    with ones * _DENSE_SPAN within one of cols."""
     counts = []
     if draw(st.booleans()):
-        k = draw(st.integers(0, 3000 // 64))
-        cols = max(k, 64 * k + draw(st.integers(-1, 1)))
+        k = draw(st.integers(0, 3000 // _DENSE_SPAN))
+        cols = max(k, _DENSE_SPAN * k + draw(st.integers(-1, 1)))
         counts.append(k)
     else:
         cols = draw(st.integers(0, 3000))
     counts += draw(st.lists(st.one_of(
-        st.integers(0, min(cols, cols // 64 + 1)), st.integers(0, cols), st.just(cols),
+        st.integers(0, min(cols, cols // _DENSE_SPAN + 1)), st.integers(0, cols), st.just(cols),
     ), max_size=3))
     rng = random.Random(draw(st.integers(0, 1 << 32)))
     lines = []
@@ -403,3 +442,71 @@ def test_parse_pcm_rejects_bad_rows_by_text(cols):
         with pytest.raises(ValueError) as exc:
             parse_pcm(f"1 {cols}\n{line}\n")
         assert str(exc.value) == f"bad matrix row: {line!r}"
+
+
+# Chunks of a few bytes hold one row or a few, so every row boundary is
+# also a chunk boundary somewhere.
+SMALL_CHUNKS = [1, 4, 9, 23]
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_chunked_reader_matches_character_reader(monkeypatch, rng, chunk):
+    monkeypatch.setattr(gf2, "_CHUNK_BYTES", chunk)
+    for _ in range(40):
+        a = rand_matrix(rng, rng.randint(0, 7), rng.randint(0, 9))
+        text = write_pcm(a)
+        lines = text.split("\n")[1:-1]
+        want = tuple(naive_parse_row(ln, a.cols) for ln in lines)
+        assert parse_pcm(text).row_ints() == want
+        assert BitMatrix.from_strings(lines, a.cols).row_ints() == want
+        if a.rows and a.cols:  # the final newline is optional
+            assert parse_pcm(text[:-1]).row_ints() == want
+        commented = "# head\n" + "\n".join(ln + "\n# between" for ln in text.split("\n")[:-1])
+        assert parse_pcm(commented).row_ints() == want
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_chunked_reader_at_the_dense_switch(monkeypatch, rng, chunk):
+    """Rows with one fewer, as many and one more ones than the switch
+    allows a sparse read, against the character reader."""
+    monkeypatch.setattr(gf2, "_CHUNK_BYTES", chunk)
+    for cols in (_DENSE_SPAN - 1, _DENSE_SPAN, 2 * _DENSE_SPAN, 2 * _DENSE_SPAN + 1):
+        limit = cols // _DENSE_SPAN
+        lines = []
+        for ones in (limit - 1, limit, limit + 1):
+            where = set(rng.sample(range(cols), max(ones, 0)))
+            lines.append("".join("1" if c in where else "0" for c in range(cols)))
+        text = f"{len(lines)} {cols}\n" + "".join(ln + "\n" for ln in lines)
+        a = parse_pcm(text)
+        assert a.row_ints() == tuple(naive_parse_row(ln, cols) for ln in lines)
+        assert write_pcm(a) == text
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_chunked_reader_refuses_by_text(monkeypatch, chunk):
+    """A fault in any chunk, the last included, gives the line reader's
+    error text."""
+    monkeypatch.setattr(gf2, "_CHUNK_BYTES", chunk)
+    rows = ["0110", "1001", "1111", "0000"]
+    for i in range(len(rows)):
+        for bad in ("01x0", "011", "01100", "0\ud8001", "0\uff1100", "01_0"):
+            lines = rows[:i] + [bad] + rows[i + 1:]
+            text = "4 4\n" + "".join(ln + "\n" for ln in lines)
+            for reader in (lambda: parse_pcm(text), lambda: BitMatrix.from_strings(lines, 4)):
+                with pytest.raises(ValueError) as exc:
+                    reader()
+                assert str(exc.value) == f"bad matrix row: {bad!r}"
+    with pytest.raises(ValueError) as exc:
+        parse_pcm("2 4\n0110\n1001\n\n")
+    assert str(exc.value) == "expected 2 rows, found 3"
+
+
+def test_huge_header_fails_before_allocating():
+    """The body's length is checked against the header before anything
+    of the header's size is made."""
+    with pytest.raises(ValueError) as exc:
+        parse_pcm("1000000000000 3\n101\n")
+    assert str(exc.value) == "expected 1000000000000 rows, found 1"
+    with pytest.raises(ValueError) as exc:
+        parse_pcm("1 1000000000000\n101\n")
+    assert str(exc.value) == "bad matrix row: '101'"
