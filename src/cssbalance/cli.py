@@ -32,7 +32,7 @@ from .balance import (
     predicted_params,
 )
 from .chain import ClassicalCode, CssCode, _list_of
-from .constructions import CodeSpec, as_spec, param_table
+from .constructions import GENERATORS, CodeSpec, as_spec, param_table
 from .gf2 import BitMatrix, row_basis
 from .io import load_code, save_classical, save_complex
 from .oracle import (
@@ -76,14 +76,26 @@ def _fraction_arg(text: str) -> Fraction:
         f"{text!r} has a numerator or denominator of more than {MAX_DIGITS} digits")
 
 
+# gen's names for the families whose spec name is longer; gen also has q
+# for q_complex from an --hhat file.
+GEN_ALIASES = {"repmod": "rep_modified", "ldpc": "random_ldpc", "randomcss": "random_css"}
+# The GENERATORS parameters gen fills from its options, not from its sizes.
+GEN_OPTIONS = ("row_w", "col_w", "seed")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
         "--cap", type=int, default=DEFAULT_CAP,
         help=f"enumeration budget per exhaustive scan (default 2^24, min {MIN_CAP})",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized families")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for randomized families")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="machine-readable output")
+    alias = {family: name for name, family in GEN_ALIASES.items()}
+    sizes = {alias.get(family, family): [n for n in names if n not in GEN_OPTIONS]
+             for family, (_, names) in GENERATORS.items()}
 
     parser = argparse.ArgumentParser(
         prog="cssbalance",
@@ -91,19 +103,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a code and write it to a file")
-    p.add_argument("family", choices=["rep", "repmod", "q", "hamming74", "ldpc", "randomcss"])
-    p.add_argument("numbers", nargs="*", type=int,
-                   help="family sizes: rep/repmod l; ldpc t s; randomcss n nx nz")
-    p.add_argument("--hhat", help="matrix file for the q family")
+    p = sub.add_parser("gen", parents=[cap, seed, as_json],
+                       help="generate a code and write it to a file")
+    p.add_argument("family", choices=[*sizes, "q"])
+    p.add_argument("numbers", nargs="*", type=int, help="family sizes: " + "; ".join(
+        " ".join([name, *names]) for name, names in sizes.items() if names))
+    p.add_argument("--hhat", help="classical code file for the q family: a parity-check "
+                                  "matrix or a 2-term complex JSON")
     p.add_argument("--row-w", type=int, default=3, help="ldpc row weight")
     p.add_argument("--col-w", type=int, default=2, help="ldpc column weight cap")
     p.add_argument("-o", "--out", required=True, help="output path")
 
-    p = sub.add_parser("analyze", parents=[common], help="exact parameter report for a code file")
+    p = sub.add_parser("analyze", parents=[cap, as_json],
+                       help="exact parameter report for a code file")
     p.add_argument("path")
 
-    p = sub.add_parser("balance", parents=[common], help="balance a quantum code against a classical one")
+    p = sub.add_parser("balance", parents=[cap, as_json],
+                       help="balance a quantum code against a classical one")
     p.add_argument("quantum", help="CSS code file: a 3-term complex JSON")
     p.add_argument("classical",
                    help="classical code file: a parity-check matrix or a 2-term complex JSON")
@@ -112,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduce-checks", action="store_true",
                    help="drop dependent classical checks instead of refusing them")
 
-    p = sub.add_parser("boundcheck", parents=[common],
+    p = sub.add_parser("boundcheck", parents=[cap, as_json],
                        help="verify the soundness lower bounds on a balanced pair")
     p.add_argument("quantum", help="CSS code file: a 3-term complex JSON")
     p.add_argument("classical",
@@ -121,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use this soundness for both components instead of measuring")
     p.add_argument("--reduce-checks", action="store_true")
 
-    p = sub.add_parser("sweep", parents=[common], help="run a batch of balance+boundcheck instances")
+    p = sub.add_parser("sweep", parents=[cap], help="run a batch of balance+boundcheck instances")
     p.add_argument("job", help="JSON job file listing code spec pairs and seeds")
     p.add_argument("-o", "--out", required=True, help="output CSV path")
     p.add_argument("--timing", action="store_true",
@@ -130,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "that already ran in this sweep reuses that row's fields, "
                         "so its ms is short")
 
-    p = sub.add_parser("table", parents=[common], help="print a parameter formula sheet")
+    p = sub.add_parser("table", parents=[as_json], help="print a parameter formula sheet")
     p.add_argument("scenario")
     p.add_argument("--n", type=int)
     p.add_argument("--t", type=int)
@@ -140,34 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_gen_args(args) -> CodeSpec:
-    nums = args.numbers
-    if args.family in ("rep", "repmod"):
-        if len(nums) != 1:
-            raise ValueError("rep/repmod take one size: l")
-        fam = "rep" if args.family == "rep" else "rep_modified"
-        return CodeSpec(fam, {"l": nums[0]})
-    if args.family == "hamming74":
-        if nums:
-            raise ValueError("hamming74 takes no sizes")
-        return CodeSpec("hamming74")
-    if args.family == "ldpc":
-        if len(nums) != 2:
-            raise ValueError("ldpc takes two sizes: t s")
-        return CodeSpec("random_ldpc", {
-            "t": nums[0], "s": nums[1],
-            "row_w": args.row_w, "col_w": args.col_w, "seed": args.seed,
-        })
-    if args.family == "randomcss":
-        if len(nums) != 3:
-            raise ValueError("randomcss takes three sizes: n nx nz")
-        return CodeSpec("random_css", {
-            "n": nums[0], "n_x": nums[1], "n_z": nums[2], "seed": args.seed,
-        })
     if args.family == "q":
         if not args.hhat:
             raise ValueError("the q family needs --hhat <matrix file>")
         return CodeSpec("q_complex", {"path": args.hhat})
-    raise ValueError(f"unknown family {args.family!r}")
+    family = GEN_ALIASES.get(args.family, args.family)
+    names = GENERATORS[family][1]
+    sizes = [n for n in names if n not in GEN_OPTIONS]
+    if len(args.numbers) != len(sizes):
+        counted = f"{len(sizes)} size{'s' if len(sizes) > 1 else ''}: {' '.join(sizes)}"
+        raise ValueError(f"{args.family} takes {counted if sizes else 'no sizes'}")
+    values = iter(args.numbers)
+    return CodeSpec(family, {n: getattr(args, n) if n in GEN_OPTIONS else next(values)
+                             for n in names})
 
 
 def _report(code, cap: int, provenance: str, as_json: bool) -> CodeReport:
@@ -466,7 +467,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    if args.cap < MIN_CAP:
+    if getattr(args, "cap", MIN_CAP) < MIN_CAP:
         print(f"error: --cap must be at least {MIN_CAP}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -480,7 +481,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .chain import ClassicalCode, CssCode
-from .gf2 import BitMatrix, block, parse_pcm
+from .gf2 import BitMatrix, block
 from .io import load_code
 
 # Draws a random generator makes before it gives up with RuntimeError.
@@ -176,28 +176,27 @@ def random_css(n: int, n_x: int, n_z: int, seed: int) -> CssCode:
     return CssCode._trusted(BitMatrix(n_x, n, hx_rows), h_z)
 
 
-FAMILIES = (
-    "rep",
-    "rep_modified",
-    "q_complex",
-    "hamming74",
-    "random_ldpc",
-    "random_css",
-    "from_file",
-)
+# Each family built from integer parameters: its builder and the names of
+# those parameters in call order. A family whose names include "seed" is
+# seeded, and a spec that leaves the seed out reads 0.
+GENERATORS = {
+    "rep": (rep_standard, ("l",)),
+    "rep_modified": (rep_modified, ("l",)),
+    "hamming74": (hamming74, ()),
+    "random_ldpc": (random_ldpc, ("t", "s", "row_w", "col_w", "seed")),
+    "random_css": (random_css, ("n", "n_x", "n_z", "seed")),
+}
+
+FAMILIES = (*GENERATORS, "q_complex", "from_file")
 
 
 @dataclass(frozen=True)
 class CodeSpec:
     """A buildable description of a code: family name plus parameters.
 
-    Families and parameters:
-      rep, rep_modified: l
-      q_complex: hhat (nested classical CodeSpec) or path (a matrix file)
-      hamming74: none
-      random_ldpc: t, s, row_w, col_w, seed
-      random_css: n, n_x, n_z, seed
-      from_file: path
+    Families: the keys of GENERATORS, plus q_complex and from_file.
+    q_complex takes hhat (a nested classical CodeSpec) or path (a file
+    holding a classical code); from_file takes path.
     """
 
     family: str
@@ -212,7 +211,8 @@ class CodeSpec:
         return f"{self.family}({inner})"
 
     def with_seed(self, seed: int) -> "CodeSpec":
-        if self.family in ("random_ldpc", "random_css"):
+        gen = GENERATORS.get(self.family)
+        if gen is not None and "seed" in gen[1]:
             return CodeSpec(self.family, {**self.params, "seed": seed})
         if self.family == "q_complex" and "hhat" in self.params:
             hhat = as_spec(self.params["hhat"])
@@ -223,32 +223,20 @@ class CodeSpec:
 
     def build(self) -> Union[ClassicalCode, CssCode]:
         p = self.params
-        if self.family == "rep":
-            return rep_standard(_int_param(p, "l"))
-        if self.family == "rep_modified":
-            return rep_modified(_int_param(p, "l"))
-        if self.family == "hamming74":
-            return hamming74()
-        if self.family == "random_ldpc":
-            return random_ldpc(
-                _int_param(p, "t"), _int_param(p, "s"), _int_param(p, "row_w"),
-                _int_param(p, "col_w"), _int_param(p, "seed", 0),
-            )
-        if self.family == "random_css":
-            return random_css(
-                _int_param(p, "n"), _int_param(p, "n_x"), _int_param(p, "n_z"),
-                _int_param(p, "seed", 0),
-            )
-        if self.family == "q_complex":
-            if "hhat" in p:
-                inner = as_spec(p["hhat"]).build()
-                if not isinstance(inner, ClassicalCode):
-                    raise ValueError("q_complex needs a classical inner code")
-                return q_complex(inner.h)
-            return q_complex(parse_pcm(Path(p["path"]).read_text()))
+        gen = GENERATORS.get(self.family)
+        if gen is not None:
+            builder, names = gen
+            args = []
+            for name in names:
+                args.append(_int_param(p, name, 0 if name == "seed" else None))
+            return builder(*args)
         if self.family == "from_file":
             return load_code(Path(p["path"]))
-        raise ValueError(f"unknown family {self.family!r}")
+        # q_complex
+        inner = as_spec(p["hhat"]).build() if "hhat" in p else load_code(Path(p["path"]))
+        if not isinstance(inner, ClassicalCode):
+            raise ValueError("q_complex needs a classical inner code")
+        return q_complex(inner.h)
 
 
 def _int_param(params: dict, name: str, default: Optional[int] = None) -> int:

@@ -8,7 +8,8 @@ codeword or logical operator). Every result is independent of scan order.
 Minimum weights come from one of two exhaustive scans:
 
 - the Gray walk (``_walk``) visits the sums of the subsets of a basis in
-  Gray-code order, one XOR and one popcount per step, keeping a class
+  binary reflected Gray-code order (step i flips the member at the lowest
+  set bit of i), one XOR and one popcount per step, keeping a class
   that tells which words count; classical distance and the
   logical-distance walk both go through it;
 - the coset-leader search (``_levels``) is a breadth-first search from
@@ -103,18 +104,13 @@ def _use_search(
     return search
 
 
-def _gray_flips(m: int):
-    """Flip indices of the binary reflected Gray walk over m-bit masks."""
-    for i in range(1, 1 << m):
-        yield (i & -i).bit_length() - 1
-
-
 def _walk(vals: list[int], masks: list[int]) -> Distance:
     """Minimum weight over the sums of the subsets of vals whose class, the
     XOR of the masks of that subset, is nonzero; INFINITE when no class is.
     A Gray walk over the subsets that stops at weight 1."""
     best, v, cls = INFINITE, 0, 0
-    for j in _gray_flips(len(vals)):
+    for i in range(1, 1 << len(vals)):
+        j = (i & -i).bit_length() - 1
         v ^= vals[j]
         cls ^= masks[j]
         if cls:

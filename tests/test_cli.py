@@ -877,3 +877,128 @@ def test_balance_text_table_marks_a_mismatch(tmp_path, capsys, monkeypatch):
             "dX                     4           4",
             "dZ                     3           3",
         ), "")
+
+
+# gen argv, then the spec it stands for: every gen family but q, each
+# seeded one with and without --seed.
+GEN_CASES = [
+    (["rep", "4"], "rep", {"l": 4}),
+    (["repmod", "4"], "rep_modified", {"l": 4}),
+    (["hamming74"], "hamming74", {}),
+    (["ldpc", "6", "3"], "random_ldpc", {"t": 6, "s": 3, "row_w": 3, "col_w": 2, "seed": 0}),
+    (["ldpc", "6", "3", "--row-w", "2", "--col-w", "3", "--seed", "5"], "random_ldpc",
+     {"t": 6, "s": 3, "row_w": 2, "col_w": 3, "seed": 5}),
+    (["randomcss", "5", "1", "2"], "random_css", {"n": 5, "n_x": 1, "n_z": 2, "seed": 0}),
+    (["randomcss", "5", "1", "2", "--seed", "3"], "random_css",
+     {"n": 5, "n_x": 1, "n_z": 2, "seed": 3}),
+]
+
+
+def test_gen_cases_cover_every_generator():
+    families = {family for _, family, _ in GEN_CASES}
+    aliases = {argv[0] for argv, _, _ in GEN_CASES}
+    assert families == set(constructions.GENERATORS)
+    assert aliases == set(cli.GEN_ALIASES) | (families - set(cli.GEN_ALIASES.values()))
+
+
+@pytest.mark.parametrize("argv, family, params", GEN_CASES)
+def test_gen_alias_matches_its_spec(tmp_path, capsys, argv, family, params):
+    """gen of an alias writes the bytes that io saves for the spec it names,
+    and reports that spec as its provenance."""
+    from cssbalance import io
+
+    out = tmp_path / "gen.out"
+    code, stdout, _ = run(capsys, "gen", *argv, "-o", str(out), "--json")
+    assert code == 0
+    spec = constructions.CodeSpec(family, params)
+    built = spec.build()
+    want = tmp_path / "spec.out"
+    if isinstance(built, ClassicalCode):
+        io.save_classical(built, want)
+    else:
+        io.save_complex(built.complex, want)
+    assert out.read_bytes() == want.read_bytes()
+    assert json.loads(stdout)["provenance"] == spec.describe()
+    unseeded = {k: v for k, v in params.items() if k != "seed"}
+    if params.get("seed") == 0:  # a spec without a seed reads 0
+        assert constructions.CodeSpec(family, unseeded).build() == built
+
+
+@pytest.mark.parametrize("alias, message", [
+    ("rep", "rep takes 1 size: l"),
+    ("repmod", "repmod takes 1 size: l"),
+    ("hamming74", "hamming74 takes no sizes"),
+    ("ldpc", "ldpc takes 2 sizes: t s"),
+    ("randomcss", "randomcss takes 3 sizes: n n_x n_z"),
+])
+def test_gen_wrong_size_count_names_the_sizes(tmp_path, capsys, alias, message):
+    count = len(message.split(":")[1].split()) if ":" in message else 0
+    out = tmp_path / "x"
+    for wrong in {max(count - 1, 0), count + 1} - {count}:
+        code, stdout, err = run(capsys, "gen", alias, *["4"] * wrong, "-o", str(out))
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+
+def test_gen_q_reads_a_two_term_complex(tmp_path, capsys):
+    """--hhat and a q_complex path read a classical code as analyze does:
+    a matrix file or a 2-term complex JSON give the same code; a CSS code
+    is refused by name."""
+    pcm, js = tmp_path / "rep3.pcm", tmp_path / "rep3.json"
+    pcm.write_text(write_pcm(rep_standard(3).h))
+    js.write_text(complex_to_json(rep_standard(3).complex))
+    outs = {}
+    for hhat in (pcm, js):
+        outs[hhat] = tmp_path / f"q_{hhat.suffix[1:]}.json"
+        code, _, err = run(capsys, "gen", "q", "--hhat", str(hhat), "-o", str(outs[hhat]))
+        assert code == 0, err
+    assert outs[pcm].read_bytes() == outs[js].read_bytes()
+
+    csvs = {}
+    for hhat in (pcm, js):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"pairs": [{
+            "quantum": {"family": "q_complex", "params": {"path": str(hhat)}},
+            "classical": {"family": "rep", "params": {"l": 2}}, "seeds": [0, 1]}]}))
+        csvs[hhat] = tmp_path / f"{hhat.suffix[1:]}.csv"
+        assert run(capsys, "sweep", str(job), "-o", str(csvs[hhat]))[0] == 0
+    assert csvs[pcm].read_text() == csvs[js].read_text()
+
+    css = outs[pcm]
+    out = tmp_path / "qq.json"
+    code, stdout, err = run(capsys, "gen", "q", "--hhat", str(css), "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: q_complex needs a classical inner code\n"
+    assert not out.exists()
+    job.write_text(json.dumps({"pairs": [{
+        "quantum": {"family": "q_complex", "params": {"path": str(css)}},
+        "classical": {"family": "rep", "params": {"l": 2}}}]}))
+    code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
+    assert code == 2 and "q_complex needs a classical inner code" in err, err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
+    """--seed belongs to gen only, --json to every command but sweep, and
+    --cap to every command but table."""
+    pcm = tmp_path / "h3.pcm"
+    pcm.write_text(write_pcm(rep_standard(3).h))
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"pairs": [{"quantum": {"family": "random_css", "params": {
+        "n": 4, "n_x": 1, "n_z": 1}}, "classical": {"family": "rep", "params": {"l": 2}}}]}))
+    out = tmp_path / "x.csv"
+    for argv in (["analyze", "--seed", "1", str(pcm)],
+                 ["sweep", str(job), "-o", str(out), "--json"],
+                 ["table", "table4", "--cap", "4096"],
+                 ["table", "table4", "--cap", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+        assert not out.exists()
+    for argv in (["gen", "rep", "3", "-o", str(tmp_path / "r.pcm"), "--cap", "5"],
+                 ["sweep", str(job), "-o", str(out), "--cap", "5"]):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "") and "cap" in err
+        assert not out.exists() and not (tmp_path / "r.pcm").exists()
