@@ -302,9 +302,9 @@ def _pieces(head: str, diffs: Sequence[BitMatrix], tail: str) -> Iterator[str]:
     else:
         for i, d in enumerate(diffs):
             yield '",\n  "' if i else '[\n  "'
-            # pcm text holds only digits, spaces and newlines, so escaping
-            # the newlines makes it its own JSON string.
-            yield write_pcm(d).replace("\n", "\\n")
+            # pcm text holds only digits, spaces and newlines, so with its
+            # newlines written escaped it is its own JSON string.
+            yield write_pcm(d, "\\n")
         yield '"\n ]'
     yield tail
 

@@ -79,8 +79,10 @@ def _fraction_arg(text: str) -> Fraction:
 # gen's names for the families whose spec name is longer; gen also has q
 # for q_complex from an --hhat file.
 GEN_ALIASES = {"repmod": "rep_modified", "ldpc": "random_ldpc", "randomcss": "random_css"}
-# The GENERATORS parameters gen fills from its options, not from its sizes.
-GEN_OPTIONS = ("row_w", "col_w", "seed")
+# The GENERATORS parameters gen fills from its options, not from its sizes,
+# and the value each takes when it is not given. gen refuses an option the
+# family does not read, --hhat included.
+GEN_OPTIONS = {"row_w": 3, "col_w": 2, "seed": 0}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"enumeration budget per exhaustive scan (default 2^24, min {MIN_CAP})",
     )
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="seed for randomized families")
+    seed.add_argument("--seed", type=int, help="seed for randomized families (default 0)")
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument("--json", action="store_true", help="machine-readable output")
     alias = {family: name for name, family in GEN_ALIASES.items()}
@@ -110,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         " ".join([name, *names]) for name, names in sizes.items() if names))
     p.add_argument("--hhat", help="classical code file for the q family: a parity-check "
                                   "matrix or a 2-term complex JSON")
-    p.add_argument("--row-w", type=int, default=3, help="ldpc row weight")
-    p.add_argument("--col-w", type=int, default=2, help="ldpc column weight cap")
+    p.add_argument("--row-w", type=int, help="ldpc row weight (default 3)")
+    p.add_argument("--col-w", type=int, help="ldpc column weight cap (default 2)")
     p.add_argument("-o", "--out", required=True, help="output path")
 
     p = sub.add_parser("analyze", parents=[cap, as_json],
@@ -156,18 +158,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_gen_args(args) -> CodeSpec:
-    if args.family == "q":
-        if not args.hhat:
-            raise ValueError("the q family needs --hhat <matrix file>")
-        return CodeSpec("q_complex", {"path": args.hhat})
     family = GEN_ALIASES.get(args.family, args.family)
-    names = GENERATORS[family][1]
-    sizes = [n for n in names if n not in GEN_OPTIONS]
+    names = ("hhat",) if family == "q" else GENERATORS[family][1]
+    given = {o: getattr(args, o) for o in (*GEN_OPTIONS, "hhat") if getattr(args, o) is not None}
+    for option in given:
+        if option not in names:
+            raise ValueError(f"gen {args.family} does not take --{option.replace('_', '-')}")
+    sizes = [n for n in names if n not in GEN_OPTIONS and n != "hhat"]
     if len(args.numbers) != len(sizes):
         counted = f"{len(sizes)} size{'s' if len(sizes) > 1 else ''}: {' '.join(sizes)}"
         raise ValueError(f"{args.family} takes {counted if sizes else 'no sizes'}")
+    if family == "q":
+        if not args.hhat:
+            raise ValueError("the q family needs --hhat <matrix file>")
+        return CodeSpec("q_complex", {"path": args.hhat})
     values = iter(args.numbers)
-    return CodeSpec(family, {n: getattr(args, n) if n in GEN_OPTIONS else next(values)
+    return CodeSpec(family, {n: given.get(n, GEN_OPTIONS[n]) if n in GEN_OPTIONS else next(values)
                              for n in names})
 
 
@@ -466,7 +472,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    flag = next((a for a in extra if a.startswith("-")), None)
+    if flag is not None:  # named here: parse_args would also list the values after it
+        print(f"error: {args.command} does not take {flag.split('=')[0]}", file=sys.stderr)
+        return EXIT_PARSE
+    if extra:
+        _parser().error(f"unrecognized arguments: {' '.join(extra)}")
     if getattr(args, "cap", MIN_CAP) < MIN_CAP:
         print(f"error: --cap must be at least {MIN_CAP}", file=sys.stderr)
         return EXIT_PARSE

@@ -5,13 +5,17 @@ so XOR is vector addition and ``int.bit_count`` is the Hamming weight. A
 vector is a packed int the same way, and the module has no other vector
 type. All values are immutable after construction and safe to share across
 threads. Every elimination (rank, pivots, kernel, row bases) reads one
-routine, ``BitMatrix._rref``, which gives the reduced echelon form and the
-rows that raised the rank; a matrix keeps that result once computed. It
-inserts the rows in order into an echelon form, then back-substitutes once
-from the highest pivot down, and ``kernel_basis`` reads the set bits of the
-echelon rows once, so on a large sparse matrix the work follows the fill,
-not the square of the rank. The cache is idempotent: two threads racing on
-a first call only repeat the same work and store equal results.
+routine in two stages, and a matrix keeps what it has computed.
+``BitMatrix._forward`` inserts the rows in order into an echelon form; its
+pivots and the rows that raised the rank are all that ``rank``,
+``pivot_columns`` and ``row_basis`` read. ``BitMatrix._rref``
+back-substitutes once from the highest pivot down, resuming from that
+form, and runs only for the readers of the reduced rows: ``kernel_basis``
+and the oracles' soundness and logical searches. ``kernel_basis`` reads
+the set bits of the reduced rows once, so on a large sparse matrix the
+work follows the fill, not the square of the rank. The cache is
+idempotent: two threads racing on a first call only repeat the same work
+and store equal results.
 Empty matrices (0 rows or 0 columns) are legal everywhere and act as the
 empty map.
 """
@@ -29,7 +33,9 @@ _FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 class BitMatrix:
     """A rows x cols matrix over GF(2) with bit-packed rows."""
 
-    # _echelon caches the result of _rref; it takes no part in equality.
+    # _echelon caches the elimination: None, then _forward's result (its
+    # first member a list), then _rref's (a tuple). It takes no part in
+    # equality.
     __slots__ = ("rows", "cols", "_r", "_echelon")
 
     def __init__(self, rows: int, cols: int, row_values: Iterable[int] = ()):
@@ -211,18 +217,18 @@ class BitMatrix:
         return fields.cast(_FIELD_FORMATS[size]).tolist()
 
     def rank(self) -> int:
-        return len(self._rref()[1])
+        return len(self._forward()[2])
 
-    def _rref(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """Reduced row echelon form: (the nonzero rows, their pivot columns,
-        the ascending indices of the rows that raised the rank), computed on
-        first use and kept. Two passes, so the work follows the fill, not
-        rank^2. Insertion reduces each row by the pivot rows kept so far,
-        lowest pivot column first, until it has no bit in a pivot column; a
-        nonzero remainder becomes a pivot row at its lowest set bit.
-        Back-substitution then runs from the highest pivot down and clears
-        the higher pivot columns from each row with their rows, which are
-        already final."""
+    def _forward(self) -> tuple[Sequence[int], tuple[int, ...], tuple[int, ...]]:
+        """The elimination's forward stage: (a table of the pivot rows, their
+        pivot columns ascending, the ascending indices of the rows that
+        raised the rank), computed on first use and kept. Insertion reduces
+        each row by the pivot rows kept so far, lowest pivot column first,
+        until it has no bit in a pivot column; a nonzero remainder becomes
+        the pivot row at its lowest set bit c, table[c]. The pivots and the
+        kept rows are final here: only _rref reads the table. Once _rref
+        has run, this returns its result, whose pivots and kept rows are
+        the same."""
         if self._echelon is not None:
             return self._echelon
         at = [0] * self.cols  # at[c]: the pivot row whose pivot column is c
@@ -239,6 +245,22 @@ class BitMatrix:
                 if len(kept) == self.cols:
                     break
         pivots.sort()
+        forward = (at, tuple(pivots), tuple(kept))
+        object.__setattr__(self, "_echelon", forward)
+        return forward
+
+    def _rref(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Reduced row echelon form: (the nonzero rows, their pivot columns,
+        the ascending indices of the rows that raised the rank), computed on
+        first use and kept. Back-substitution resumes from the forward
+        stage's table, at most once per matrix: it runs from the highest
+        pivot down and clears the higher pivot columns from each row with
+        their rows, which are already final. So the work follows the fill,
+        not rank^2, and no row is inserted twice. It rewrites the table in
+        place: two threads racing here write the same final rows."""
+        at, pivots, kept = echelon = self._echelon or self._forward()
+        if type(at) is tuple:  # reduced already
+            return echelon
         done = 0  # the pivot columns whose rows are final
         for p in reversed(pivots):
             v = at[p]
@@ -246,14 +268,14 @@ class BitMatrix:
                 v ^= at[(hits & -hits).bit_length() - 1]
             at[p] = v
             done |= 1 << p
-        echelon = (tuple(at[p] for p in pivots), tuple(pivots), tuple(kept))
+        echelon = (tuple(at[p] for p in pivots), pivots, kept)
         object.__setattr__(self, "_echelon", echelon)
         return echelon
 
     def pivot_columns(self) -> list[int]:
         """Column indices of the leading ones in reduced row echelon form;
         these columns are independent and span the column space."""
-        return list(self._rref()[1])
+        return list(self._forward()[1])
 
     def kernel_basis(self) -> list[int]:
         """Basis of ker(A) as packed ints; size cols - rank, ordered by
@@ -301,7 +323,7 @@ def block(grid: Sequence[Sequence[BitMatrix]]) -> BitMatrix:
 
 def row_basis(a: BitMatrix) -> BitMatrix:
     """Rows of a that greedily (in ascending order) form a row-space basis."""
-    kept = a._rref()[2]
+    kept = a._forward()[2]
     return BitMatrix._trusted(len(kept), a.cols, [a.row(r) for r in kept])
 
 
@@ -364,16 +386,17 @@ def _dims(line: str) -> tuple[int, int]:
     return rows, cols
 
 
-def write_pcm(a: BitMatrix) -> str:
+def write_pcm(a: BitMatrix, newline: str = "\n") -> str:
     """Canonical text serialization: header line 'rows cols', then one 0/1
-    line per row, column 0 first."""
+    line per row, column 0 first; every line, the header included, ends
+    with newline. With newline "\\n" the text is already the body of a
+    JSON string, so a complex file escapes no second copy of it. One join
+    lays out the header and the zero rows, then each 1 is set in place."""
     rows, cols = a.rows, a.cols
-    head = f"{rows} {cols}\n".encode()
-    width, limit, spec = cols + 1, cols // _DENSE_SPAN, f"0{cols}b"
-    buf = bytearray(b"0") * (len(head) + rows * width)
-    buf[:len(head)] = head
-    buf[len(head) + cols::width] = b"\n" * rows
-    start = len(head)
+    nl = newline.encode()
+    width, limit, spec = cols + len(nl), cols // _DENSE_SPAN, f"0{cols}b"
+    buf = bytearray(nl).join([f"{rows} {cols}".encode(), *[b"0" * cols] * rows, b""])
+    start = len(buf) - rows * width
     for v in a.row_ints():
         if v.bit_count() > limit:
             buf[start:start + cols] = format(v, spec)[::-1].encode()

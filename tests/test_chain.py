@@ -288,6 +288,7 @@ def complexes(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(complexes(), LAYOUTS)
 @example(ChainComplex([2]), None)
+@example(ChainComplex([2], labels=["\u00e9"]), None)  # "diffs": [], a non-ASCII label
 @example(ChainComplex([0, 3, 0], [BitMatrix(3, 0, [0, 0, 0]), BitMatrix(0, 3, [])],
                       ['"', "\\", "\n\u00e9"]), {"k\u2603": {"\"": [1, []]}, "e": {}})
 def test_complex_json_is_json_dumps_byte_for_byte(c, layout):

@@ -980,25 +980,56 @@ def test_gen_q_reads_a_two_term_complex(tmp_path, capsys):
 
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
     """--seed belongs to gen only, --json to every command but sweep, and
-    --cap to every command but table."""
+    --cap to every command but table; any other is refused by its name,
+    not by the file or value that follows it."""
     pcm = tmp_path / "h3.pcm"
     pcm.write_text(write_pcm(rep_standard(3).h))
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"pairs": [{"quantum": {"family": "random_css", "params": {
         "n": 4, "n_x": 1, "n_z": 1}}, "classical": {"family": "rep", "params": {"l": 2}}}]}))
+    qfile = tmp_path / "q.json"
+    run(capsys, "gen", "q", "--hhat", str(pcm), "-o", str(qfile))
     out = tmp_path / "x.csv"
-    for argv in (["analyze", "--seed", "1", str(pcm)],
-                 ["sweep", str(job), "-o", str(out), "--json"],
-                 ["table", "table4", "--cap", "4096"],
-                 ["table", "table4", "--cap", "5"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        captured = capsys.readouterr()
-        assert exc.value.code == 2, argv
-        assert captured.out == "" and "unrecognized arguments" in captured.err
+    for argv, flag in ((["analyze", "--seed", "1", str(pcm)], "--seed"),
+                       (["balance", "--seed", "1", str(qfile), str(pcm), "-o", str(out)],
+                        "--seed"),
+                       (["boundcheck", str(qfile), str(pcm), "--seed=1"], "--seed"),
+                       (["sweep", str(job), "-o", str(out), "--json"], "--json"),
+                       (["table", "table4", "--cap", "4096"], "--cap"),
+                       (["table", "table4", "--cap", "5"], "--cap"),
+                       (["table", "table4", "--cap=5"], "--cap")):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert err == f"error: {argv[0]} does not take {flag}\n"
         assert not out.exists()
+    with pytest.raises(SystemExit) as exc:  # a leftover positional is argparse's to refuse
+        main(["analyze", str(pcm), str(pcm)])
+    assert exc.value.code == 2 and f"unrecognized arguments: {pcm}" in capsys.readouterr().err
     for argv in (["gen", "rep", "3", "-o", str(tmp_path / "r.pcm"), "--cap", "5"],
                  ["sweep", str(job), "-o", str(out), "--cap", "5"]):
         code, stdout, err = run(capsys, *argv)
         assert (code, stdout) == (2, "") and "cap" in err
         assert not out.exists() and not (tmp_path / "r.pcm").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rep", "3", "--seed", "9"], "gen rep does not take --seed"),
+    (["repmod", "4", "--seed", "0"], "gen repmod does not take --seed"),
+    (["hamming74", "--col-w", "0"], "gen hamming74 does not take --col-w"),
+    (["rep", "3", "--row-w", "7", "--hhat", "nothing"], "gen rep does not take --row-w"),
+    (["randomcss", "5", "1", "2", "--row-w", "3"], "gen randomcss does not take --row-w"),
+    (["ldpc", "6", "3", "--hhat", "{pcm}"], "gen ldpc does not take --hhat"),
+    (["q", "--hhat", "{pcm}", "--seed", "0"], "gen q does not take --seed"),
+    (["q", "3", "4", "--hhat", "{pcm}"], "q takes no sizes"),
+])
+def test_gen_refuses_what_the_family_does_not_read(tmp_path, capsys, argv, message):
+    """An option the family does not read, or a size given to q, is a usage
+    error named in full, even at the value it would default to; nothing is
+    written."""
+    pcm = tmp_path / "h3.pcm"
+    pcm.write_text(write_pcm(rep_standard(3).h))
+    out = tmp_path / "x.out"
+    argv = [a.format(pcm=pcm) for a in argv]
+    code, stdout, err = run(capsys, "gen", *argv, "-o", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()

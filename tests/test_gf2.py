@@ -278,20 +278,33 @@ def _check_row_basis(a):
     assert row_basis(a).row_ints() == tuple(a.row(r) for r in naive_greedy_rows(a))
 
 
+def _check_rref(a):
+    rows, pivots = naive_rref(a)
+    assert a._rref() == (tuple(rows), tuple(pivots), tuple(naive_greedy_rows(a)))
+
+
 ELIMINATION_CHECKS = {
     "rank": _check_rank,
     "kernel_basis": _check_kernel_basis,
     "pivot_columns": _check_pivot_columns,
     "row_basis": _check_row_basis,
+    "_rref": _check_rref,
 }
+# The readers that need the back-substituted rows; the others read the
+# forward stage alone.
+REDUCED_READERS = {"kernel_basis", "_rref"}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(matrices(max_rows=9, max_cols=8), st.permutations(sorted(ELIMINATION_CHECKS)))
 @example(BitMatrix.zeros(0, 3), sorted(ELIMINATION_CHECKS))  # no rows
 @example(BitMatrix.zeros(3, 0), sorted(ELIMINATION_CHECKS))  # no columns
+@example(BitMatrix.zeros(0, 0), sorted(ELIMINATION_CHECKS))
 @example(BitMatrix.from_strings(["110", "110", "000", "011"]), sorted(ELIMINATION_CHECKS))
 @example(BitMatrix.from_strings(["10", "01", "11"]), sorted(ELIMINATION_CHECKS))  # rank == cols
+# Rank reaches cols at the second row, before the reduced readers come.
+@example(BitMatrix.from_strings(["10", "01", "11", "10"]),
+         ["rank", "pivot_columns", "row_basis", "kernel_basis", "_rref"])
 # Tall: each later row reduces to zero only after three or four XORs.
 @example(BitMatrix.from_strings(["11000", "01100", "00110", "00011", "11110", "10111",
                                  "01111", "11011", "11101"]), sorted(ELIMINATION_CHECKS))
@@ -302,10 +315,14 @@ ELIMINATION_CHECKS = {
 def test_elimination_matches_naive(a, order):
     """Every method that eliminates agrees with the span-set references,
     whatever the order of the calls on one matrix; an equal matrix built
-    afresh and the transpose, checked in between, share no cached form."""
+    afresh and the transpose, checked in between, share no cached form.
+    The back-substitution runs only once a reader of the reduced rows
+    comes."""
     twin = BitMatrix(a.rows, a.cols, a.row_ints())
-    for name in order:
+    for i, name in enumerate(order):
         ELIMINATION_CHECKS[name](a)
+        reduced = not REDUCED_READERS.isdisjoint(order[:i + 1])
+        assert isinstance(a._echelon[0], tuple) == reduced
         ELIMINATION_CHECKS[name](a.transpose())
     for name in reversed(order):
         ELIMINATION_CHECKS[name](a)
@@ -425,6 +442,21 @@ def test_parse_pcm_matches_character_reader(case):
     a = parse_pcm(text)
     assert a.row_ints() == tuple(naive_parse_row(ln, cols) for ln in lines)
     assert write_pcm(a) == text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(matrices(max_rows=6, max_cols=12),
+                 st.builds(lambda case: BitMatrix.from_strings(case[1], case[0]),
+                           pcm_row_texts())))
+@example(BitMatrix.zeros(0, 0))
+@example(BitMatrix.zeros(0, 4))  # no rows: the header line alone
+@example(BitMatrix.zeros(3, 0))  # no columns: rows of the newline alone
+# One row on each side of the dense switch (ones * _DENSE_SPAN == cols).
+@example(BitMatrix(2, 2 * _DENSE_SPAN, [1 | 1 << _DENSE_SPAN, 0b111 << _DENSE_SPAN]))
+def test_write_pcm_escaped_newline_is_the_replaced_text(a):
+    """The JSON body that a complex file holds, written in one pass, is the
+    pcm text with each newline escaped afterwards."""
+    assert write_pcm(a, "\\n") == write_pcm(a).replace("\n", "\\n")
 
 
 def _bad_rows(cols: int) -> list[str]:
