@@ -5,31 +5,34 @@ arithmetic and reported as an int or a reduced Fraction; no floating point
 is involved anywhere (``math.inf`` only marks the absence of a nonzero
 codeword or logical operator). Every result is independent of scan order.
 
-Minimum weights come from one of two exhaustive scans:
+Minimum weights come from one of two exhaustive scans, both bit-sliced
+(Biham, FSE 1997): a set of the 2^m words of m bits is one int of 2^m
+bits, the words at which a sum of coordinates is odd are an XOR of the
+sets of ``_zeros``, and ``_add`` sums sets into count planes, whose least
+count over a set ``_least`` finds by descent.
 
-- the Gray walk (``_walk``) visits the sums of the subsets of a basis in
-  binary reflected Gray-code order (step i flips the member at the lowest
-  set bit of i), one XOR and one popcount per step, keeping a class
-  that tells which words count; classical distance and the
-  logical-distance walk both go through it;
+- the kernel scan (``_min_weight``) takes all 2^k subsets of a kernel
+  basis at once: bit j of a subset's sum is set when an odd number of
+  its members have bit j set, and the columns add up to weight planes.
+  It holds about k + ceil(log2(n + 1)) + 4 sets of 2^k bits. Classical
+  distance and a logical distance's scan use it;
 - the coset-leader search (``_levels``) is a breadth-first search from
   syndrome 0 whose steps add one column of a check matrix, so the depth of
   a syndrome is the minimum weight of its coset (the standard array of
   MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, ch. 1).
-  It is bit-sliced (Biham, FSE 1997): a set of syndromes is one int of
-  2^rank bits, and a level costs a few big-int operations per column bit.
-  Syndromes are written in a basis with a unit column per row: H's
-  echelon rows for soundness, which sums its checks into weight planes
-  with a bit-sliced adder, and the kernel basis of the other checks for a
-  logical distance. It holds about rank + ceil(log2(s + 1)) + 8 sets.
+  A level costs a few big-int operations per column bit. Syndromes are
+  written in a basis with a unit column per row: H's echelon rows for
+  soundness, which sums its checks into weight planes, and the kernel
+  basis of the other checks for a logical distance. It holds about
+  rank + ceil(log2(s + 1)) + 8 sets.
 
-Classical distance always walks the kernel and soundness always searches
+Classical distance always scans the kernel and soundness always searches
 syndromes. Logical distances take whichever scan is cheaper, comparing
 2^dim(kernel) with 2^rank times the number of columns; the choice is made
 from ranks alone, before any kernel is built or any set allocated.
 
 The enumeration budget is a hard cap on the size of the scan a call
-chooses: 2^dim(kernel) words for a Gray walk, 2^rank syndromes for the
+chooses: 2^dim(kernel) words for a kernel scan, 2^rank syndromes for the
 search. Per scan that is 2^dim ker H for classical distance;
 min(2^dim ker H_Z, 2^(n - rank H_X)) for the X-distance and the same with
 X and Z swapped for the Z-distance; and 2^rank H for soundness.
@@ -39,6 +42,7 @@ X and Z swapped for the Z-distance; and 2^rank H for soundness.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -56,7 +60,7 @@ Distance = Union[int, float]
 class CapExceeded(Exception):
     """Every exhaustive scan that could answer a call is larger than the cap.
 
-    ``words_log2`` is log2 of the Gray walk's size and ``syndromes_log2``
+    ``words_log2`` is log2 of the kernel scan's size and ``syndromes_log2``
     that of the syndrome search, None for a scan the call cannot use;
     ``log2_size`` is the smaller of the two.
     """
@@ -73,7 +77,7 @@ class CapExceeded(Exception):
         self.cap = cap
         self.words_log2 = words_log2
         self.syndromes_log2 = syndromes_log2
-        sizes = ((words_log2, "words (Gray walk)"), (syndromes_log2, "syndromes (BFS)"))
+        sizes = ((words_log2, "words (kernel scan)"), (syndromes_log2, "syndromes (BFS)"))
         self.log2_size = min(k for k, _ in sizes if k is not None)
         needs = [f"2^{k} {kind}" for k, kind in sizes if k is not None]
         power_of_two = cap > 0 and cap & (cap - 1) == 0
@@ -92,65 +96,102 @@ def _use_search(
     syndromes_log2: Optional[int] = None,
     columns: int = 0,
 ) -> bool:
-    """True to search 2^syndromes_log2 syndromes, False to walk
-    2^words_log2 words: the cheaper scan within the cap, with None for a
-    scan the call cannot use. A search costs about 2^syndromes_log2 times
-    its number of generators, at most ``columns``."""
-    walk, search = _fits(words_log2, cap), _fits(syndromes_log2, cap)
-    if walk and search:
+    """True to search 2^syndromes_log2 syndromes, False to scan the
+    2^words_log2 words of a kernel: the cheaper scan within the cap, with
+    None for a scan the call cannot use. A search costs about
+    2^syndromes_log2 times its number of generators, at most ``columns``;
+    its stop at the first depth that holds a logical operator is not
+    priced."""
+    scan, search = _fits(words_log2, cap), _fits(syndromes_log2, cap)
+    if scan and search:
         return columns << syndromes_log2 < 1 << words_log2
-    if not (walk or search):
+    if not (scan or search):
         raise CapExceeded(what, cap, words_log2=words_log2, syndromes_log2=syndromes_log2)
     return search
 
 
-def _walk(vals: list[int], masks: list[int]) -> Distance:
-    """Minimum weight over the sums of the subsets of vals whose class, the
-    XOR of the masks of that subset, is nonzero; INFINITE when no class is.
-    A Gray walk over the subsets that stops at weight 1."""
-    best, v, cls = INFINITE, 0, 0
-    for i in range(1, 1 << len(vals)):
-        j = (i & -i).bit_length() - 1
-        v ^= vals[j]
-        cls ^= masks[j]
-        if cls:
-            w = v.bit_count()
-            if w < best:
-                best = w
-                if best == 1:
-                    break
-    return best
+def _zeros(m: int) -> list[int]:
+    """zeros[i]: the set of the 2^m words c (bit c of an int) whose bit i is
+    0. The top one is the lower half, and each is the one above XOR itself
+    moved up by 2^i."""
+    zeros = [(1 << (1 << m >> 1)) - 1] if m else []
+    for i in reversed(range(m - 1)):
+        zeros.append(zeros[-1] ^ zeros[-1] << (1 << i))
+    zeros.reverse()
+    return zeros
 
 
-def _parity_set(row: int, pivots) -> int:
-    """The set of syndromes c for which row has an odd number of ones at
-    the pivots p_i with bit i of c set, by doubling: a one at p_i
-    complements the upper copy."""
-    fired, width = 0, 1
-    for p in pivots:
-        fired |= (fired ^ ((1 << width) - 1) if row >> p & 1 else fired) << width
-        width <<= 1
+def _odd_set(g: int, zeros, full: int) -> int:
+    """The set of the words at which the sum of their coordinates at the
+    bits of g is odd, given zeros[j], the words whose coordinate j is 0,
+    and full, all words: the XOR of the full ^ zeros[j] for the bits j."""
+    fired = full if g.bit_count() & 1 else 0
+    while g:
+        low = g & -g
+        fired ^= zeros[low.bit_length() - 1]
+        g ^= low
     return fired
 
 
-def _levels(basis, cols: int):
+def _add(planes: list[int], s: int, k: int = 0) -> None:
+    """Add 2^k to the count of every member of the set s. The counts are
+    bit-sliced: planes[k] is the set of the members whose count has bit k
+    set, and there are enough planes for every sum."""
+    while s:
+        planes[k], s = planes[k] ^ s, planes[k] & s
+        k += 1
+
+
+def _least(found: int, planes: list[int]) -> int:
+    """The least count over the nonempty set found: descend the planes from
+    the top, keeping the members with bit k clear whenever there are any."""
+    w = 0
+    for k in reversed(range(len(planes))):
+        low = found ^ (found & planes[k])  # not found & ~plane: no negative int
+        if low:
+            found = low
+        else:
+            w |= 1 << k
+    return w
+
+
+def _min_weight(vals: list[int], low: int = 0) -> Distance:
+    """Minimum weight over the sums of the subsets of vals that take a
+    member at index >= low; INFINITE when there is none. Bit-sliced over
+    all 2^k subsets c at once: bit j of the sums is the parity set of
+    column j of vals, and the adder sums those sets into weight planes.
+    Equal columns share one parity set, and only one is alive at a time."""
+    k = len(vals)
+    if low >= k:
+        return INFINITE
+    zeros, full = _zeros(k), (1 << (1 << k)) - 1
+    columns = {}  # columns[b]: the members with a one at the bit b, as a k-bit int
+    for i, v in enumerate(vals):
+        while v:
+            b = v & -v
+            columns[b] = columns.get(b, 0) | 1 << i
+            v ^= b
+    planes = [0] * len(columns).bit_length()
+    for g, copies in Counter(columns.values()).items():
+        fired = _odd_set(g, zeros, full)
+        for j in range(copies.bit_length()):
+            if copies >> j & 1:
+                _add(planes, fired, j)
+    return _least(full ^ ((1 << (1 << low)) - 1), planes)
+
+
+def _levels(basis, cols: int, zeros: list[int]):
     """Breadth-first search from syndrome 0 over the 2^rank syndromes of
     the independent rows basis (of cols bits each), a step adding one
     column; yields (d, the set of syndromes at depth d) for d = 1, 2, ...
     until every syndrome is reached. Depth is the minimum weight of a word
-    with that syndrome.
+    with that syndrome. zeros is _zeros(rank).
 
     XOR by a column g permutes a set, one block swap per set bit i of g. A
     unit column starts from the level. The others are chained nearest
     first: each starts from the set the previous one made and moves by
     their XOR, or from the level when g alone takes fewer swaps."""
-    # zeros[i]: the syndromes whose bit i is 0. The top one is the lower
-    # half, and each is the one above XOR itself moved up by 2^i.
     rank = len(basis)
-    zeros = [(1 << (1 << rank >> 1)) - 1] if rank else []
-    for i in reversed(range(rank - 1)):
-        zeros.append(zeros[-1] ^ zeros[-1] << (1 << i))
-    zeros.reverse()
     columns = BitMatrix(rank, cols, basis).transpose().row_ints()
     left = set(columns) - {0}
     moves = [(True, g) for g in sorted(left) if g & (g - 1) == 0]
@@ -162,8 +203,14 @@ def _levels(basis, cols: int):
         restart = g.bit_count() <= (g ^ prev).bit_count()
         moves.append((restart, g if restart else g ^ prev))
         prev = g
-    steps = [(restart, [(z, 1 << i) for i, z in enumerate(zeros) if move >> i & 1])
-             for restart, move in moves]
+    steps = []
+    for restart, move in moves:
+        swaps = []  # (zeros[i], 2^i) for each set bit i of the move
+        while move:
+            low = move & -move
+            swaps.append((zeros[low.bit_length() - 1], low))
+            move ^= low
+        steps.append((restart, swaps))
     level, unseen, depth = 1, (1 << (1 << rank)) - 2, 0
     reached = f = 0
     while level and unseen:
@@ -189,8 +236,7 @@ def classical_distance(code: ClassicalCode, cap: int = DEFAULT_CAP) -> Distance:
     if code.rank == code.t:
         return INFINITE
     _use_search("distance", cap, code.t - code.rank)
-    ker = code.h.kernel_basis()
-    return _walk(ker, ker)  # a nonzero kernel word is its own class
+    return _min_weight(code.h.kernel_basis())
 
 
 def classical_soundness(
@@ -217,25 +263,17 @@ def classical_soundness(
     # Syndromes in the coordinates of the echelon rows, which span the row
     # space of H: the depths do not depend on the basis chosen.
     echelon, pivots, _ = h._rref()
+    zeros, full = _zeros(len(pivots)), (1 << (1 << len(pivots))) - 1
     # Row j of H is the sum of the echelon rows i with H[j][pivot_i] = 1,
     # so check j fires on the syndromes of odd parity against those bits.
-    # A bit-sliced adder sums the checks: planes[k] is bit k of |Hx|.
+    # The adder sums the checks: planes[k] is bit k of |Hx|.
     planes = [0] * s.bit_length()
+    at, mask = dict(zip(pivots, zeros)), sum(1 << p for p in pivots)
     for row in h.row_ints():
-        carry = _parity_set(row, pivots)
-        for k, plane in enumerate(planes):
-            if not carry:
-                break
-            planes[k], carry = plane ^ carry, plane & carry
+        _add(planes, _odd_set(row & mask, at, full))
     best_w, best_d = 0, 0
-    for d, found in _levels(echelon, t):
-        w = 0  # the least weight in found: descend the planes from the top
-        for k in reversed(range(len(planes))):
-            low = found & ~planes[k]
-            if low:
-                found = low
-            else:
-                w |= 1 << k
+    for d, found in _levels(echelon, t, zeros):
+        w = _least(found, planes)
         if not best_d or w * best_d < best_w * d:
             best_w, best_d = w, d
     return Fraction(t * best_w, s * best_d)
@@ -275,14 +313,14 @@ def _logical_min_weight(
 
 
 def _logical_walk(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
-    """Gray walk over ker(stab_checks). A word lies in the row space of
-    other_checks exactly when it pairs to zero with every vector of
-    ker(other_checks); the pairings update along the walk, one XOR per
-    step."""
-    probes = other_checks.kernel_basis()
-    vals = stab_checks.kernel_basis()
-    masks = [sum(((b & u).bit_count() & 1) << j for j, u in enumerate(probes)) for b in vals]
-    return _walk(vals, masks)
+    """Kernel scan of ker(stab_checks), which holds the row space of
+    other_checks. Its basis here starts with the independent rows of
+    other_checks, then takes the kernel vectors that raise the rank; a sum
+    lies outside that row space exactly when it takes one of those."""
+    rows = [other_checks.row(r) for r in other_checks._forward()[2]]
+    vals = rows + stab_checks.kernel_basis()
+    both = BitMatrix._trusted(len(vals), stab_checks.cols, vals)
+    return _min_weight([vals[r] for r in both._forward()[2]], len(rows))
 
 
 def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
@@ -294,11 +332,12 @@ def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance
     row fires on it."""
     probes = other_checks.kernel_basis()
     free = sorted(set(range(other_checks.cols)) - set(other_checks._rref()[1]))
-    fires = 0
+    zeros, full = _zeros(len(free)), (1 << (1 << len(free))) - 1
+    at, mask, fires = dict(zip(free, zeros)), sum(1 << f for f in free), 0
     for row in stab_checks._rref()[0]:
-        fires |= _parity_set(row, free)
-    levels = _levels(probes, other_checks.cols)
-    return next((d for d, found in levels if found & ~fires), INFINITE)
+        fires |= _odd_set(row & mask, at, full)
+    levels = _levels(probes, other_checks.cols, zeros)
+    return next((d for d, found in levels if found ^ (found & fires)), INFINITE)
 
 
 def quantum_distance_x(q: CssCode, cap: int = DEFAULT_CAP) -> Distance:

@@ -138,6 +138,21 @@ def naive_distance(h: BitMatrix):
     return min(weights) if weights else INF
 
 
+def naive_min_weight(vals: list[int], low: int):
+    """Minimum weight over the sums of the subsets of vals that take a
+    member at index >= low, one subset at a time; INF when there is none."""
+    best = INF
+    for c in range(1 << len(vals)):
+        if c >> low == 0:
+            continue
+        total = 0
+        for i, v in enumerate(vals):
+            if c >> i & 1:
+                total ^= v
+        best = min(best, total.bit_count())
+    return best
+
+
 def naive_soundness(h: BitMatrix):
     """min over words outside the code of t|Hx| / (s d(x, ker)); None when
     there are no checks or the code is the whole space."""

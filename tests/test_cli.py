@@ -854,7 +854,7 @@ def test_balance_double_text_notes_a_skipped_measurement(tmp_path, capsys):
     argv = ("balance", "--double", *balance_files(tmp_path, 4, 4), "-o", str(out))
     assert run(capsys, *argv) == (0, text_report(
         f"wrote {out}  (n=284, nX=171, nZ=160)",
-        "measurement skipped: X-distance needs 2^136 words (Gray walk) or 2^149 "
+        "measurement skipped: X-distance needs 2^136 words (kernel scan) or 2^149 "
         "syndromes (BFS), cap is 2^24",
     ), "")
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from naive import (
     naive_distance,
+    naive_min_weight,
     naive_quantum_distances,
     naive_soundness,
 )
@@ -41,6 +42,7 @@ from cssbalance import (
 from cssbalance.oracle import (
     _logical_search,
     _logical_walk,
+    _min_weight,
     _use_search,
 )
 from conftest import rand_matrix
@@ -226,14 +228,14 @@ def test_cap_exceeded_names_both_scans():
     with pytest.raises(CapExceeded) as info:
         quantum_distance_z(code, cap=1 << 12)
     assert str(info.value) == (
-        "Z-distance needs 2^29 words (Gray walk) or 2^13 syndromes (BFS), cap is 2^12"
+        "Z-distance needs 2^29 words (kernel scan) or 2^13 syndromes (BFS), cap is 2^12"
     )
     assert (info.value.words_log2, info.value.syndromes_log2) == (29, 13)
     assert info.value.log2_size == 13
     with pytest.raises(CapExceeded) as info:
         classical_soundness(ClassicalCode(BitMatrix.identity(20)), cap=5000)
     assert str(info.value) == "soundness needs 2^20 syndromes (BFS), cap is 5000"
-    with pytest.raises(CapExceeded, match=r"distance needs 2\^29 words \(Gray walk\), cap is 0"):
+    with pytest.raises(CapExceeded, match=r"distance needs 2\^29 words \(kernel scan\), cap is 0"):
         classical_distance(ClassicalCode(BitMatrix.zeros(1, 29)), cap=0)
     with pytest.raises(TypeError):  # the sizes are keyword-only
         CapExceeded("distance", 20, 4096)
@@ -376,6 +378,52 @@ def test_soundness_search_matches_naive(h):
 @example(BitMatrix.from_strings(["1100", "0011", "1111"]))  # dependent rows, duplicate columns
 def test_classical_distance_walk_matches_naive(h):
     assert classical_distance(ClassicalCode(h)) == naive_distance(h)
+
+
+@st.composite
+def subset_bases(draw):
+    """Up to 6 members of up to 8 bits, k = 0 included, with dependent
+    members, zero columns and duplicate columns."""
+    cols = draw(st.integers(0, 8))
+    vals = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=6))
+    if vals and draw(st.booleans()):
+        vals.append(vals[0] ^ vals[-1])  # a dependent member (zero for one member)
+    if draw(st.booleans()):
+        vals = [v << 1 for v in vals]  # a zero column
+    if draw(st.booleans()):
+        vals = [v | (v >> 1 & 1) << (cols + 1) for v in vals]  # column 1 copied
+    return vals
+
+
+@PROPERTY
+@given(subset_bases())
+@example([])  # k = 0
+@example([0b011, 0b011, 0b110])  # a repeated member
+@example([0b1101, 0b0110, 0b1011])  # a dependent member: the sum of the others
+@example([0b0110, 0b0110, 0b1000])  # equal columns 1 and 2, a zero column 0
+@example([0b0111, 0b0111, 0b1000])  # columns 0 to 2 equal: three copies
+def test_min_weight_matches_naive_for_every_low(vals):
+    for low in range(len(vals) + 1):  # low = k leaves no subset: INFINITE
+        assert _min_weight(vals, low) == naive_min_weight(vals, low)
+    assert _min_weight(vals, len(vals)) == INFINITE
+
+
+def test_classical_distance_of_a_2_18_word_kernel():
+    # 14 independent random checks on 32 bits: 2^18 kernel words, six
+    # weight planes. The distance is the one the Gray walk of earlier
+    # releases found.
+    h = rand_matrix(random.Random(20), 14, 32)
+    assert h.rank() == 14
+    assert classical_distance(ClassicalCode(h)) == 5
+
+
+def test_logical_scans_agree_beyond_2_12_words():
+    # q(rep3) x rep3: the Z-distance scans 2^16 kernel words or searches
+    # 2^7 syndromes, the X-distance 2^7 words or 2^16 syndromes.
+    code = distance_balance(q_complex(rep_standard(3).h), rep_standard(3)).code
+    assert code.n - code.h_x.rank() == 16
+    assert _logical_walk(code.h_x, code.h_z) == _logical_search(code.h_x, code.h_z) == 3
+    assert _logical_walk(code.h_z, code.h_x) == _logical_search(code.h_z, code.h_x) == 6
 
 
 @PROPERTY
