@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .chain import ClassicalCode, CssCode
+from .constructions import _check_size
 from .gf2 import BitMatrix, block
 from .oracle import (
     DEFAULT_CAP,
@@ -71,7 +72,9 @@ def _ranges(sizes: list[tuple[str, int]]) -> dict:
 
 
 def distance_balance(q: CssCode, r: ClassicalCode) -> BalancedCode:
-    """Balance q against r; requires independent checks and s <= t."""
+    """Balance q against r; requires independent checks and s <= t. A
+    check matrix over the generators' size limit is a ValueError before
+    anything is built."""
     if r.s > r.t:
         raise ValueError(f"more checks than bits (s = {r.s} > t = {r.t})")
     if not r.independent_checks:
@@ -79,6 +82,8 @@ def distance_balance(q: CssCode, r: ClassicalCode) -> BalancedCode:
             f"classical code has dependent checks (rank {r.rank} < s = {r.s})"
         )
     n, n_x, n_z, t, s = q.n, q.n_x, q.n_z, r.t, r.s
+    _check_size(n_z * t + n * s, n * t + n_x * s)
+    _check_size(n_x * t, n * t + n_x * s)
     eye = BitMatrix.identity
     # H_X' H_Z'^T = [(H_X H_Z^T) (x) I_t | H_X (x) H^T + H_X (x) H^T] = 0.
     h_z = block([[q.h_z.kron(eye(t)), BitMatrix.zeros(n_z * t, n_x * s)],

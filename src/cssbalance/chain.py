@@ -10,15 +10,19 @@ inspected.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .gf2 import BitMatrix, block, parse_pcm, write_pcm
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ChainComplex:
     """An ordered list of differentials with (intended) zero composites."""
 
-    __slots__ = ("spaces", "diffs", "labels")
+    spaces: tuple[int, ...]
+    diffs: tuple[BitMatrix, ...]
+    labels: tuple[str, ...]
 
     def __init__(
         self,
@@ -46,9 +50,6 @@ class ChainComplex:
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "diffs", diffs)
         object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("ChainComplex is immutable")
 
     @property
     def top_grade(self) -> int:
@@ -82,17 +83,6 @@ class ChainComplex:
             if not (self.diffs[i + 1] @ self.diffs[i]).is_zero():
                 return f"nonzero composite at pair (d{g}, d{g - 1})"
         return None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChainComplex)
-            and self.spaces == other.spaces
-            and self.diffs == other.diffs
-            and self.labels == other.labels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spaces, self.diffs, self.labels))
 
     def __repr__(self) -> str:
         arrows = " -> ".join(str(d) for d in self.spaces)
@@ -147,6 +137,7 @@ def homological_product(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     return ChainComplex(spaces, diffs)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CssCode:
     """A quantum CSS code: its check matrices H_X and H_Z, with
     H_X * H_Z^T = 0, and nothing else; two codes are equal when their
@@ -160,7 +151,8 @@ class CssCode:
     ``_trusted``.
     """
 
-    __slots__ = ("h_x", "h_z")
+    h_x: BitMatrix
+    h_z: BitMatrix
 
     def __init__(self, complex: ChainComplex):
         if complex.top_grade != 2:
@@ -181,9 +173,6 @@ class CssCode:
     def _set(self, h_x: BitMatrix, h_z: BitMatrix) -> None:
         object.__setattr__(self, "h_x", h_x)
         object.__setattr__(self, "h_z", h_z)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("CssCode is immutable")
 
     @property
     def complex(self) -> ChainComplex:
@@ -209,28 +198,23 @@ class CssCode:
         _check(code.complex)
         return code
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CssCode) and (self.h_x, self.h_z) == (other.h_x, other.h_z)
-
-    def __hash__(self) -> int:
-        return hash((self.h_x, self.h_z))
-
     def __repr__(self) -> str:
         return f"CssCode(n={self.n}, n_x={self.n_x}, n_z={self.n_z})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ClassicalCode:
-    """A linear code given by its parity-check matrix H (s checks, t bits)."""
+    """A linear code given by its parity-check matrix H (s checks, t bits);
+    two codes are equal when their matrices are."""
 
-    __slots__ = ("h", "t", "s")
+    h: BitMatrix
+    t: int = field(compare=False)
+    s: int = field(compare=False)
 
     def __init__(self, h: BitMatrix):
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "t", h.cols)
         object.__setattr__(self, "s", h.rows)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("ClassicalCode is immutable")
 
     @property
     def rank(self) -> int:
@@ -244,12 +228,6 @@ class ClassicalCode:
     def complex(self) -> ChainComplex:
         """The code as the 2-term complex bits -> checks."""
         return ChainComplex((self.t, self.s), (self.h,))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ClassicalCode) and self.h == other.h
-
-    def __hash__(self) -> int:
-        return hash(self.h)
 
     def __repr__(self) -> str:
         return f"ClassicalCode(t={self.t}, s={self.s})"

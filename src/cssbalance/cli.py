@@ -271,7 +271,7 @@ def cmd_boundcheck(args) -> int:
         for side in result.sides:
             verdict = "holds" if side.holds else "VIOLATED"
             print(f"side {side.side}: measured {side.measured} >= bound {side.bound}: {verdict}")
-        print(f"input component soundness: rhoX={result.rho_x} rhoZ={result.rho_z}")
+        print(f"input component soundness: H_X code {result.rho_x}, H_Z code {result.rho_z}")
         if result.rho_cap is not None:
             within = "within" if result.hypothesis_ok else "outside"
             print(f"soundness {within} min(2n/nZ, 2n/nX) = {result.rho_cap}")
@@ -346,33 +346,34 @@ def _sweep_row(label: str, specs: tuple[CodeSpec, CodeSpec], seed: int, cap: int
 
 
 def _fill_sweep_row(row: dict[str, str], q: CssCode, r: ClassicalCode, cap: int) -> None:
-    """The row's balanced parameters; those that fail to compute stay NA."""
+    """The row's balanced parameters; those that fail to compute stay NA,
+    and all of them when the pair cannot be balanced."""
     try:
         balanced = distance_balance(q, r)
-        row["n"] = str(balanced.code.n)
-        row["K"] = str(quantum_dimension(balanced.code))
-        row["locality"] = str(locality(balanced.code))
-        try:
-            row["dX"] = str(distance_obj(quantum_distance_x(balanced.code, cap)))
-            row["dZ"] = str(distance_obj(quantum_distance_z(balanced.code, cap)))
-        except CapExceeded:
-            pass
-        try:
-            result = _check_balanced(q, r, balanced, cap)
-            x_side, z_side = result.sides
-            row["rhoX_num"], row["rhoX_den"] = (
-                str(x_side.measured.numerator), str(x_side.measured.denominator))
-            row["rhoZ_num"], row["rhoZ_den"] = (
-                str(z_side.measured.numerator), str(z_side.measured.denominator))
-            row["boundX_num"], row["boundX_den"] = (
-                str(x_side.bound.numerator), str(x_side.bound.denominator))
-            row["boundZ_num"], row["boundZ_den"] = (
-                str(z_side.bound.numerator), str(z_side.bound.denominator))
-            row["holdsX"] = "true" if x_side.holds else "false"
-            row["holdsZ"] = "true" if z_side.holds else "false"
-        except (CapExceeded, UndefinedSoundnessError):
-            pass
-    except (CapExceeded, ValueError, RuntimeError):
+    except ValueError:
+        return
+    row["n"] = str(balanced.code.n)
+    row["K"] = str(quantum_dimension(balanced.code))
+    row["locality"] = str(locality(balanced.code))
+    try:  # both distances need the same two scans, so the cap refuses both or neither
+        row["dX"] = str(distance_obj(quantum_distance_x(balanced.code, cap)))
+        row["dZ"] = str(distance_obj(quantum_distance_z(balanced.code, cap)))
+    except CapExceeded:
+        pass
+    try:
+        result = _check_balanced(q, r, balanced, cap)
+        x_side, z_side = result.sides
+        row["rhoX_num"], row["rhoX_den"] = (
+            str(x_side.measured.numerator), str(x_side.measured.denominator))
+        row["rhoZ_num"], row["rhoZ_den"] = (
+            str(z_side.measured.numerator), str(z_side.measured.denominator))
+        row["boundX_num"], row["boundX_den"] = (
+            str(x_side.bound.numerator), str(x_side.bound.denominator))
+        row["boundZ_num"], row["boundZ_den"] = (
+            str(z_side.bound.numerator), str(z_side.bound.denominator))
+        row["holdsX"] = "true" if x_side.holds else "false"
+        row["holdsZ"] = "true" if z_side.holds else "false"
+    except (CapExceeded, UndefinedSoundnessError):
         pass
 
 

@@ -3,19 +3,21 @@
 Matrices store one Python int per row (bit c of row r is ``(row >> c) & 1``),
 so XOR is vector addition and ``int.bit_count`` is the Hamming weight. A
 vector is a packed int the same way, and the module has no other vector
-type. All values are immutable after construction and safe to share across
-threads. Every elimination (rank, pivots, kernel, row bases) reads one
+type. A matrix is a frozen dataclass, immutable after construction and safe
+to share across threads; ``balance``, ``boundcheck`` and ``sweep`` refuse a
+balanced check matrix over the generators' size limit
+(``constructions.MAX_MATRIX_ENTRIES`` entries) before building it, as
+``gen`` does. Every elimination (rank, pivots, kernel, row bases) reads one
 routine in two stages, and a matrix keeps what it has computed.
 ``BitMatrix._forward`` inserts the rows in order into an echelon form; its
 pivots and the rows that raised the rank are all that ``rank``,
 ``pivot_columns`` and ``row_basis`` read. ``BitMatrix._rref``
 back-substitutes once from the highest pivot down, resuming from that
 form, and runs only for the readers of the reduced rows: ``kernel_basis``
-and the oracles' soundness and logical searches. ``kernel_basis`` reads
-the set bits of the reduced rows once, so on a large sparse matrix the
-work follows the fill, not the square of the rank. The cache is
-idempotent: two threads racing on a first call only repeat the same work
-and store equal results.
+and the oracles' soundness search. ``kernel_basis`` reads the set bits of
+the reduced rows once, so on a large sparse matrix the work follows the
+fill, not the square of the rank. The cache is idempotent: two threads
+racing on a first call only repeat the same work and store equal results.
 Empty matrices (0 rows or 0 columns) are legal everywhere and act as the
 empty map.
 """
@@ -23,6 +25,7 @@ empty map.
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 
@@ -30,13 +33,16 @@ from typing import Iterable, Optional, Sequence
 _FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class BitMatrix:
     """A rows x cols matrix over GF(2) with bit-packed rows."""
 
-    # _echelon caches the elimination: None, then _forward's result (its
-    # first member a list), then _rref's (a tuple). It takes no part in
-    # equality.
-    __slots__ = ("rows", "cols", "_r", "_echelon")
+    rows: int
+    cols: int
+    _r: tuple[int, ...]
+    # The elimination cache: None, then _forward's result (its first member
+    # a list), then _rref's (a tuple). It takes no part in equality.
+    _echelon: object = field(default=None, compare=False, hash=False)
 
     def __init__(self, rows: int, cols: int, row_values: Iterable[int] = ()):
         if rows < 0 or cols < 0:
@@ -62,9 +68,6 @@ class BitMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_r", vals)
         object.__setattr__(self, "_echelon", None)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("BitMatrix is immutable")
 
     @classmethod
     def from_rows(cls, bit_rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "BitMatrix":
@@ -119,17 +122,6 @@ class BitMatrix:
 
     def is_zero(self) -> bool:
         return not any(self._r)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._r == other._r
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._r))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"

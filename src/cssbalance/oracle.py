@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .chain import ClassicalCode, CssCode
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, row_basis
 
 DEFAULT_CAP = 1 << 24
 
@@ -317,10 +317,10 @@ def _logical_walk(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
     other_checks. Its basis here starts with the independent rows of
     other_checks, then takes the kernel vectors that raise the rank; a sum
     lies outside that row space exactly when it takes one of those."""
-    rows = [other_checks.row(r) for r in other_checks._forward()[2]]
-    vals = rows + stab_checks.kernel_basis()
-    both = BitMatrix._trusted(len(vals), stab_checks.cols, vals)
-    return _min_weight([vals[r] for r in both._forward()[2]], len(rows))
+    rows = row_basis(other_checks).row_ints()
+    vals = [*rows, *stab_checks.kernel_basis()]
+    both = row_basis(BitMatrix._trusted(len(vals), stab_checks.cols, vals))
+    return _min_weight(list(both.row_ints()), len(rows))
 
 
 def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
@@ -329,12 +329,13 @@ def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance
     rank is n - rank(other_checks). The stabilizer rows lie in that kernel,
     so their coordinates are their bits at the free columns. A word is a
     logical operator exactly when its syndrome is nonzero but no stabilizer
-    row fires on it."""
+    row fires on it; a row basis of the stabilizers fires on the same
+    syndromes as all their rows."""
     probes = other_checks.kernel_basis()
-    free = sorted(set(range(other_checks.cols)) - set(other_checks._rref()[1]))
+    free = sorted(set(range(other_checks.cols)) - set(other_checks.pivot_columns()))
     zeros, full = _zeros(len(free)), (1 << (1 << len(free))) - 1
     at, mask, fires = dict(zip(free, zeros)), sum(1 << f for f in free), 0
-    for row in stab_checks._rref()[0]:
+    for row in row_basis(stab_checks).row_ints():
         fires |= _odd_set(row & mask, at, full)
     levels = _levels(probes, other_checks.cols, zeros)
     return next((d for d, found in levels if found ^ (found & fires)), INFINITE)
@@ -390,7 +391,7 @@ def distance_obj(d):
     return int(d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeReport:
     """Exact analysis record for a classical or quantum code.
 
@@ -398,8 +399,8 @@ class CodeReport:
     ``to_text`` renders the same object as text. Fields skipped because
     their enumeration exceeded the cap are listed in ``incomplete`` and
     read "cap-exceeded"; an undefined soundness reads "undefined", and
-    ``undefined_sides`` names the component sides ("X", "Z") whose
-    soundness is undefined.
+    ``undefined_sides`` names the component codes whose soundness is
+    undefined, "X" for the H_X code and "Z" for the H_Z code.
     """
 
     obj: dict
@@ -417,7 +418,8 @@ class CodeReport:
             if key == "soundness" and self.obj["kind"] == "quantum":
                 key = "soundness (component)"
                 if val == "undefined":
-                    val = f"undefined ({'/'.join(self.undefined_sides)} side)"
+                    codes = "/".join(f"H_{side}" for side in self.undefined_sides)
+                    val = f"undefined ({codes} code)"
             lines.append(f"{key:<22} {val}")
         return "\n".join(lines)
 

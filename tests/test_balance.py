@@ -31,6 +31,7 @@ from cssbalance import (
     random_ldpc,
     rep_standard,
 )
+from cssbalance import constructions
 from cssbalance.balance import _swap
 
 H3 = BitMatrix.from_strings(["110", "011"])
@@ -71,6 +72,33 @@ def test_more_checks_than_bits_refused():
     tall = ClassicalCode(BitMatrix.from_strings(["10", "01", "11"]))
     with pytest.raises(ValueError, match="more checks than bits"):
         distance_balance(q_rep3(), tall)
+
+
+def test_oversized_balanced_code_refused_before_any_kron(monkeypatch):
+    """Both balanced check matrices are checked against the generators'
+    limit, with their message, before any Kronecker product is built."""
+    monkeypatch.setattr(constructions, "MAX_MATRIX_ENTRIES", 100)
+    monkeypatch.setattr(BitMatrix, "kron", lambda *a: pytest.fail("kron ran"))
+    r = rep_standard(2)  # t = 2, s = 1
+    # q(rep3): H_Z' is 12 x 14 = 168 entries, H_X' 4 x 14.
+    with pytest.raises(ValueError, match="a 12 x 14 matrix exceeds the generator limit"):
+        distance_balance(q_rep3(), r)
+    with pytest.raises(ValueError, match="a 12 x 14 matrix"):
+        double_balance(q_rep3(), r)
+    with pytest.raises(ValueError, match="a 12 x 14 matrix"):
+        bound_check(q_rep3(), r)
+    # Four X checks on 3 qubits and no Z checks: H_Z' is 3 x 10 = 30
+    # entries, H_X' 8 x 10 = 80; the limit 50 refuses only H_X'.
+    wide = CssCode.from_check_matrices(BitMatrix.from_strings(["100", "010", "001", "111"]),
+                                       BitMatrix.zeros(0, 3))
+    monkeypatch.setattr(constructions, "MAX_MATRIX_ENTRIES", 50)
+    with pytest.raises(ValueError, match="a 8 x 10 matrix exceeds the generator limit"):
+        distance_balance(wide, r)
+
+
+def test_balanced_code_at_the_size_limit_is_built(monkeypatch):
+    monkeypatch.setattr(constructions, "MAX_MATRIX_ENTRIES", 12 * 14)
+    assert distance_balance(q_rep3(), rep_standard(2)).code.n == 14
 
 
 def test_predicted_matches_measured_small():

@@ -342,3 +342,24 @@ def test_complex_from_json_raises_only_value_error(text):
     except ValueError:
         return
     assert complex_from_json(complex_to_json(c)) == c
+
+
+@pytest.mark.parametrize("value, field", [
+    (H3, "rows"),
+    (ChainComplex((3, 2), (H3,)), "spaces"),
+    (q_complex(H3), "h_x"),
+    (ClassicalCode(H3), "h"),
+], ids=["BitMatrix", "ChainComplex", "CssCode", "ClassicalCode"])
+def test_core_types_are_immutable(value, field):
+    """A field cannot be assigned (FrozenInstanceError is an
+    AttributeError), and no name can be added: the value has no __dict__.
+    CPython's frozen dataclasses with slots raise TypeError for a name that
+    is not a field, through a stale class reference in their __setattr__,
+    so both errors are accepted there."""
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = None
+    assert getattr(value, field) is before
+    assert not hasattr(value, "extra") and not hasattr(value, "__dict__")

@@ -823,7 +823,7 @@ def test_analyze_text_report_names_the_undefined_soundness_side(tmp_path, capsys
     qfile.write_text(complex_to_json(ChainComplex((0, 4, 1), (BitMatrix.zeros(4, 0), h_x))))
     assert run(capsys, "analyze", str(qfile)) == (0, text_report(
         ("kind", "quantum"), ("n", 4), ("K", 3), ("dX", 1), ("dZ", 2), ("locality", 4),
-        ("soundness (component)", "undefined (Z side)"), ("nX", 1), ("nZ", 0),
+        ("soundness (component)", "undefined (H_Z code)"), ("nX", 1), ("nZ", 0),
         ("provenance", f"file:{qfile}"),
     ), "")
 
@@ -834,6 +834,46 @@ def balance_files(tmp_path, l: int, m: int):
     qfile.write_text(complex_to_json(q_complex(rep_standard(l).h).complex))
     rfile.write_text(write_pcm(rep_standard(m).h))
     return str(qfile), str(rfile)
+
+
+def test_analyze_text_report_names_both_undefined_components(tmp_path, capsys):
+    qfile = tmp_path / "q.json"
+    qfile.write_text(complex_to_json(
+        ChainComplex((0, 4, 0), (BitMatrix.zeros(4, 0), BitMatrix.zeros(0, 4)))))
+    _, stdout, _ = run(capsys, "analyze", str(qfile))
+    assert text_report(("soundness (component)", "undefined (H_X/H_Z code)")) in stdout
+
+
+def test_boundcheck_text_names_input_components_by_check_matrix(tmp_path, capsys):
+    """Sides X and Z are the balanced code's; the input's component codes
+    are named by their check matrices."""
+    assert run(capsys, "boundcheck", *balance_files(tmp_path, 3, 2)) == (0, text_report(
+        "side X: measured 7/6 >= bound 7/12: holds",
+        "side Z: measured 7/2 >= bound 7/4: holds",
+        "input component soundness: H_X code 3, H_Z code 2",
+        "soundness within min(2n/nZ, 2n/nX) = 4",
+    ), "")
+
+
+def test_oversized_balanced_code_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    """balance and boundcheck exit 2 with gen's size message and write
+    nothing; a sweep row of the pair reads NA."""
+    monkeypatch.setattr(constructions, "MAX_MATRIX_ENTRIES", 100)
+    qfile, rfile = balance_files(tmp_path, 3, 2)  # H_Z' would be 12 x 14
+    message = "error: a 12 x 14 matrix exceeds the generator limit of 100 entries\n"
+    out = tmp_path / "b.json"
+    for extra in (["--double"], []):
+        assert run(capsys, "balance", *extra, qfile, rfile, "-o", str(out)) == (2, "", message)
+    assert not out.exists()
+    assert run(capsys, "boundcheck", qfile, rfile) == (2, "", message)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"pairs": [{
+        "quantum": {"family": "from_file", "params": {"path": qfile}},
+        "classical": {"family": "from_file", "params": {"path": rfile}},
+    }]}))
+    csv_out = tmp_path / "na.csv"
+    assert run(capsys, "sweep", str(job), "-o", str(csv_out))[0] == 0
+    assert csv_out.read_text().split("\n")[1] == ",".join(["0"] + ["NA"] * 15 + ["0"])
 
 
 def test_balance_text_table(tmp_path, capsys):

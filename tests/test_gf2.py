@@ -17,6 +17,9 @@ from naive import (
 
 from cssbalance import (
     BitMatrix,
+    ChainComplex,
+    ClassicalCode,
+    CssCode,
     block,
     distance_balance,
     double_balance,
@@ -317,7 +320,8 @@ def test_elimination_matches_naive(a, order):
     whatever the order of the calls on one matrix; an equal matrix built
     afresh and the transpose, checked in between, share no cached form.
     The back-substitution runs only once a reader of the reduced rows
-    comes."""
+    comes. The cache takes no part in equality or hashing, of the matrix
+    or of a record built on it."""
     twin = BitMatrix(a.rows, a.cols, a.row_ints())
     for i, name in enumerate(order):
         ELIMINATION_CHECKS[name](a)
@@ -328,6 +332,15 @@ def test_elimination_matches_naive(a, order):
         ELIMINATION_CHECKS[name](a)
         ELIMINATION_CHECKS[name](twin)
     assert a == twin and hash(a) == hash(twin)
+    fresh = BitMatrix(a.rows, a.cols, a.row_ints())
+    assert a._echelon is not None and fresh._echelon is None
+    records = (
+        lambda m: ChainComplex((m.cols, m.rows), (m,)),
+        lambda m: CssCode.from_check_matrices(m, BitMatrix.zeros(0, m.cols)),
+        ClassicalCode,
+    )
+    for record in records:
+        assert record(a) == record(fresh) and hash(record(a)) == hash(record(fresh))
 
 
 def _check_against_gauss_jordan(a):
