@@ -33,7 +33,7 @@ from .balance import (
 )
 from .chain import ClassicalCode, CssCode, _list_of
 from .constructions import GENERATORS, CodeSpec, as_spec, param_table
-from .gf2 import BitMatrix, row_basis
+from .gf2 import _columns, row_basis
 from .io import load_code, save_classical, save_complex
 from .oracle import (
     DEFAULT_CAP,
@@ -284,6 +284,8 @@ SWEEP_HEADER = [
     "boundX_num", "boundX_den", "boundZ_num", "boundZ_den",
     "holdsX", "holdsZ", "ms",
 ]
+# The fields of a row other than seed and ms when none could be computed.
+_NA_FIELDS = ("NA",) * (len(SWEEP_HEADER) - 2)
 
 
 def _normal_form(code) -> tuple:
@@ -296,17 +298,15 @@ def _normal_form(code) -> tuple:
     blocks = (code.h_x, code.h_z) if isinstance(code, CssCode) else (code.h,)
     n = blocks[0].cols
     rows = [v for b in blocks for v in sorted(b.row_ints())]
-    columns = BitMatrix._trusted(len(rows), n, rows).transpose().row_ints()
-    return (n, *(b.rows for b in blocks), tuple(sorted(columns)))
+    return (n, *(b.rows for b in blocks), tuple(sorted(_columns(rows, n))))
 
 
 def _build(spec: CodeSpec, seed: int, fixed: dict, role: int) -> tuple:
     """The code of spec at seed and its normal form. A spec that does not
     depend on the seed is built once per pair: `fixed` keeps its result
     under its role in the pair."""
-    seeded = spec.with_seed(seed)
-    if seeded != spec:
-        code = seeded.build()
+    if spec.seeded:
+        code = spec.build(seed)
         return code, _normal_form(code)
     if role not in fixed:
         code = spec.build()
@@ -320,29 +320,29 @@ def _sweep_row(label: str, specs: tuple[CodeSpec, CodeSpec], seed: int, cap: int
     included, is a ValueError naming the pair and the seed; a random
     generator that finds no valid draw gives an all-NA row. `done` maps
     each pair this sweep has computed, keyed by the normal forms of its two
-    codes, to its fields other than seed and ms; a pair isomorphic to one
-    in it reuses those fields. `fixed` is the pair's store for _build."""
+    codes, to the list of its fields other than seed and ms; a pair
+    isomorphic to one in it reuses that list. `fixed` is the pair's store
+    for _build."""
     start = time.monotonic()
-    row: dict[str, str] = {k: "NA" for k in SWEEP_HEADER}
-    row["seed"] = str(seed)
     try:
         (q, q_form), (r, r_form) = (
             _build(spec, seed, fixed, role) for role, spec in enumerate(specs))
         if not isinstance(q, CssCode) or not isinstance(r, ClassicalCode):
             raise ValueError("a pair needs a quantum spec and a classical spec")
     except RuntimeError:
-        q = r = None
+        fields = _NA_FIELDS
     except (KeyError, TypeError, ValueError, OSError) as exc:
         what = f"missing parameter {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"sweep pair {label}, seed {seed}: {what}") from None
-    if q is not None:
+    else:
         key = (q_form, r_form)
-        if key not in done:
+        fields = done.get(key)
+        if fields is None:
+            row = dict.fromkeys(SWEEP_HEADER[1:-1], "NA")
             _fill_sweep_row(row, q, r, cap)
-            done[key] = {k: row[k] for k in SWEEP_HEADER[1:-1]}
-        row.update(done[key])
-    row["ms"] = str(int((time.monotonic() - start) * 1000)) if timing else "0"
-    return [row[k] for k in SWEEP_HEADER]
+            fields = done[key] = list(row.values())
+    ms = str(int((time.monotonic() - start) * 1000)) if timing else "0"
+    return [str(seed), *fields, ms]
 
 
 def _fill_sweep_row(row: dict[str, str], q: CssCode, r: ClassicalCode, cap: int) -> None:

@@ -120,7 +120,7 @@ def random_ldpc(t: int, s: int, row_w: int, col_w: int, seed: int) -> ClassicalC
             vals.append(v)
         if not ok:
             continue
-        h = BitMatrix(s, t, vals)
+        h = BitMatrix._trusted(s, t, vals)  # chosen columns are below t
         if h.rank() == s:
             return ClassicalCode(h)
     raise RuntimeError(
@@ -158,7 +158,7 @@ def random_css(n: int, n_x: int, n_z: int, seed: int) -> CssCode:
     hz_rows = sample_independent(n, n_z, lambda v: v)
     if hz_rows is None:
         raise RuntimeError("could not sample independent Z-checks")
-    h_z = BitMatrix(n_z, n, hz_rows)
+    h_z = BitMatrix._trusted(n_z, n, hz_rows)  # getrandbits(n) draws
     kernel = h_z.kernel_basis()
 
     def from_kernel(mask: int) -> int:
@@ -173,7 +173,7 @@ def random_css(n: int, n_x: int, n_z: int, seed: int) -> CssCode:
     if hx_rows is None:
         raise RuntimeError("could not sample independent X-checks")
     # Every H_X row is a sum of kernel vectors of H_Z.
-    return CssCode._trusted(BitMatrix(n_x, n, hx_rows), h_z)
+    return CssCode._trusted(BitMatrix._trusted(n_x, n, hx_rows), h_z)
 
 
 # Each family built from integer parameters: its builder and the names of
@@ -210,6 +210,16 @@ class CodeSpec:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.family}({inner})"
 
+    @property
+    def seeded(self) -> bool:
+        """Whether the code this spec builds depends on the seed: a seeded
+        GENERATORS family, or q_complex over such an hhat."""
+        gen = GENERATORS.get(self.family)
+        if gen is not None:
+            return "seed" in gen[1]
+        return (self.family == "q_complex" and "hhat" in self.params
+                and as_spec(self.params["hhat"]).seeded)
+
     def with_seed(self, seed: int) -> "CodeSpec":
         gen = GENERATORS.get(self.family)
         if gen is not None and "seed" in gen[1]:
@@ -221,19 +231,25 @@ class CodeSpec:
                 return CodeSpec(self.family, {**self.params, "hhat": seeded})
         return self
 
-    def build(self) -> Union[ClassicalCode, CssCode]:
+    def build(self, seed: Optional[int] = None) -> Union[ClassicalCode, CssCode]:
+        """The code this spec describes. A given seed stands in for the
+        spec's own in a seeded family and in a q_complex hhat, so
+        build(seed) builds what with_seed(seed).build() does."""
         p = self.params
         gen = GENERATORS.get(self.family)
         if gen is not None:
             builder, names = gen
             args = []
             for name in names:
-                args.append(_int_param(p, name, 0 if name == "seed" else None))
+                if name == "seed" and seed is not None:
+                    args.append(_int_param({name: seed}, name))
+                else:
+                    args.append(_int_param(p, name, 0 if name == "seed" else None))
             return builder(*args)
         if self.family == "from_file":
             return load_code(Path(p["path"]))
         # q_complex
-        inner = as_spec(p["hhat"]).build() if "hhat" in p else load_code(Path(p["path"]))
+        inner = as_spec(p["hhat"]).build(seed) if "hhat" in p else load_code(Path(p["path"]))
         if not isinstance(inner, ClassicalCode):
             raise ValueError("q_complex needs a classical inner code")
         return q_complex(inner.h)

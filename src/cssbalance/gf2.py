@@ -16,8 +16,9 @@ back-substitutes once from the highest pivot down, resuming from that
 form, and runs only for the readers of the reduced rows: ``kernel_basis``
 and the oracles' soundness search. ``kernel_basis`` reads the set bits of
 the reduced rows once, so on a large sparse matrix the work follows the
-fill, not the square of the rank. The cache is idempotent: two threads
-racing on a first call only repeat the same work and store equal results.
+fill, not the square of the rank, and keeps the basis with them. The
+cache is idempotent: two threads racing on a first call only repeat the
+same work and store equal results.
 Empty matrices (0 rows or 0 columns) are legal everywhere and act as the
 empty map.
 """
@@ -41,7 +42,8 @@ class BitMatrix:
     cols: int
     _r: tuple[int, ...]
     # The elimination cache: None, then _forward's result (its first member
-    # a list), then _rref's (a tuple). It takes no part in equality.
+    # a list), then _rref's (a tuple), to which kernel_basis appends the
+    # kernel basis as a fourth member. It takes no part in equality.
     _echelon: object = field(default=None, compare=False, hash=False)
 
     def __init__(self, rows: int, cols: int, row_values: Iterable[int] = ()):
@@ -134,13 +136,7 @@ class BitMatrix:
         )
 
     def transpose(self) -> "BitMatrix":
-        cols = [0] * self.cols
-        for r, v in enumerate(self._r):
-            while v:
-                low = v & -v
-                cols[low.bit_length() - 1] |= 1 << r
-                v ^= low
-        return BitMatrix._trusted(self.cols, self.rows, cols)
+        return BitMatrix._trusted(self.cols, self.rows, _columns(self._r, self.cols))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
@@ -220,7 +216,7 @@ class BitMatrix:
         the pivot row at its lowest set bit c, table[c]. The pivots and the
         kept rows are final here: only _rref reads the table. Once _rref
         has run, this returns its result, whose pivots and kept rows are
-        the same."""
+        the same (and kernel_basis's, which appends the kernel)."""
         if self._echelon is not None:
             return self._echelon
         at = [0] * self.cols  # at[c]: the pivot row whose pivot column is c
@@ -250,9 +246,10 @@ class BitMatrix:
         their rows, which are already final. So the work follows the fill,
         not rank^2, and no row is inserted twice. It rewrites the table in
         place: two threads racing here write the same final rows."""
-        at, pivots, kept = echelon = self._echelon or self._forward()
+        echelon = self._echelon or self._forward()
+        at, pivots, kept = echelon[:3]
         if type(at) is tuple:  # reduced already
-            return echelon
+            return echelon[:3]
         done = 0  # the pivot columns whose rows are final
         for p in reversed(pivots):
             v = at[p]
@@ -273,8 +270,12 @@ class BitMatrix:
         """Basis of ker(A) as packed ints; size cols - rank, ordered by
         ascending free column. Built from the nonzeros of the echelon rows:
         each set bit f of the row with pivot p puts p in the vector of free
-        column f, which also has its unit at f."""
-        work, pivots, _ = self._rref()
+        column f, which also has its unit at f. Built once per matrix and
+        kept with the reduced rows; each call returns a new list."""
+        echelon = self._echelon
+        if echelon is not None and len(echelon) == 4:
+            return list(echelon[3])
+        work, pivots, kept = self._rref()
         at = [0] * self.cols  # at[f]: the pivots of the rows with a bit at f
         mask = 0
         for v, p in zip(work, pivots):
@@ -284,7 +285,21 @@ class BitMatrix:
                 at[low.bit_length() - 1] |= 1 << p
                 v ^= low
             mask |= 1 << p
-        return [at[f] | 1 << f for f in range(self.cols) if not mask >> f & 1]
+        basis = [at[f] | 1 << f for f in range(self.cols) if not mask >> f & 1]
+        object.__setattr__(self, "_echelon", (work, pivots, kept, tuple(basis)))
+        return basis
+
+
+def _columns(row_values: Sequence[int], cols: int) -> list[int]:
+    """The columns of the matrix with these rows of cols bits, each as a
+    packed int whose bit r is row r's bit: the rows of the transpose."""
+    out = [0] * cols
+    for r, v in enumerate(row_values):
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] |= 1 << r
+            v ^= low
+    return out
 
 
 def block(grid: Sequence[Sequence[BitMatrix]]) -> BitMatrix:

@@ -42,7 +42,6 @@ X and Z swapped for the Z-distance; and 2^rank H for soundness.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -171,8 +170,11 @@ def _min_weight(vals: list[int], low: int = 0) -> Distance:
             b = v & -v
             columns[b] = columns.get(b, 0) | 1 << i
             v ^= b
+    counts = {}  # counts[g]: the number of columns equal to g
+    for g in columns.values():
+        counts[g] = counts.get(g, 0) + 1
     planes = [0] * len(columns).bit_length()
-    for g, copies in Counter(columns.values()).items():
+    for g, copies in counts.items():
         fired = _odd_set(g, zeros, full)
         for j in range(copies.bit_length()):
             if copies >> j & 1:
@@ -192,7 +194,7 @@ def _levels(basis, cols: int, zeros: list[int]):
     first: each starts from the set the previous one made and moves by
     their XOR, or from the level when g alone takes fewer swaps."""
     rank = len(basis)
-    columns = BitMatrix(rank, cols, basis).transpose().row_ints()
+    columns = BitMatrix._trusted(rank, cols, basis).transpose().row_ints()
     left = set(columns) - {0}
     moves = [(True, g) for g in sorted(left) if g & (g - 1) == 0]
     left.difference_update(g for _, g in moves)
@@ -408,7 +410,9 @@ class CodeReport:
     undefined_sides: tuple[str, ...] = ()
 
     def to_obj(self) -> dict:
-        return self.obj
+        """A new copy of the record's object, nested objects included, so
+        that changing it leaves the report as it was."""
+        return {k: dict(v) if isinstance(v, dict) else v for k, v in self.obj.items()}
 
     def to_text(self) -> str:
         lines = []

@@ -447,6 +447,44 @@ def test_sweep_computes_each_distinct_pair_once(tmp_path, capsys, monkeypatch):
         assert [line] == alone, seed
 
 
+def test_sweep_of_a_seeded_q_complex_is_its_one_seed_jobs(tmp_path, capsys):
+    """Both codes of the pair are drawn per seed, the quantum one through a
+    q_complex hhat: the sweep's rows are the rows of its one-seed jobs."""
+    def ldpc(s):
+        return {"family": "random_ldpc", "params": {"t": 3, "s": s, "row_w": 2, "col_w": 2}}
+
+    pair = {"quantum": {"family": "q_complex", "params": {"hhat": ldpc(1)}}, "classical": ldpc(2)}
+    seeds = [0, 3, 1, 3, 2, 5, 0, 4]
+    lines = sweep_lines(capsys, tmp_path, [{**pair, "seeds": seeds}])
+    assert len({line.split(",", 1)[1] for line in lines}) > 2  # classes, not just seeds
+    alone = [line for seed in seeds
+             for line in sweep_lines(capsys, tmp_path, [{**pair, "seeds": [seed]}])]
+    assert lines == alone
+
+
+def test_balance_builds_each_kernel_basis_once(tmp_path, capsys, monkeypatch):
+    """One balance of q(rep3) x rep4 builds no kernel basis twice: the
+    X-distance's kernel scan and the Z-distance's syndrome search both ask
+    for the balanced H_Z's, and the second gets the kept one."""
+    qfile, rfile = tmp_path / "q.json", tmp_path / "r.pcm"
+    qfile.write_text(complex_to_json(q_complex(rep_standard(3).h).complex))
+    rfile.write_text(write_pcm(rep_standard(4).h))
+    asked = []
+    kernel_basis = BitMatrix.kernel_basis
+
+    def spy(m):
+        built = m._echelon is None or len(m._echelon) < 4
+        asked.append((m, built))
+        return kernel_basis(m)
+
+    monkeypatch.setattr(BitMatrix, "kernel_basis", spy)
+    code, out, _ = run(capsys, "balance", str(qfile), str(rfile), "-o", str(tmp_path / "b.json"))
+    assert code == 0 and "MISMATCH" not in out
+    built = [id(m) for m, fresh in asked if fresh]
+    assert len(built) == len(set(built)) == len({id(m) for m, _ in asked})
+    assert len(asked) > len(built)
+
+
 def test_sweep_builds_a_seed_independent_quantum_spec_once(tmp_path, capsys, monkeypatch):
     """A q_complex spec over a seed-independent inner spec is built once per
     pair; over a random inner spec, once per seed."""

@@ -167,6 +167,91 @@ def test_code_spec_round_trip():
         CodeSpec("bogus")
 
 
+def _outcome(build):
+    """What build() gives: its code, or the type and text of its error."""
+    try:
+        return build()
+    except Exception as exc:  # the error is the outcome here
+        return type(exc), str(exc)
+
+
+LDPC = {"t": 6, "s": 3, "row_w": 3, "col_w": 2}
+# Specs of every family that builds from params, seeded and not.
+GOOD_SPECS = [
+    CodeSpec("rep", {"l": 3}),
+    CodeSpec("rep_modified", {"l": 4}),
+    CodeSpec("hamming74"),
+    CodeSpec("random_ldpc", LDPC),
+    CodeSpec("random_ldpc", {**LDPC, "seed": 7}),
+    CodeSpec("random_css", {"n": 5, "n_x": 1, "n_z": 2}),
+    CodeSpec("random_css", {"n": 4, "n_x": 1, "n_z": 1, "seed": 3}),
+    CodeSpec("q_complex", {"hhat": {"family": "rep", "params": {"l": 3}}}),
+    CodeSpec("q_complex", {"hhat": {"family": "random_ldpc", "params": LDPC}}),
+    CodeSpec("q_complex", {"hhat": CodeSpec("random_ldpc", {**LDPC, "seed": 2})}),
+]
+# Specs that fail to build, one for each way a build can fail.
+BAD_SPECS = [
+    CodeSpec("rep", {"l": 1}),
+    CodeSpec("random_ldpc", {**LDPC, "row_w": 9}),
+    CodeSpec("random_css", {"n": 4, "n_x": 1}),
+    CodeSpec("random_css", {"n": 4.0, "n_x": 1, "n_z": 1}),
+    CodeSpec("q_complex", {"hhat": {"family": "random_ldpc", "params": {**LDPC, "s": 9}}}),
+    CodeSpec("q_complex", {"hhat": {"family": "random_css", "params": {"n": 3, "n_x": 1, "n_z": 1}}}),
+    CodeSpec("q_complex", {"hhat": "rep"}),
+]
+BUILD_SPECS = GOOD_SPECS + BAD_SPECS
+
+
+def test_build_with_a_seed_is_with_seed_then_build(monkeypatch):
+    """build(seed) gives what with_seed(seed).build() gives, the same code
+    or the same error, for every family; also when no draw is found."""
+    assert {spec.family for spec in BUILD_SPECS} >= {*constructions.GENERATORS, "q_complex"}
+    for seed in range(50):
+        for spec in BUILD_SPECS:
+            want = _outcome(lambda: spec.with_seed(seed).build())
+            assert _outcome(lambda: spec.build(seed)) == want, (spec, seed)
+    # A seed that is not an int is refused by name, as a seed param is.
+    ldpc = CodeSpec("random_ldpc", LDPC)
+    assert _outcome(lambda: ldpc.build(True)) == _outcome(lambda: ldpc.with_seed(True).build())
+    monkeypatch.setattr(constructions, "MAX_RESAMPLES", 0)
+    for spec in GOOD_SPECS:
+        want = _outcome(lambda: spec.with_seed(1).build())
+        assert _outcome(lambda: spec.build(1)) == want, spec
+        assert spec.seeded == (type(want) is tuple and want[0] is RuntimeError), spec
+
+
+def test_code_spec_seeded():
+    """seeded says whether the built code depends on the seed."""
+    seeded = {
+        "rep": False, "rep_modified": False, "hamming74": False,
+        "random_ldpc": True, "random_css": True, "from_file": False,
+    }
+    assert set(seeded) | {"q_complex"} == set(constructions.FAMILIES)
+    for family, want in seeded.items():
+        assert CodeSpec(family).seeded == want, family
+    for hhat, want in (({"family": "rep", "params": {"l": 3}}, False),
+                       ({"family": "random_ldpc", "params": LDPC}, True),
+                       (CodeSpec("random_css"), True),
+                       ({"family": "from_file", "params": {"path": "h.pcm"}}, False)):
+        assert CodeSpec("q_complex", {"hhat": hhat}).seeded == want, hhat
+    assert not CodeSpec("q_complex", {"path": "h.pcm"}).seeded
+    for spec in GOOD_SPECS:
+        assert spec.seeded == (spec.with_seed(1).build() != spec.with_seed(2).build()), spec
+
+
+def test_random_draws_are_pinned():
+    """The packed rows the random generators draw for a few seeds, fixed so
+    that a change to how a matrix is built cannot move a draw."""
+    css = {0: ((28,), (27, 12)), 1: ((26,), (4, 18)), 2: ((31,), (30, 27)),
+           3: ((19,), (7, 18)), 4: ((22,), (7, 9))}
+    for seed, (h_x, h_z) in css.items():
+        code = random_css(5, 1, 2, seed)
+        assert (code.h_x.row_ints(), code.h_z.row_ints()) == (h_x, h_z), seed
+    ldpc = {0: (9, 24, 20), 1: (16, 4, 8), 2: (1, 4, 32), 3: (16, 14, 49), 4: (4, 32, 10)}
+    for seed, h in ldpc.items():
+        assert random_ldpc(6, 3, 3, 2, seed).h.row_ints() == h, seed
+
+
 def test_param_table_table4():
     record = param_table("table4", n=10, t=5)
     cols = record["columns"]

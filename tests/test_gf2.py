@@ -78,6 +78,19 @@ def test_kernel_basis_examples():
     assert len(BitMatrix.zeros(2, 3).kernel_basis()) == 3
 
 
+def test_kernel_basis_is_kept_but_returned_afresh():
+    """The basis is built once per matrix and kept with the reduced rows;
+    a caller that changes the list it got changes no later answer."""
+    a = BitMatrix.from_strings(["1100", "0110"])
+    first = a.kernel_basis()
+    assert len(a._echelon) == 4 and len(a._rref()) == 3
+    want = list(first)
+    first.append(1)
+    first[0] = 0
+    second = a.kernel_basis()
+    assert second == want and second is not a.kernel_basis()
+
+
 def test_rank_nullity(rng):
     for _ in range(50):
         a = rand_matrix(rng, rng.randint(0, 8), rng.randint(0, 10))

@@ -284,6 +284,19 @@ def test_classical_report_json_shape():
     }
 
 
+def test_report_object_is_a_copy():
+    """Changing what to_obj returns, a nested soundness object included,
+    changes neither the text nor a later to_obj."""
+    report = analyze_classical(rep_standard(3), provenance="rep(3)")
+    text, obj = report.to_text(), report.to_obj()
+    changed = report.to_obj()
+    changed["n"] = 99
+    changed["soundness"]["num"] = 7
+    del changed["kind"]
+    assert report.to_text() == text and "n                      3" in text
+    assert report.to_obj() == obj and obj["soundness"] == {"num": 3, "den": 2}
+
+
 def test_quantum_report_json_shape():
     report = analyze_quantum(q_complex(H3), provenance="q")
     obj = report.to_obj()
