@@ -5,26 +5,32 @@ arithmetic and reported as an int or a reduced Fraction; no floating point
 is involved anywhere (``math.inf`` only marks the absence of a nonzero
 codeword or logical operator). Every result is independent of scan order.
 
-Minimum weights come from one of two exhaustive scans, both bit-sliced
-(Biham, FSE 1997): a set of the 2^m words of m bits is one int of 2^m
-bits, the words at which a sum of coordinates is odd are an XOR of the
-sets of ``_zeros``, and ``_add`` sums sets into count planes, whose least
-count over a set ``_least`` finds by descent.
+Minimum weights come from exhaustive scans, all bit-sliced (Biham, FSE
+1997): a set of the 2^m words of m bits is one int of 2^m bits, the words
+at which a sum of coordinates is odd are an XOR of the sets of ``_zeros``,
+and ``_add`` sums sets into count planes, whose least count over a set
+``_least`` finds by descent.
 
 - the kernel scan (``_min_weight``) takes all 2^k subsets of a kernel
   basis at once: bit j of a subset's sum is set when an odd number of
   its members have bit j set, and the columns add up to weight planes.
   It holds about k + ceil(log2(n + 1)) + 4 sets of 2^k bits. Classical
   distance and a logical distance's scan use it;
-- the coset-leader search (``_levels``) is a breadth-first search from
-  syndrome 0 whose steps add one column of a check matrix, so the depth of
-  a syndrome is the minimum weight of its coset (the standard array of
-  MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, ch. 1).
-  A level costs a few big-int operations per column bit. Syndromes are
-  written in a basis with a unit column per row: H's echelon rows for
-  soundness, which sums its checks into weight planes, and the kernel
-  basis of the other checks for a logical distance. It holds about
-  rank + ceil(log2(s + 1)) + 8 sets.
+- the syndrome scans find the depth of each syndrome, the minimum weight
+  of its coset (the standard array of MacWilliams & Sloane, *The Theory
+  of Error-Correcting Codes*, ch. 1). Syndromes are written in a basis
+  with a unit column per row, and XOR by a column permutes a set of
+  syndromes, a block swap per set bit of the column. Soundness needs
+  every depth: ``_depths`` starts each at the weight of the syndrome, the
+  cost of the unit columns, and relaxes it once by each other column
+  (depth(c) <- 1 + depth(c ^ g) where less) in P = ceil(log2(rank + 1))
+  depth planes. It works in H's echelon coordinates and holds about
+  rank + 2P + 8 sets while it relaxes; the s checks are summed into weight
+  planes after it, and that stage holds about rank + ceil(log2(s + 1)) +
+  P + 5. A logical distance stops at the first depth that holds a logical
+  operator, so it runs the breadth-first search ``_levels`` from syndrome
+  0, whose steps add one column, in the coordinates of the kernel basis
+  of the other checks; it holds about rank + 8 sets.
 
 Classical distance always scans the kernel and soundness always searches
 syndromes. Logical distances take whichever scan is cheaper, comparing
@@ -182,20 +188,38 @@ def _min_weight(vals: list[int], low: int = 0) -> Distance:
     return _least(full ^ ((1 << (1 << low)) - 1), planes)
 
 
+def _swaps(move: int, zeros: list[int]) -> list[tuple[int, int]]:
+    """XOR by move permutes a set of syndromes, one block swap per set bit
+    i of move: (zeros[i], 2^i), the members to move up by 2^i and the
+    distance; the members with bit i set move down by the same."""
+    swaps = []
+    while move:
+        low = move & -move
+        swaps.append((zeros[low.bit_length() - 1], low))
+        move ^= low
+    return swaps
+
+
+def _columns(basis, cols: int) -> list[int]:
+    """The columns of the independent rows basis (of cols bits each), each
+    as a rank-bit int."""
+    return BitMatrix._trusted(len(basis), cols, basis).transpose().row_ints()
+
+
 def _levels(basis, cols: int, zeros: list[int]):
     """Breadth-first search from syndrome 0 over the 2^rank syndromes of
     the independent rows basis (of cols bits each), a step adding one
     column; yields (d, the set of syndromes at depth d) for d = 1, 2, ...
     until every syndrome is reached. Depth is the minimum weight of a word
-    with that syndrome. zeros is _zeros(rank).
+    with that syndrome. zeros is _zeros(rank). The logical-distance search
+    uses it because it stops at the first depth that holds a logical
+    operator; soundness needs every depth and takes them from _depths.
 
-    XOR by a column g permutes a set, one block swap per set bit i of g. A
-    unit column starts from the level. The others are chained nearest
+    A unit column starts from the level. The others are chained nearest
     first: each starts from the set the previous one made and moves by
     their XOR, or from the level when g alone takes fewer swaps."""
     rank = len(basis)
-    columns = BitMatrix._trusted(rank, cols, basis).transpose().row_ints()
-    left = set(columns) - {0}
+    left = set(_columns(basis, cols)) - {0}
     moves = [(True, g) for g in sorted(left) if g & (g - 1) == 0]
     left.difference_update(g for _, g in moves)
     prev = 0
@@ -205,14 +229,7 @@ def _levels(basis, cols: int, zeros: list[int]):
         restart = g.bit_count() <= (g ^ prev).bit_count()
         moves.append((restart, g if restart else g ^ prev))
         prev = g
-    steps = []
-    for restart, move in moves:
-        swaps = []  # (zeros[i], 2^i) for each set bit i of the move
-        while move:
-            low = move & -move
-            swaps.append((zeros[low.bit_length() - 1], low))
-            move ^= low
-        steps.append((restart, swaps))
+    steps = [(restart, _swaps(move, zeros)) for restart, move in moves]
     level, unseen, depth = 1, (1 << (1 << rank)) - 2, 0
     reached = f = 0
     while level and unseen:
@@ -226,6 +243,43 @@ def _levels(basis, cols: int, zeros: list[int]):
         unseen ^= level
         depth += 1
         yield depth, level
+
+
+def _depths(basis, cols: int, zeros: list[int], full: int) -> list[int]:
+    """The depths of the 2^rank syndromes of the echelon rows basis (of cols
+    bits each), bit-sliced: planes[k] is the set of the syndromes whose
+    depth, the minimum weight of a word with that syndrome, has bit k set.
+    zeros is _zeros(rank) and full the set of all syndromes.
+
+    Every unit syndrome is a pivot column, so the depth starts as the
+    weight of the syndrome. Each distinct column g that is neither zero nor
+    a unit then relaxes depth(c) to 1 + depth(c ^ g) where that is less,
+    which leaves depth(c) = min over the subsets S of those columns of
+    |S| + weight(c ^ sum(S)). Depths are at most rank, so rank.bit_length()
+    planes hold them; a carry out of the increment is a value above rank,
+    which never wins."""
+    rank = len(basis)
+    planes = [0] * rank.bit_length()
+    for z in zeros:
+        _add(planes, full ^ z)
+    for g in sorted({g for g in _columns(basis, cols) if g & (g - 1)}):
+        swaps = _swaps(g, zeros)
+        moved = []
+        carry = full  # depth(c ^ g) + 1, one plane at a time
+        for p in planes:
+            for z, k in swaps:
+                p = (p & z) << k | (p >> k) & z
+            moved.append(p ^ carry)
+            carry &= p
+        less, same = 0, full ^ carry  # where moved < planes, read from the top
+        for k in reversed(range(len(planes))):
+            a, b = moved[k], planes[k]
+            less |= same & (b ^ (a & b))
+            same ^= same & (a ^ b)
+        if less:
+            for k, a in enumerate(moved):
+                planes[k] ^= (planes[k] ^ a) & less
+    return planes
 
 
 def classical_dimension(code: ClassicalCode) -> int:
@@ -247,9 +301,11 @@ def classical_soundness(
     """The largest rho with |Hx|/s >= rho * d(x, ker H)/t for every word x.
 
     Both |Hx| and d(x, ker H) depend on x only through its syndrome, and
-    d(x, ker H) is the depth of that syndrome in the coset-leader search,
-    so the minimum of t*|Hx| / (s*d(x, ker H)) is taken over the nonzero
-    syndromes, at the least |Hx| of each depth. |Hx| counts every check,
+    d(x, ker H) is the depth of that syndrome, the least weight of a word
+    with it, which _depths finds by relaxation over the columns that are
+    not units. So the minimum of t*|Hx| / (s*d(x, ker H)) is taken over
+    the nonzero syndromes, at the least |Hx| of each depth, walking the
+    depths up until every nonzero syndrome is placed. |Hx| counts every check,
     dependent rows included. Words inside the code are excluded (the
     inequality is vacuous there). When ker(H) = {0} every nonzero word
     participates with d(x, ker H) = |x|.
@@ -266,15 +322,25 @@ def classical_soundness(
     # space of H: the depths do not depend on the basis chosen.
     echelon, pivots, _ = h._rref()
     zeros, full = _zeros(len(pivots)), (1 << (1 << len(pivots))) - 1
+    depths = _depths(echelon, t, zeros, full)
     # Row j of H is the sum of the echelon rows i with H[j][pivot_i] = 1,
     # so check j fires on the syndromes of odd parity against those bits.
-    # The adder sums the checks: planes[k] is bit k of |Hx|.
+    # The adder sums the checks: planes[k] is bit k of |Hx|, made once
+    # the relaxation's moved planes are gone.
     planes = [0] * s.bit_length()
     at, mask = dict(zip(pivots, zeros)), sum(1 << p for p in pivots)
     for row in h.row_ints():
         _add(planes, _odd_set(row & mask, at, full))
     best_w, best_d = 0, 0
-    for d, found in _levels(echelon, t, zeros):
+    left, d = full ^ 1, 0  # the nonzero syndromes not yet placed
+    while left:
+        # Every depth from 1 to the largest holds a syndrome: drop one
+        # column from a least word and the depth falls by one.
+        d += 1
+        found = left
+        for k, p in enumerate(depths):
+            found = found & p if d >> k & 1 else found ^ (found & p)
+        left ^= found
         w = _least(found, planes)
         if not best_d or w * best_d < best_w * d:
             best_w, best_d = w, d

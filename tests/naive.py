@@ -174,6 +174,25 @@ def naive_soundness(h: BitMatrix):
     return best
 
 
+def naive_depths(basis: list[int], cols: int) -> list[int]:
+    """depths[c]: the least weight of a word of cols bits whose syndrome
+    against the rows basis is c, where bit i of the syndrome is the parity
+    of row i on the word; -1 for a syndrome no word has. Every word is
+    swept, its syndrome the sum of the columns at its ones, read off the
+    word without its lowest one."""
+    column = [sum((row >> b & 1) << i for i, row in enumerate(basis)) for b in range(cols)]
+    depths = [-1] * (1 << len(basis))
+    syndrome = [0] * (1 << cols)
+    for x in range(1 << cols):
+        if x:
+            low = x & -x
+            syndrome[x] = syndrome[x ^ low] ^ column[low.bit_length() - 1]
+        c = syndrome[x]
+        if depths[c] < 0 or x.bit_count() < depths[c]:
+            depths[c] = x.bit_count()
+    return depths
+
+
 def in_row_space(m: BitMatrix, v: int) -> bool:
     """Membership in the explicit set of all row sums."""
     return v in naive_span(m)

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from naive import (
+    naive_depths,
     naive_distance,
     naive_min_weight,
     naive_quantum_distances,
+    naive_rref,
     naive_soundness,
 )
 
@@ -40,10 +42,12 @@ from cssbalance import (
     rep_standard,
 )
 from cssbalance.oracle import (
+    _depths,
     _logical_search,
     _logical_walk,
     _min_weight,
     _use_search,
+    _zeros,
 )
 from conftest import rand_matrix
 
@@ -382,6 +386,80 @@ def _span_element(basis, pick):
 @example(BitMatrix.from_strings(
     ["10111101", "11011010", "11010011", "00001101", "10001111", "11101011", "10111101"]))
 def test_soundness_search_matches_naive(h):
+    assert classical_soundness(ClassicalCode(h)) == naive_soundness(h)
+
+
+def _depth_values(basis, cols):
+    """The depth of each syndrome of _depths, read back from its planes."""
+    rank = len(basis)
+    planes = _depths(basis, cols, _zeros(rank), (1 << (1 << rank)) - 1)
+    return [sum((p >> c & 1) << k for k, p in enumerate(planes)) for c in range(1 << rank)]
+
+
+@st.composite
+def echelon_bases(draw):
+    """(echelon rows, cols) of a random matrix of rank 1 to 8 on at most 12
+    bits. A copied column goes last, so a copy of a pivot column is a
+    non-pivot column equal to a unit; zero columns occur too."""
+    s = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 10))
+    columns = draw(st.lists(st.integers(0, (1 << s) - 1), min_size=cols, max_size=cols))
+    if draw(st.booleans()):
+        columns[draw(st.integers(0, cols - 1))] = 0
+    for _ in range(draw(st.integers(0, 2))):
+        columns.append(columns[draw(st.integers(0, cols - 1))])
+    rows = [sum((g >> i & 1) << b for b, g in enumerate(columns)) for i in range(s)]
+    echelon, _ = naive_rref(BitMatrix(s, len(columns), rows))
+    assume(echelon)
+    return echelon, len(columns)
+
+
+@PROPERTY
+@given(echelon_bases())
+@example(([0b001, 0b010, 0b100], 3))  # units only: no relaxation
+@example(([0b1001, 0b0010], 4))  # a zero column, and column 3 equal to the unit at 0
+@example(([0b011001, 0b011010, 0b000100], 6))  # 3 = 0 + 1, 4 a copy of 3, 5 a zero column
+def test_depths_match_naive(basis_cols):
+    basis, cols = basis_cols
+    assert _depth_values(basis, cols) == naive_depths(basis, cols)
+
+
+@pytest.mark.parametrize("rank", [3, 7, 15])
+def test_depths_carry_out_at_full_planes(rank):
+    # At rank 2^P - 1 the first non-unit column g moves the depth rank of
+    # the all-ones syndrome onto ~g, and the increment carries out of the
+    # P planes.
+    rng = random.Random(rank)
+    for _ in range(3):
+        h = rand_matrix(rng, rank, rank + 2)
+        echelon, pivots = naive_rref(h)
+        if len(pivots) == rank:
+            break
+    assert len(pivots) == rank
+    assert _depth_values(echelon, h.cols) == naive_depths(echelon, h.cols)
+
+
+@st.composite
+def wide_check_matrices(draw):
+    """Up to 5 checks on at least twice as many bits and at most 12, so
+    most columns are not pivots; a column may be zero or repeated."""
+    s = draw(st.integers(1, 5))
+    t = draw(st.integers(2 * s, min(12, s + 7)))
+    columns = draw(st.lists(st.integers(0, (1 << s) - 1), min_size=t, max_size=t))
+    if draw(st.booleans()):
+        columns[draw(st.integers(0, t - 1))] = 0
+    columns[draw(st.integers(0, t - 1))] = columns[draw(st.integers(0, t - 1))]
+    rows = [sum((g >> i & 1) << b for b, g in enumerate(columns)) for i in range(s)]
+    return BitMatrix(s, t, rows)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(wide_check_matrices())
+@example(BitMatrix.from_strings(["111111111111"]))  # one check, every column equal
+# Three checks whose twelve columns take five values: each of the first
+# three is repeated, and column 6 is there four times.
+@example(BitMatrix.from_strings(["110110000011", "011011000010", "000000111110"]))
+def test_soundness_on_wide_checks_matches_naive(h):
     assert classical_soundness(ClassicalCode(h)) == naive_soundness(h)
 
 
