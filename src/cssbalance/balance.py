@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .chain import ClassicalCode, CssCode
+from .chain import ClassicalCode, CssCode, _normal_form
 from .constructions import _check_size
 from .gf2 import BitMatrix, block
 from .oracle import (
@@ -29,7 +29,6 @@ from .oracle import (
     classical_dimension,
     classical_distance,
     classical_soundness,
-    component_soundness,
     fraction_obj,
     locality,
     quantum_dimension,
@@ -275,8 +274,24 @@ def bound_check(
     return _check_balanced(q, r, distance_balance(q, r), cap, rho)
 
 
-def _input_soundness(q: CssCode, cap: int) -> tuple[Fraction, Fraction]:
-    rho_x, rho_z = component_soundness(q, cap)
+def _soundness(h: BitMatrix, cap: int, memo: Optional[dict]) -> Optional[Fraction]:
+    """classical_soundness of the code of h. A memo maps the normal form of
+    each check matrix measured so far to its soundness, which is exact:
+    |Hx| and d(x, ker H) do not change when the rows or the columns of H
+    are permuted."""
+    code = ClassicalCode(h)
+    if memo is None:
+        return classical_soundness(code, cap)
+    key = _normal_form(code)
+    if key not in memo:
+        memo[key] = classical_soundness(code, cap)
+    return memo[key]
+
+
+def _input_soundness(
+    q: CssCode, cap: int, memo: Optional[dict] = None
+) -> tuple[Fraction, Fraction]:
+    rho_x, rho_z = _soundness(q.h_x, cap, memo), _soundness(q.h_z, cap, memo)
     if rho_x is None:
         raise UndefinedSoundnessError("Z", "the input H_X code has no soundness")
     if rho_z is None:
@@ -286,15 +301,16 @@ def _input_soundness(q: CssCode, cap: int) -> tuple[Fraction, Fraction]:
 
 def _check_balanced(
     q: CssCode, r: ClassicalCode, bal: BalancedCode, cap: int,
-    rho: Optional[tuple[Fraction, Fraction]] = None,
+    rho: Optional[tuple[Fraction, Fraction]] = None, memo: Optional[dict] = None,
 ) -> BoundCheck:
     """``bound_check`` on the already built ``bal = distance_balance(q, r)``;
-    rho is (rho_x, rho_z), measured on q when not given."""
-    rho_x, rho_z = rho or _input_soundness(q, cap)
-    measured_x = classical_soundness(ClassicalCode(bal.code.h_z), cap)
+    rho is (rho_x, rho_z), measured on q when not given. Each soundness is
+    looked up in memo, and kept there, when a memo is given."""
+    rho_x, rho_z = rho or _input_soundness(q, cap, memo)
+    measured_x = _soundness(bal.code.h_z, cap, memo)
     if measured_x is None:
         raise UndefinedSoundnessError("X", "balanced Z-check code has no soundness")
-    measured_z = classical_soundness(ClassicalCode(bal.code.h_x), cap)
+    measured_z = _soundness(bal.code.h_x, cap, memo)
     if measured_z is None:
         raise UndefinedSoundnessError("Z", "balanced X-check code has no soundness")
 

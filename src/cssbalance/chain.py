@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .gf2 import BitMatrix, block, parse_pcm, write_pcm
+from .gf2 import BitMatrix, _columns, block, parse_pcm, write_pcm
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -243,6 +243,19 @@ def as_classical(c: ChainComplex) -> ClassicalCode:
             f"a classical code needs a 2-term complex, got {c.top_grade + 1} terms"
         )
     return ClassicalCode(_check(c).diff(1))
+
+
+def _normal_form(code) -> tuple:
+    """A code isomorphic to `code`, as a hashable key: the rows sorted within
+    each check block (H_X and H_Z, or H), each column read as an int whose
+    bit i is row i of the stacked blocks, and the columns sorted. The length,
+    the block sizes and the sorted columns rebuild the code up to a column
+    permutation, so equal keys mean isomorphic codes; the block sizes are in
+    the key because an all-zero row changes no column."""
+    blocks = (code.h_x, code.h_z) if isinstance(code, CssCode) else (code.h,)
+    n = blocks[0].cols
+    rows = [v for b in blocks for v in sorted(b.row_ints())]
+    return (n, *(b.rows for b in blocks), tuple(sorted(_columns(rows, n))))
 
 
 def _check(c: ChainComplex) -> ChainComplex:

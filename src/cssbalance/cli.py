@@ -4,6 +4,11 @@ Commands: gen, analyze, balance, boundcheck, sweep, table. Exit codes are
 a stable contract: 0 success (and, for boundcheck, all bounds hold),
 2 parse or usage error, 3 enumeration cap exceeded, 4 dependent classical
 checks without --reduce-checks, 5 undefined soundness.
+
+A sweep row draws its two codes (``CodeSpec.sampler``) and looks each
+draw up in its pair's store: only a new draw builds its code and takes
+its normal form, only a pair class the run has not met is balanced and
+measured, and each check matrix's soundness is measured once per run.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from .balance import (
     predicted_double_params,
     predicted_params,
 )
-from .chain import ClassicalCode, CssCode, _list_of
+from .chain import ClassicalCode, CssCode, _list_of, _normal_form
 from .constructions import GENERATORS, CodeSpec, as_spec, param_table
-from .gf2 import _columns, row_basis
+from .gf2 import row_basis
 from .io import load_code, save_classical, save_complex
 from .oracle import (
     DEFAULT_CAP,
@@ -146,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fill the ms column with each row's wall time (makes output "
                         "nondeterministic); a row whose pair is isomorphic to one "
                         "that already ran in this sweep reuses that row's fields, "
+                        "and a code drawn before in its pair is not built again, "
                         "so its ms is short")
 
     p = sub.add_parser("table", parents=[as_json], help="print a parameter formula sheet")
@@ -288,46 +294,54 @@ SWEEP_HEADER = [
 _NA_FIELDS = ("NA",) * (len(SWEEP_HEADER) - 2)
 
 
-def _normal_form(code) -> tuple:
-    """A code isomorphic to `code`, as a hashable key: the rows sorted within
-    each check block (H_X and H_Z, or H), each column read as an int whose
-    bit i is row i of the stacked blocks, and the columns sorted. The length,
-    the block sizes and the sorted columns rebuild the code up to a column
-    permutation, so equal keys mean isomorphic codes; the block sizes are in
-    the key because an all-zero row changes no column."""
-    blocks = (code.h_x, code.h_z) if isinstance(code, CssCode) else (code.h,)
-    n = blocks[0].cols
-    rows = [v for b in blocks for v in sorted(b.row_ints())]
-    return (n, *(b.rows for b in blocks), tuple(sorted(_columns(rows, n))))
+class _SweepCode:
+    """One spec of a sweep pair and what the pair keeps of it: the normal
+    form of the code of each draw seen so far, and the kind of code the
+    spec builds. A seeded spec's draw and build come from its sampler,
+    its parameters checked once, at its first row; a spec that does not
+    depend on the seed is built once, at its first row, and its one draw
+    is None, whose build returns that code."""
+
+    __slots__ = ("spec", "draw", "build", "forms", "kind")
+
+    def __init__(self, spec: CodeSpec):
+        self.spec = spec
+        self.draw = self.build = self.kind = None
+        self.forms: dict = {}
+
+    def at(self, seed: int) -> tuple:
+        """The draw at seed, the normal form of its code, and the code when
+        this call built it: None when the draw was seen before."""
+        if self.draw is None:
+            if self.spec.seeded:
+                self.draw, self.build = self.spec.sampler()
+            else:
+                fixed = self.spec.build()
+                self.draw, self.build = (lambda seed: None), (lambda drawn: fixed)
+        drawn = self.draw(seed)
+        form = self.forms.get(drawn)
+        if form is not None:
+            return drawn, form, None
+        code = self.build(drawn)
+        self.kind = type(code)
+        form = self.forms[drawn] = _normal_form(code)
+        return drawn, form, code
 
 
-def _build(spec: CodeSpec, seed: int, fixed: dict, role: int) -> tuple:
-    """The code of spec at seed and its normal form. A spec that does not
-    depend on the seed is built once per pair: `fixed` keeps its result
-    under its role in the pair."""
-    if spec.seeded:
-        code = spec.build(seed)
-        return code, _normal_form(code)
-    if role not in fixed:
-        code = spec.build()
-        fixed[role] = code, _normal_form(code)
-    return fixed[role]
-
-
-def _sweep_row(label: str, specs: tuple[CodeSpec, CodeSpec], seed: int, cap: int,
-               timing: bool, done: dict, fixed: dict) -> list[str]:
+def _sweep_row(label: str, sides: tuple[_SweepCode, _SweepCode], seed: int, cap: int,
+               timing: bool, done: dict, memo: dict) -> list[str]:
     """One CSV row. A spec that cannot be built, an unreadable file
     included, is a ValueError naming the pair and the seed; a random
     generator that finds no valid draw gives an all-NA row. `done` maps
     each pair this sweep has computed, keyed by the normal forms of its two
     codes, to the list of its fields other than seed and ms; a pair
-    isomorphic to one in it reuses that list. `fixed` is the pair's store
-    for _build."""
+    isomorphic to one in it reuses that list. So only a draw the pair has
+    not seen builds its code, and only a new class builds both codes and
+    fills its fields, with the soundness memo of the sweep."""
     start = time.monotonic()
     try:
-        (q, q_form), (r, r_form) = (
-            _build(spec, seed, fixed, role) for role, spec in enumerate(specs))
-        if not isinstance(q, CssCode) or not isinstance(r, ClassicalCode):
+        drawn = [side.at(seed) for side in sides]
+        if not (issubclass(sides[0].kind, CssCode) and issubclass(sides[1].kind, ClassicalCode)):
             raise ValueError("a pair needs a quantum spec and a classical spec")
     except RuntimeError:
         fields = _NA_FIELDS
@@ -335,19 +349,23 @@ def _sweep_row(label: str, specs: tuple[CodeSpec, CodeSpec], seed: int, cap: int
         what = f"missing parameter {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"sweep pair {label}, seed {seed}: {what}") from None
     else:
-        key = (q_form, r_form)
+        key = (drawn[0][1], drawn[1][1])
         fields = done.get(key)
         if fields is None:
+            q, r = (side.build(d) if code is None else code
+                    for side, (d, _, code) in zip(sides, drawn))
             row = dict.fromkeys(SWEEP_HEADER[1:-1], "NA")
-            _fill_sweep_row(row, q, r, cap)
+            _fill_sweep_row(row, q, r, cap, memo)
             fields = done[key] = list(row.values())
     ms = str(int((time.monotonic() - start) * 1000)) if timing else "0"
     return [str(seed), *fields, ms]
 
 
-def _fill_sweep_row(row: dict[str, str], q: CssCode, r: ClassicalCode, cap: int) -> None:
+def _fill_sweep_row(row: dict[str, str], q: CssCode, r: ClassicalCode, cap: int,
+                    memo: Optional[dict] = None) -> None:
     """The row's balanced parameters; those that fail to compute stay NA,
-    and all of them when the pair cannot be balanced."""
+    and all of them when the pair cannot be balanced. memo, when given, is
+    the soundness memo of _check_balanced."""
     try:
         balanced = distance_balance(q, r)
     except ValueError:
@@ -361,7 +379,7 @@ def _fill_sweep_row(row: dict[str, str], q: CssCode, r: ClassicalCode, cap: int)
     except CapExceeded:
         pass
     try:
-        result = _check_balanced(q, r, balanced, cap)
+        result = _check_balanced(q, r, balanced, cap, memo=memo)
         x_side, z_side = result.sides
         row["rhoX_num"], row["rhoX_den"] = (
             str(x_side.measured.numerator), str(x_side.measured.denominator))
@@ -417,13 +435,15 @@ def cmd_sweep(args) -> int:
     if not Path(args.out).parent.is_dir():
         raise ValueError(f"cannot write {args.out}: its directory does not exist")
     rows = []
+    # Both live for this call only: a later sweep in the same process
+    # measures everything again.
     done: dict = {}
+    memo: dict = {}
     for i, (pair_specs, seeds) in enumerate(zip(specs, seed_lists), 1):
         label = f"{i} ({pair_specs[0].describe()} x {pair_specs[1].describe()})"
-        fixed: dict = {}
+        sides = (_SweepCode(pair_specs[0]), _SweepCode(pair_specs[1]))
         for seed in seeds:
-            rows.append(_sweep_row(label, pair_specs, seed, args.cap, args.timing,
-                                   done, fixed))
+            rows.append(_sweep_row(label, sides, seed, args.cap, args.timing, done, memo))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)

@@ -1,7 +1,11 @@
 """Named code generators and symbolic parameter tables.
 
 All randomness is drawn from a ``random.Random`` seeded explicitly, so the
-same spec and seed always reproduce the same matrices bit for bit.
+same spec and seed always reproduce the same matrices bit for bit. A
+seeded family splits into a draw, a hashable value made only of what its
+RNG returned, and a build of the code from that draw
+(``CodeSpec.sampler``): two seeds with equal draws give equal codes, so a
+caller can key on the draw before it builds anything.
 """
 
 from __future__ import annotations
@@ -11,11 +15,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Hashable, Optional, Union
 
 from .chain import ClassicalCode, CssCode
 from .gf2 import BitMatrix, block
 from .io import load_code
+
+_Code = Union[ClassicalCode, CssCode]
 
 # Draws a random generator makes before it gives up with RuntimeError.
 MAX_RESAMPLES = 1000
@@ -89,6 +95,13 @@ def random_ldpc(t: int, s: int, row_w: int, col_w: int, seed: int) -> ClassicalC
     Raises when the requested profile is infeasible by counting or when no
     independent-check sample is found in MAX_RESAMPLES draws.
     """
+    draw, build = _ldpc_sampler(t, s, row_w, col_w)
+    return build(draw(seed))
+
+
+def _ldpc_sampler(t: int, s: int, row_w: int, col_w: int) -> tuple[Callable, Callable]:
+    """random_ldpc's profile checked, and its (draw, build): the draw is
+    the accepted rows, and the build their code."""
     if s > t:
         raise ValueError(f"more checks than bits (s = {s} > t = {t})")
     if row_w < 1 or col_w < 1:
@@ -101,79 +114,105 @@ def random_ldpc(t: int, s: int, row_w: int, col_w: int, seed: int) -> ClassicalC
             f"column weight {col_w} over {t} columns"
         )
     _check_size(s, t)
-    rng = random.Random(seed)
-    for _ in range(MAX_RESAMPLES):
-        col_load = [0] * t
-        vals = []
-        ok = True
-        for _ in range(s):
-            open_cols = [c for c in range(t) if col_load[c] < col_w]
-            w = rng.randint(1, min(row_w, len(open_cols))) if open_cols else 0
-            if w == 0:
-                ok = False
-                break
-            chosen = rng.sample(open_cols, w)
-            v = 0
-            for c in chosen:
-                v |= 1 << c
-                col_load[c] += 1
-            vals.append(v)
-        if not ok:
-            continue
-        h = BitMatrix._trusted(s, t, vals)  # chosen columns are below t
-        if h.rank() == s:
-            return ClassicalCode(h)
-    raise RuntimeError(
-        f"no independent-check sample with this profile in {MAX_RESAMPLES} tries"
-    )
+
+    def draw(seed: int) -> tuple[int, ...]:
+        rng = random.Random(seed)
+        for _ in range(MAX_RESAMPLES):
+            col_load = [0] * t
+            vals = []
+            for _ in range(s):
+                open_cols = [c for c in range(t) if col_load[c] < col_w]
+                if not open_cols:
+                    break
+                chosen = rng.sample(open_cols, rng.randint(1, min(row_w, len(open_cols))))
+                v = 0
+                for c in chosen:
+                    v |= 1 << c
+                    col_load[c] += 1
+                vals.append(v)
+            else:
+                reduced: dict[int, int] = {}
+                if all(_independent(reduced, v) for v in vals):
+                    return tuple(vals)
+        raise RuntimeError(
+            f"no independent-check sample with this profile in {MAX_RESAMPLES} tries"
+        )
+
+    def build(rows: tuple[int, ...]) -> ClassicalCode:
+        return ClassicalCode(BitMatrix._trusted(s, t, rows))  # chosen columns are below t
+
+    return draw, build
 
 
 def random_css(n: int, n_x: int, n_z: int, seed: int) -> CssCode:
     """Random CSS code on n qubits with n_z independent Z-checks and n_x
     independent X-checks drawn from the orthogonal complement."""
+    draw, build = _css_sampler(n, n_x, n_z)
+    return build(draw(seed))
+
+
+def _independent(reduced: dict[int, int], v: int) -> bool:
+    """Whether v is independent of the rows accepted so far, which reduced
+    holds in an echelon form keyed by their lowest set bit: exactly when v
+    does not reduce to zero against them. An independent v is added."""
+    while v and (low := v & -v) in reduced:
+        v ^= reduced[low]
+    if v:
+        reduced[v & -v] = v
+    return v != 0
+
+
+def _sample_independent(rng: random.Random, dim: int, count: int) -> Optional[tuple[int, ...]]:
+    """count independent draws of rng.getrandbits(dim), or None when
+    MAX_RESAMPLES draws do not give them."""
+    rows: list[int] = []
+    reduced: dict[int, int] = {}
+    for _ in range(MAX_RESAMPLES):
+        if len(rows) == count:
+            break
+        v = rng.getrandbits(dim)
+        if _independent(reduced, v):
+            rows.append(v)
+    return tuple(rows) if len(rows) == count else None
+
+
+def _css_sampler(n: int, n_x: int, n_z: int) -> tuple[Callable, Callable]:
+    """random_css's sizes checked, and its (draw, build). The draw is the
+    H_Z rows and each H_X row as a mask over the kernel basis of H_Z, whose
+    n - n_z vectors are independent: masks are independent exactly when
+    the rows they stand for are, so the draw needs no kernel."""
     if n < 1:
         raise ValueError("need at least one qubit")
     if n_x < 0 or n_z < 0 or n_x + n_z > n:
         raise ValueError("check counts must satisfy 0 <= n_x + n_z <= n")
     _check_size(n, n)  # the kernel basis of H_Z has up to n rows
-    rng = random.Random(seed)
 
-    def sample_independent(dim: int, count: int, combine) -> Optional[list[int]]:
-        rows: list[int] = []
-        # The accepted rows reduced to an echelon form, keyed by their
-        # lowest set bit; a draw is independent of the rows exactly when
-        # it does not reduce to zero against them.
-        reduced: dict[int, int] = {}
-        for _ in range(MAX_RESAMPLES):
-            if len(rows) == count:
-                return rows
-            v = r = combine(rng.getrandbits(dim))
-            while r and (low := r & -r) in reduced:
-                r ^= reduced[low]
-            if r:
-                reduced[r & -r] = r
-                rows.append(v)
-        return rows if len(rows) == count else None
+    def draw(seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        rng = random.Random(seed)
+        hz_rows = _sample_independent(rng, n, n_z)
+        if hz_rows is None:
+            raise RuntimeError("could not sample independent Z-checks")
+        masks = _sample_independent(rng, n - n_z, n_x)
+        if masks is None:
+            raise RuntimeError("could not sample independent X-checks")
+        return hz_rows, masks
 
-    hz_rows = sample_independent(n, n_z, lambda v: v)
-    if hz_rows is None:
-        raise RuntimeError("could not sample independent Z-checks")
-    h_z = BitMatrix._trusted(n_z, n, hz_rows)  # getrandbits(n) draws
-    kernel = h_z.kernel_basis()
+    def build(drawn: tuple[tuple[int, ...], tuple[int, ...]]) -> CssCode:
+        hz_rows, masks = drawn
+        h_z = BitMatrix._trusted(n_z, n, hz_rows)  # getrandbits(n) draws
+        kernel = h_z.kernel_basis()
+        hx_rows = []
+        for m in masks:
+            v = 0
+            while m:
+                low = m & -m
+                v ^= kernel[low.bit_length() - 1]
+                m ^= low
+            hx_rows.append(v)
+        # Every H_X row is a sum of kernel vectors of H_Z.
+        return CssCode._trusted(BitMatrix._trusted(n_x, n, hx_rows), h_z)
 
-    def from_kernel(mask: int) -> int:
-        v = 0
-        m = mask
-        for i, b in enumerate(kernel):
-            if (m >> i) & 1:
-                v ^= b
-        return v
-
-    hx_rows = sample_independent(len(kernel), n_x, from_kernel)
-    if hx_rows is None:
-        raise RuntimeError("could not sample independent X-checks")
-    # Every H_X row is a sum of kernel vectors of H_Z.
-    return CssCode._trusted(BitMatrix._trusted(n_x, n, hx_rows), h_z)
+    return draw, build
 
 
 # Each family built from integer parameters: its builder and the names of
@@ -186,6 +225,9 @@ GENERATORS = {
     "random_ldpc": (random_ldpc, ("t", "s", "row_w", "col_w", "seed")),
     "random_css": (random_css, ("n", "n_x", "n_z", "seed")),
 }
+# Each seeded family's sampler: called with its parameters other than the
+# seed, in order, it checks them and returns the family's (draw, build).
+_SAMPLERS = {"random_ldpc": _ldpc_sampler, "random_css": _css_sampler}
 
 FAMILIES = (*GENERATORS, "q_complex", "from_file")
 
@@ -231,7 +273,7 @@ class CodeSpec:
                 return CodeSpec(self.family, {**self.params, "hhat": seeded})
         return self
 
-    def build(self, seed: Optional[int] = None) -> Union[ClassicalCode, CssCode]:
+    def build(self, seed: Optional[int] = None) -> _Code:
         """The code this spec describes. A given seed stands in for the
         spec's own in a seeded family and in a q_complex hhat, so
         build(seed) builds what with_seed(seed).build() does."""
@@ -249,10 +291,31 @@ class CodeSpec:
         if self.family == "from_file":
             return load_code(Path(p["path"]))
         # q_complex
-        inner = as_spec(p["hhat"]).build(seed) if "hhat" in p else load_code(Path(p["path"]))
-        if not isinstance(inner, ClassicalCode):
-            raise ValueError("q_complex needs a classical inner code")
-        return q_complex(inner.h)
+        return _q_over(as_spec(p["hhat"]).build(seed) if "hhat" in p
+                       else load_code(Path(p["path"])))
+
+    def sampler(self) -> tuple[Callable[[int], Hashable], Callable[[Hashable], _Code]]:
+        """A seeded spec's (draw, build), its parameters read and checked
+        once, with build(seed)'s errors: draw(seed), for an int seed, is a
+        hashable value made only of what the RNG returned, and
+        build(draw(seed)) is the code build(seed) gives. draw raises
+        RuntimeError where build(seed) finds no valid draw. A q_complex
+        draws its hhat's draw. ValueError for a spec that is not seeded."""
+        gen = GENERATORS.get(self.family)
+        if gen is not None and self.family in _SAMPLERS:
+            sizes = [_int_param(self.params, name) for name in gen[1] if name != "seed"]
+            return _SAMPLERS[self.family](*sizes)
+        if not self.seeded:
+            raise ValueError(f"{self.describe()} does not depend on the seed")
+        draw, build = as_spec(self.params["hhat"]).sampler()
+        return draw, lambda drawn: _q_over(build(drawn))
+
+
+def _q_over(inner: _Code) -> CssCode:
+    """q_complex of a classical inner code; ValueError for a CSS one."""
+    if not isinstance(inner, ClassicalCode):
+        raise ValueError("q_complex needs a classical inner code")
+    return q_complex(inner.h)
 
 
 def _int_param(params: dict, name: str, default: Optional[int] = None) -> int:

@@ -82,7 +82,8 @@ class CapExceeded(Exception):
         self.cap = cap
         self.words_log2 = words_log2
         self.syndromes_log2 = syndromes_log2
-        sizes = ((words_log2, "words (kernel scan)"), (syndromes_log2, "syndromes (BFS)"))
+        sizes = ((words_log2, "words (kernel scan)"),
+                 (syndromes_log2, "syndromes (syndrome scan)"))
         self.log2_size = min(k for k, _ in sizes if k is not None)
         needs = [f"2^{k} {kind}" for k, kind in sizes if k is not None]
         power_of_two = cap > 0 and cap & (cap - 1) == 0

@@ -7,8 +7,8 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cssbalance import (
-    BitMatrix, ChainComplex, ClassicalCode, CssCode, cli, complex_to_json, constructions,
-    double_balance, q_complex, rep_standard, write_pcm,
+    BitMatrix, ChainComplex, ClassicalCode, CssCode, balance, cli, complex_to_json,
+    constructions, double_balance, q_complex, rep_standard, write_pcm,
 )
 from cssbalance.cli import SWEEP_HEADER, main
 from cssbalance.constructions import as_spec, random_css, random_ldpc
@@ -642,6 +642,73 @@ def test_sweep_xz_swap_keeps_codes_apart(tmp_path, capsys, monkeypatch):
     assert lines[0].split(",")[1] == "14" and lines[1].split(",")[1] == "16"
 
 
+def counted_soundness(monkeypatch):
+    """The codes whose soundness the balance module measures from now on."""
+    calls = []
+    measure = balance.classical_soundness
+    monkeypatch.setattr(balance, "classical_soundness",
+                        lambda code, cap: (calls.append(code), measure(code, cap))[1])
+    return calls
+
+
+# Pairs whose rows share check matrices but not classes: the input codes
+# of a quantum spec against two classical codes. The rows of (4, 1, 1)
+# codes all have one soundness per classical code, those of (5, 1, 2)
+# codes do not, so a memo that mixed up matrices would change a row.
+MEMO_SHAPES = [(4, 1, 1), (5, 1, 2)]
+MEMO_PAIRS = [{"quantum": {"family": "random_css", "params": {"n": n, "n_x": n_x, "n_z": n_z}},
+               "classical": {"family": "rep", "params": {"l": l}},
+               "seeds": {"start": 0, "count": 40}}
+              for n, n_x, n_z in MEMO_SHAPES for l in (2, 3)]
+
+
+def test_sweep_soundness_memo_keeps_every_row(tmp_path, capsys, monkeypatch):
+    """With the soundness memo a sweep writes, row by row, what a memo-free
+    fill of each row's pair gives, and makes fewer soundness scans than
+    the four each filled class would make without it."""
+    want = []
+    for shape in MEMO_SHAPES:
+        for l in (2, 3):
+            for seed in range(40):
+                row = dict.fromkeys(SWEEP_HEADER[1:-1], "NA")
+                cli._fill_sweep_row(row, random_css(*shape, seed), rep_standard(l), DEFAULT_CAP)
+                want.append(",".join([str(seed), *row.values(), "0"]))
+    fills, measured = counted_fills(monkeypatch), counted_soundness(monkeypatch)
+    assert sweep_lines(capsys, tmp_path, MEMO_PAIRS) == want
+    assert "NA" not in ",".join(want)
+    assert 0 < len(measured) < 4 * len(fills)
+
+
+def test_sweep_soundness_memo_lives_for_one_run(tmp_path, capsys, monkeypatch):
+    """Nothing outlives a sweep: a second run of the job in this process
+    measures as many soundnesses as the first."""
+    measured = counted_soundness(monkeypatch)
+    first = sweep_lines(capsys, tmp_path, MEMO_PAIRS)
+    count = len(measured)
+    measured.clear()
+    assert sweep_lines(capsys, tmp_path, MEMO_PAIRS) == first
+    assert len(measured) == count > 0
+
+
+def test_sweep_builds_each_draw_once(tmp_path, capsys, monkeypatch):
+    """A pair builds the code of each distinct draw once: repeated seeds,
+    and seeds that draw what an earlier seed drew, cost only the draw."""
+    built = []
+    sampler = constructions.CodeSpec.sampler
+
+    def counted(spec):
+        draw, build = sampler(spec)
+        return draw, lambda drawn: (built.append(drawn), build(drawn))[1]
+
+    monkeypatch.setattr(constructions.CodeSpec, "sampler", counted)
+    quantum = as_spec(MEMO_PAIRS[0]["quantum"])
+    seeds = [*range(40), 3, 0, 3]
+    draws = {quantum.sampler()[0](seed) for seed in seeds}
+    built.clear()
+    lines = sweep_lines(capsys, tmp_path, [{**MEMO_PAIRS[0], "seeds": seeds}])
+    assert len(lines) == len(seeds) and len(built) == len(set(built)) == len(draws) < 40
+
+
 def test_sweep_malformed_job_is_a_parse_error(tmp_path, capsys):
     job = tmp_path / "job.json"
     out = tmp_path / "out.csv"
@@ -933,7 +1000,7 @@ def test_balance_double_text_notes_a_skipped_measurement(tmp_path, capsys):
     assert run(capsys, *argv) == (0, text_report(
         f"wrote {out}  (n=284, nX=171, nZ=160)",
         "measurement skipped: X-distance needs 2^136 words (kernel scan) or 2^149 "
-        "syndromes (BFS), cap is 2^24",
+        "syndromes (syndrome scan), cap is 2^24",
     ), "")
 
 

@@ -220,6 +220,79 @@ def test_build_with_a_seed_is_with_seed_then_build(monkeypatch):
         assert spec.seeded == (type(want) is tuple and want[0] is RuntimeError), spec
 
 
+# Seeded specs of every family: random_css with and without X- and
+# Z-checks and with as many checks as qubits, random_ldpc, and q_complex
+# over each (over random_css it is an error when built).
+SEEDED_SPECS = [
+    CodeSpec("random_css", {"n": 5, "n_x": 1, "n_z": 2}),
+    CodeSpec("random_css", {"n": 4, "n_x": 0, "n_z": 2}),
+    CodeSpec("random_css", {"n": 4, "n_x": 3, "n_z": 0}),
+    CodeSpec("random_css", {"n": 5, "n_x": 2, "n_z": 3}),
+    CodeSpec("random_css", {"n": 3, "n_x": 0, "n_z": 0}),
+    CodeSpec("random_ldpc", LDPC),
+    CodeSpec("random_ldpc", {"t": 4, "s": 2, "row_w": 2, "col_w": 2}),
+]
+SEEDED_SPECS += [CodeSpec("q_complex", {"hhat": spec}) for spec in SEEDED_SPECS]
+
+
+def test_draws_build_the_seeded_codes():
+    """A draw is hashable, equal seeds give equal draws, and the code built
+    from the draw at a seed is build(seed) and with_seed(seed).build()."""
+    assert {spec.family for spec in SEEDED_SPECS} == {*constructions._SAMPLERS, "q_complex"}
+    for spec in SEEDED_SPECS:
+        draw, build = spec.sampler()
+        again = spec.sampler()[0]
+        for seed in range(50):
+            drawn = draw(seed)
+            hash(drawn)
+            assert drawn == draw(seed) == again(seed), (spec, seed)
+            want = _outcome(lambda: spec.build(seed))
+            assert want == _outcome(lambda: spec.with_seed(seed).build()), (spec, seed)
+            assert _outcome(lambda: build(drawn)) == want, (spec, seed)
+
+
+def test_draws_hold_what_the_generator_drew():
+    """A random_ldpc draw is its rows; a random_css draw is its H_Z rows and
+    each H_X row as a mask over the kernel basis of H_Z."""
+    for seed in range(50):
+        assert CodeSpec("random_ldpc", LDPC).sampler()[0](seed) == \
+            random_ldpc(**LDPC, seed=seed).h.row_ints()
+        code = random_css(5, 2, 2, seed)
+        hz_rows, masks = CodeSpec("random_css", {"n": 5, "n_x": 2, "n_z": 2}).sampler()[0](seed)
+        kernel = code.h_z.kernel_basis()
+        assert hz_rows == code.h_z.row_ints()
+        assert tuple(sum_of(kernel, m) for m in masks) == code.h_x.row_ints()
+
+
+def sum_of(vectors, mask):
+    """The sum of the vectors whose bits are set in mask."""
+    total = 0
+    for i, v in enumerate(vectors):
+        if mask >> i & 1:
+            total ^= v
+    return total
+
+
+def test_sampler_errors_are_build_errors(monkeypatch):
+    """A sampler refuses a bad spec, and its draw finds no valid draw,
+    with the error build(seed) gives; a spec that does not depend on the
+    seed has no sampler."""
+    def drawn(spec, seed):
+        draw, build = spec.sampler()
+        return build(draw(seed))
+
+    assert BAD_SPECS[0].family == "rep"  # the others are of seeded families
+    for spec in SEEDED_SPECS + BAD_SPECS[1:]:
+        assert _outcome(lambda: drawn(spec, 5)) == _outcome(lambda: spec.build(5)), spec
+    monkeypatch.setattr(constructions, "MAX_RESAMPLES", 0)
+    for spec in SEEDED_SPECS:
+        want = _outcome(lambda: spec.build(1))
+        assert _outcome(lambda: drawn(spec, 1)) == want, spec
+    for spec in (CodeSpec("rep", {"l": 3}), CodeSpec("q_complex", {"path": "h.pcm"})):
+        with pytest.raises(ValueError, match="does not depend on the seed"):
+            spec.sampler()
+
+
 def test_code_spec_seeded():
     """seeded says whether the built code depends on the seed."""
     seeded = {

@@ -232,13 +232,14 @@ def test_cap_exceeded_names_both_scans():
     with pytest.raises(CapExceeded) as info:
         quantum_distance_z(code, cap=1 << 12)
     assert str(info.value) == (
-        "Z-distance needs 2^29 words (kernel scan) or 2^13 syndromes (BFS), cap is 2^12"
+        "Z-distance needs 2^29 words (kernel scan) or 2^13 syndromes (syndrome scan), "
+        "cap is 2^12"
     )
     assert (info.value.words_log2, info.value.syndromes_log2) == (29, 13)
     assert info.value.log2_size == 13
     with pytest.raises(CapExceeded) as info:
         classical_soundness(ClassicalCode(BitMatrix.identity(20)), cap=5000)
-    assert str(info.value) == "soundness needs 2^20 syndromes (BFS), cap is 5000"
+    assert str(info.value) == "soundness needs 2^20 syndromes (syndrome scan), cap is 5000"
     with pytest.raises(CapExceeded, match=r"distance needs 2\^29 words \(kernel scan\), cap is 0"):
         classical_distance(ClassicalCode(BitMatrix.zeros(1, 29)), cap=0)
     with pytest.raises(TypeError):  # the sizes are keyword-only
