@@ -16,21 +16,21 @@ and ``_add`` sums sets into count planes, whose least count over a set
   its members have bit j set, and the columns add up to weight planes.
   It holds about k + ceil(log2(n + 1)) + 4 sets of 2^k bits. Classical
   distance and a logical distance's scan use it;
-- the syndrome scans find the depth of each syndrome, the minimum weight
-  of its coset (the standard array of MacWilliams & Sloane, *The Theory
-  of Error-Correcting Codes*, ch. 1). Syndromes are written in a basis
-  with a unit column per row, and XOR by a column permutes a set of
-  syndromes, a block swap per set bit of the column. Soundness needs
-  every depth: ``_depths`` starts each at the weight of the syndrome, the
-  cost of the unit columns, and relaxes it once by each other column
-  (depth(c) <- 1 + depth(c ^ g) where less) in P = ceil(log2(rank + 1))
-  depth planes. It works in H's echelon coordinates and holds about
-  rank + 2P + 8 sets while it relaxes; the s checks are summed into weight
-  planes after it, and that stage holds about rank + ceil(log2(s + 1)) +
-  P + 5. A logical distance stops at the first depth that holds a logical
-  operator, so it runs the breadth-first search ``_levels`` from syndrome
-  0, whose steps add one column, in the coordinates of the kernel basis
-  of the other checks; it holds about rank + 8 sets.
+- the syndrome scan (``_depths``) finds the depth of each syndrome, the
+  minimum weight of its coset (the standard array of MacWilliams & Sloane,
+  *The Theory of Error-Correcting Codes*, ch. 1). Syndromes are written in
+  a basis with a unit column per row, and XOR by a column permutes a set
+  of syndromes, a block swap per set bit of the column. Each depth starts
+  at the weight of the syndrome, the cost of the unit columns, and is
+  relaxed once by each other column (depth(c) <- 1 + depth(c ^ g) where
+  less) in P = ceil(log2(rank + 1)) depth planes; the relaxation holds
+  about rank + 2P + 8 sets. Soundness works in H's echelon coordinates;
+  the s checks are summed into weight planes after the relaxation, and
+  that stage holds about rank + ceil(log2(s + 1)) + P + 5 sets. A logical
+  distance works in the coordinates of the kernel basis of the other
+  checks and takes the least depth over the logical syndromes; it stops
+  before relaxing when a column of that basis is a logical syndrome, the
+  syndrome of a logical operator of weight 1.
 
 Classical distance always scans the kernel and soundness always searches
 syndromes. Logical distances take whichever scan is cheaper, comparing
@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .chain import ClassicalCode, CssCode
-from .gf2 import BitMatrix, row_basis
+from .gf2 import BitMatrix, _columns, row_basis
 
 DEFAULT_CAP = 1 << 24
 
@@ -105,9 +105,8 @@ def _use_search(
     """True to search 2^syndromes_log2 syndromes, False to scan the
     2^words_log2 words of a kernel: the cheaper scan within the cap, with
     None for a scan the call cannot use. A search costs about
-    2^syndromes_log2 times its number of generators, at most ``columns``;
-    its stop at the first depth that holds a logical operator is not
-    priced."""
+    2^syndromes_log2 times its number of generators, at most
+    ``columns``."""
     scan, search = _fits(words_log2, cap), _fits(syndromes_log2, cap)
     if scan and search:
         return columns << syndromes_log2 < 1 << words_log2
@@ -201,69 +200,27 @@ def _swaps(move: int, zeros: list[int]) -> list[tuple[int, int]]:
     return swaps
 
 
-def _columns(basis, cols: int) -> list[int]:
-    """The columns of the independent rows basis (of cols bits each), each
-    as a rank-bit int."""
-    return BitMatrix._trusted(len(basis), cols, basis).transpose().row_ints()
+def _depths(columns: list[int], zeros: list[int], full: int) -> list[int]:
+    """The depths of the 2^rank syndromes of a basis of rank rows in which
+    each row owns a unit column, bit-sliced: planes[k] is the set of the
+    syndromes whose depth, the minimum weight of a word with that syndrome,
+    has bit k set. The basis is given by its columns, each a rank-bit int
+    (``gf2._columns``): H's echelon rows, whose pivot columns are the
+    units, or the kernel basis of the other checks, whose free columns
+    are. zeros is _zeros(rank) and full the set of all syndromes.
 
-
-def _levels(basis, cols: int, zeros: list[int]):
-    """Breadth-first search from syndrome 0 over the 2^rank syndromes of
-    the independent rows basis (of cols bits each), a step adding one
-    column; yields (d, the set of syndromes at depth d) for d = 1, 2, ...
-    until every syndrome is reached. Depth is the minimum weight of a word
-    with that syndrome. zeros is _zeros(rank). The logical-distance search
-    uses it because it stops at the first depth that holds a logical
-    operator; soundness needs every depth and takes them from _depths.
-
-    A unit column starts from the level. The others are chained nearest
-    first: each starts from the set the previous one made and moves by
-    their XOR, or from the level when g alone takes fewer swaps."""
-    rank = len(basis)
-    left = set(_columns(basis, cols)) - {0}
-    moves = [(True, g) for g in sorted(left) if g & (g - 1) == 0]
-    left.difference_update(g for _, g in moves)
-    prev = 0
-    while left:
-        g = min(left, key=lambda g: min(g.bit_count(), (g ^ prev).bit_count()))
-        left.remove(g)
-        restart = g.bit_count() <= (g ^ prev).bit_count()
-        moves.append((restart, g if restart else g ^ prev))
-        prev = g
-    steps = [(restart, _swaps(move, zeros)) for restart, move in moves]
-    level, unseen, depth = 1, (1 << (1 << rank)) - 2, 0
-    reached = f = 0
-    while level and unseen:
-        for restart, swaps in steps:
-            if restart:
-                f = level
-            for z, k in swaps:
-                f = (f & z) << k | (f >> k) & z
-            reached |= f
-        level, reached, f = reached & unseen, 0, 0  # keep no stale set over the yield
-        unseen ^= level
-        depth += 1
-        yield depth, level
-
-
-def _depths(basis, cols: int, zeros: list[int], full: int) -> list[int]:
-    """The depths of the 2^rank syndromes of the echelon rows basis (of cols
-    bits each), bit-sliced: planes[k] is the set of the syndromes whose
-    depth, the minimum weight of a word with that syndrome, has bit k set.
-    zeros is _zeros(rank) and full the set of all syndromes.
-
-    Every unit syndrome is a pivot column, so the depth starts as the
-    weight of the syndrome. Each distinct column g that is neither zero nor
-    a unit then relaxes depth(c) to 1 + depth(c ^ g) where that is less,
-    which leaves depth(c) = min over the subsets S of those columns of
+    Every unit syndrome is a column, so the depth starts as the weight of
+    the syndrome. Each distinct column g that is neither zero nor a unit
+    then relaxes depth(c) to 1 + depth(c ^ g) where that is less, which
+    leaves depth(c) = min over the subsets S of those columns of
     |S| + weight(c ^ sum(S)). Depths are at most rank, so rank.bit_length()
     planes hold them; a carry out of the increment is a value above rank,
     which never wins."""
-    rank = len(basis)
+    rank = len(zeros)
     planes = [0] * rank.bit_length()
     for z in zeros:
         _add(planes, full ^ z)
-    for g in sorted({g for g in _columns(basis, cols) if g & (g - 1)}):
+    for g in sorted({g for g in columns if g & (g - 1)}):
         swaps = _swaps(g, zeros)
         moved = []
         carry = full  # depth(c ^ g) + 1, one plane at a time
@@ -323,7 +280,7 @@ def classical_soundness(
     # space of H: the depths do not depend on the basis chosen.
     echelon, pivots, _ = h._rref()
     zeros, full = _zeros(len(pivots)), (1 << (1 << len(pivots))) - 1
-    depths = _depths(echelon, t, zeros, full)
+    depths = _depths(_columns(echelon, t), zeros, full)
     # Row j of H is the sum of the echelon rows i with H[j][pivot_i] = 1,
     # so check j fires on the syndromes of odd parity against those bits.
     # The adder sums the checks: planes[k] is bit k of |Hx|, made once
@@ -394,20 +351,28 @@ def _logical_walk(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
 
 def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance:
     """Syndrome search in the coordinates of the basis of ker(other_checks),
-    whose vector for free column f_i is the only one with a one there: the
-    rank is n - rank(other_checks). The stabilizer rows lie in that kernel,
-    so their coordinates are their bits at the free columns. A word is a
-    logical operator exactly when its syndrome is nonzero but no stabilizer
-    row fires on it; a row basis of the stabilizers fires on the same
-    syndromes as all their rows."""
+    whose vector for free column f_i is the only one with a one there, so
+    every free column is a unit: the rank is n - rank(other_checks). The
+    stabilizer rows lie in that kernel, so their coordinates are their bits
+    at the free columns. A word is a logical operator exactly when its
+    syndrome is nonzero but no stabilizer row fires on it; a row basis of
+    the stabilizers fires on the same syndromes as all their rows. The
+    distance is 1 when a column, the syndrome of a weight-1 word, is
+    logical, otherwise the least depth over the logical syndromes, and
+    INFINITE when there are none."""
     probes = other_checks.kernel_basis()
     free = sorted(set(range(other_checks.cols)) - set(other_checks.pivot_columns()))
     zeros, full = _zeros(len(free)), (1 << (1 << len(free))) - 1
     at, mask, fires = dict(zip(free, zeros)), sum(1 << f for f in free), 0
     for row in row_basis(stab_checks).row_ints():
         fires |= _odd_set(row & mask, at, full)
-    levels = _levels(probes, other_checks.cols, zeros)
-    return next((d for d, found in levels if found ^ (found & fires)), INFINITE)
+    logical = full ^ fires ^ 1  # syndrome 0 lies in no odd set
+    if not logical:
+        return INFINITE
+    columns = _columns(probes, other_checks.cols)
+    if any(logical >> g & 1 for g in columns):
+        return 1
+    return _least(logical, _depths(columns, zeros, full))
 
 
 def quantum_distance_x(q: CssCode, cap: int = DEFAULT_CAP) -> Distance:

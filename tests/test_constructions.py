@@ -282,7 +282,7 @@ def test_sampler_errors_are_build_errors(monkeypatch):
         return build(draw(seed))
 
     assert BAD_SPECS[0].family == "rep"  # the others are of seeded families
-    for spec in BAD_SPECS[1:]:
+    for spec in SEEDED_SPECS + BAD_SPECS[1:]:
         assert _outcome(lambda: drawn(spec, 5)) == _outcome(lambda: spec.build(5)), spec
     monkeypatch.setattr(constructions, "MAX_RESAMPLES", 0)
     for spec in SEEDED_SPECS:

@@ -41,6 +41,7 @@ from cssbalance import (
     rep_modified,
     rep_standard,
 )
+from cssbalance.gf2 import _columns
 from cssbalance.oracle import (
     _depths,
     _logical_search,
@@ -393,15 +394,18 @@ def test_soundness_search_matches_naive(h):
 def _depth_values(basis, cols):
     """The depth of each syndrome of _depths, read back from its planes."""
     rank = len(basis)
-    planes = _depths(basis, cols, _zeros(rank), (1 << (1 << rank)) - 1)
+    planes = _depths(_columns(basis, cols), _zeros(rank), (1 << (1 << rank)) - 1)
     return [sum((p >> c & 1) << k for k, p in enumerate(planes)) for c in range(1 << rank)]
 
 
 @st.composite
-def echelon_bases(draw):
-    """(echelon rows, cols) of a random matrix of rank 1 to 8 on at most 12
-    bits. A copied column goes last, so a copy of a pivot column is a
-    non-pivot column equal to a unit; zero columns occur too."""
+def unit_column_bases(draw):
+    """(basis, cols) of a random matrix of rank 1 to 8 on at most 12 bits,
+    in which each row owns a unit column: its echelon rows, with the unit
+    at each row's lowest bit, or the basis of its kernel whose vector for
+    free column f has its unit at f, the vector's highest bit. A copied
+    column goes last, so a copy of a pivot column is a non-pivot column
+    equal to a unit; zero columns occur too."""
     s = draw(st.integers(1, 8))
     cols = draw(st.integers(1, 10))
     columns = draw(st.lists(st.integers(0, (1 << s) - 1), min_size=cols, max_size=cols))
@@ -410,16 +414,20 @@ def echelon_bases(draw):
     for _ in range(draw(st.integers(0, 2))):
         columns.append(columns[draw(st.integers(0, cols - 1))])
     rows = [sum((g >> i & 1) << b for b, g in enumerate(columns)) for i in range(s)]
-    echelon, _ = naive_rref(BitMatrix(s, len(columns), rows))
-    assume(echelon)
-    return echelon, len(columns)
+    basis, pivots = naive_rref(BitMatrix(s, len(columns), rows))
+    if draw(st.booleans()):
+        basis = [1 << f | sum(1 << p for p, row in zip(pivots, basis) if row >> f & 1)
+                 for f in range(len(columns)) if f not in pivots]
+    assume(basis)
+    return basis, len(columns)
 
 
 @PROPERTY
-@given(echelon_bases())
+@given(unit_column_bases())
 @example(([0b001, 0b010, 0b100], 3))  # units only: no relaxation
 @example(([0b1001, 0b0010], 4))  # a zero column, and column 3 equal to the unit at 0
 @example(([0b011001, 0b011010, 0b000100], 6))  # 3 = 0 + 1, 4 a copy of 3, 5 a zero column
+@example(([0b011, 0b101], 3))  # the kernel basis of 111: units at the highest bits, column 0 = 11
 def test_depths_match_naive(basis_cols):
     basis, cols = basis_cols
     assert _depth_values(basis, cols) == naive_depths(basis, cols)
@@ -523,6 +531,14 @@ def test_logical_scans_agree_beyond_2_12_words():
 @example((BitMatrix.zeros(0, 3), BitMatrix.zeros(0, 3)))  # rank 0 on both sides
 @example((BitMatrix.identity(3), BitMatrix.zeros(1, 3)))  # K = 0
 @example((BitMatrix.from_strings(["11"]), BitMatrix.from_strings(["11", "11"])))  # K = 0
+# The search for d_X writes syndromes over the kernel basis of H_X. In the
+# first, only column 0, which is not a unit there, has a logical syndrome:
+# d_X = 1. In the second, only the unit column 1 has: d_X = 1. In the third
+# the least logical syndrome weight is 3 and d_X = 2, which the relaxation
+# by the non-unit columns finds.
+@example((BitMatrix.from_strings(["111"]), BitMatrix.from_strings(["011"])))
+@example((BitMatrix.from_strings(["111"]), BitMatrix.from_strings(["101"])))
+@example((BitMatrix.from_strings(["01101", "11111"]), BitMatrix.from_strings(["11110", "00101"])))
 def test_logical_distance_scans_match_naive(pair):
     h_x, h_z = pair
     d_x, d_z = naive_quantum_distances(h_x, h_z)
