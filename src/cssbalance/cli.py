@@ -5,10 +5,11 @@ a stable contract: 0 success (and, for boundcheck, all bounds hold),
 2 parse or usage error, 3 enumeration cap exceeded, 4 dependent classical
 checks without --reduce-checks, 5 undefined soundness.
 
-A sweep row draws its two codes (``CodeSpec.sampler``) and looks each
-draw up in its pair's store: only a new draw builds its code and takes
-its normal form, only a pair class the run has not met is balanced and
-measured, and each check matrix's soundness is measured once per run.
+A sweep row draws its two codes (``CodeSpec.sampler``; a code that does
+not depend on the seed draws None) and looks each draw up in its pair's
+store: only a new draw builds its code and takes its normal form, only a
+pair class the run has not met is balanced and measured, and each check
+matrix's soundness is measured once per run.
 """
 
 from __future__ import annotations
@@ -297,10 +298,9 @@ _NA_FIELDS = ("NA",) * (len(SWEEP_HEADER) - 2)
 class _SweepCode:
     """One spec of a sweep pair and what the pair keeps of it: the normal
     form of the code of each draw seen so far, and the kind of code the
-    spec builds. A seeded spec's draw and build come from its sampler,
-    its parameters checked once, at its first row; a spec that does not
-    depend on the seed is built once, at its first row, and its one draw
-    is None, whose build returns that code."""
+    spec builds. Its draw and build come from its sampler, taken at its
+    first row: a spec that does not depend on the seed is built there,
+    once, and its one draw is None."""
 
     __slots__ = ("spec", "draw", "build", "forms", "kind")
 
@@ -313,11 +313,7 @@ class _SweepCode:
         """The draw at seed, the normal form of its code, and the code when
         this call built it: None when the draw was seen before."""
         if self.draw is None:
-            if self.spec.seeded:
-                self.draw, self.build = self.spec.sampler()
-            else:
-                fixed = self.spec.build()
-                self.draw, self.build = (lambda seed: None), (lambda drawn: fixed)
+            self.draw, self.build = self.spec.sampler()
         drawn = self.draw(seed)
         form = self.forms.get(drawn)
         if form is not None:
@@ -380,17 +376,11 @@ def _fill_sweep_row(row: dict[str, str], q: CssCode, r: ClassicalCode, cap: int,
         pass
     try:
         result = _check_balanced(q, r, balanced, cap, memo=memo)
-        x_side, z_side = result.sides
-        row["rhoX_num"], row["rhoX_den"] = (
-            str(x_side.measured.numerator), str(x_side.measured.denominator))
-        row["rhoZ_num"], row["rhoZ_den"] = (
-            str(z_side.measured.numerator), str(z_side.measured.denominator))
-        row["boundX_num"], row["boundX_den"] = (
-            str(x_side.bound.numerator), str(x_side.bound.denominator))
-        row["boundZ_num"], row["boundZ_den"] = (
-            str(z_side.bound.numerator), str(z_side.bound.denominator))
-        row["holdsX"] = "true" if x_side.holds else "false"
-        row["holdsZ"] = "true" if z_side.holds else "false"
+        for side in result.sides:  # the row's keys, and so its order, are SWEEP_HEADER's
+            for name, value in (("rho", side.measured), ("bound", side.bound)):
+                row[f"{name}{side.side}_num"] = str(value.numerator)
+                row[f"{name}{side.side}_den"] = str(value.denominator)
+            row[f"holds{side.side}"] = "true" if side.holds else "false"
     except (CapExceeded, UndefinedSoundnessError):
         pass
 

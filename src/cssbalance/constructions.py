@@ -2,10 +2,11 @@
 
 All randomness is drawn from a ``random.Random`` seeded explicitly, so the
 same spec and seed always reproduce the same matrices bit for bit. A
-seeded family splits into a draw, a hashable value made only of what its
-RNG returned, and a build of the code from that draw
-(``CodeSpec.sampler``): two seeds with equal draws give equal codes, so a
-caller can key on the draw before it builds anything.
+spec splits into a draw, a hashable value made only of what its RNG
+returned (None when the code does not depend on the seed), and a build of
+the code from that draw (``CodeSpec.sampler``): two seeds with equal
+draws give equal codes, so a caller can key on the draw before it builds
+anything.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ def _ldpc_sampler(t: int, s: int, row_w: int, col_w: int) -> tuple[Callable, Cal
             f"column weight {col_w} over {t} columns"
         )
     _check_size(s, t)
+    rng = random.Random()
 
     def draw(seed: int) -> tuple[int, ...]:
-        rng = random.Random(seed)
+        rng.seed(seed)
         for _ in range(MAX_RESAMPLES):
             col_load = [0] * t
             vals = []
@@ -186,9 +188,10 @@ def _css_sampler(n: int, n_x: int, n_z: int) -> tuple[Callable, Callable]:
     if n_x < 0 or n_z < 0 or n_x + n_z > n:
         raise ValueError("check counts must satisfy 0 <= n_x + n_z <= n")
     _check_size(n, n)  # the kernel basis of H_Z has up to n rows
+    rng = random.Random()
 
     def draw(seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        rng = random.Random(seed)
+        rng.seed(seed)
         hz_rows = _sample_independent(rng, n, n_z)
         if hz_rows is None:
             raise RuntimeError("could not sample independent Z-checks")
@@ -262,51 +265,36 @@ class CodeSpec:
         return (self.family == "q_complex" and "hhat" in self.params
                 and as_spec(self.params["hhat"]).seeded)
 
-    def with_seed(self, seed: int) -> "CodeSpec":
-        gen = GENERATORS.get(self.family)
-        if gen is not None and "seed" in gen[1]:
-            return CodeSpec(self.family, {**self.params, "seed": seed})
-        if self.family == "q_complex" and "hhat" in self.params:
-            hhat = as_spec(self.params["hhat"])
-            seeded = hhat.with_seed(seed)
-            if seeded != hhat:
-                return CodeSpec(self.family, {**self.params, "hhat": seeded})
-        return self
-
-    def build(self, seed: Optional[int] = None) -> _Code:
-        """The code this spec describes. A given seed stands in for the
-        spec's own in a seeded family and in a q_complex hhat, so
-        build(seed) builds what with_seed(seed).build() does."""
+    def build(self) -> _Code:
+        """The code this spec describes; a seeded family reads the spec's
+        seed, 0 when it has none."""
         p = self.params
         gen = GENERATORS.get(self.family)
         if gen is not None:
             builder, names = gen
-            args = []
-            for name in names:
-                if name == "seed" and seed is not None:
-                    args.append(_int_param({name: seed}, name))
-                else:
-                    args.append(_int_param(p, name, 0 if name == "seed" else None))
-            return builder(*args)
+            return builder(*(_int_param(p, name, 0 if name == "seed" else None)
+                             for name in names))
         if self.family == "from_file":
             return load_code(Path(p["path"]))
         # q_complex
-        return _q_over(as_spec(p["hhat"]).build(seed) if "hhat" in p
+        return _q_over(as_spec(p["hhat"]).build() if "hhat" in p
                        else load_code(Path(p["path"])))
 
     def sampler(self) -> tuple[Callable[[int], Hashable], Callable[[Hashable], _Code]]:
-        """A seeded spec's (draw, build), its parameters read and checked
-        once, with build(seed)'s errors: draw(seed), for an int seed, is a
-        hashable value made only of what the RNG returned, and
-        build(draw(seed)) is the code build(seed) gives. draw raises
-        RuntimeError where build(seed) finds no valid draw. A q_complex
-        draws its hhat's draw. ValueError for a spec that is not seeded."""
+        """The spec's (draw, build), its parameters read and checked once,
+        with build()'s errors: draw(seed), for an int seed, is a hashable
+        value made only of what the RNG returned, and build(draw(seed)) is
+        the code the spec gives at that seed. draw raises RuntimeError
+        where no valid draw is found. A q_complex draws its hhat's draw. A
+        spec that is not seeded is built here, once: its draw is None at
+        every seed and its build returns that code."""
         gen = GENERATORS.get(self.family)
         if gen is not None and self.family in _SAMPLERS:
             sizes = [_int_param(self.params, name) for name in gen[1] if name != "seed"]
             return _SAMPLERS[self.family](*sizes)
         if not self.seeded:
-            raise ValueError(f"{self.describe()} does not depend on the seed")
+            fixed = self.build()
+            return (lambda seed: None), (lambda drawn: fixed)
         draw, build = as_spec(self.params["hhat"]).sampler()
         return draw, lambda drawn: _q_over(build(drawn))
 

@@ -433,7 +433,7 @@ def test_sweep_computes_each_distinct_pair_once(tmp_path, capsys, monkeypatch):
     quantum = {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}}
     classical = {"family": "rep", "params": {"l": 2}}
     seeds = [1, 1, 2, 1, 2]
-    distinct = {as_spec(quantum).with_seed(seed).build() for seed in seeds}
+    distinct = {random_css(4, 1, 1, seed) for seed in seeds}
     assert len(distinct) == 2
     calls = []
     fill = cli._fill_sweep_row
@@ -691,17 +691,20 @@ def test_sweep_soundness_memo_lives_for_one_run(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_builds_each_draw_once(tmp_path, capsys, monkeypatch):
-    """A pair builds the code of each distinct draw once: repeated seeds,
-    and seeds that draw what an earlier seed drew, cost only the draw."""
+    """A pair builds the code of each distinct quantum draw once: repeated
+    seeds, and seeds that draw what an earlier seed drew, cost only the
+    draw."""
     built = []
     sampler = constructions.CodeSpec.sampler
+    quantum = as_spec(MEMO_PAIRS[0]["quantum"])
 
     def counted(spec):
         draw, build = sampler(spec)
+        if spec != quantum:
+            return draw, build
         return draw, lambda drawn: (built.append(drawn), build(drawn))[1]
 
     monkeypatch.setattr(constructions.CodeSpec, "sampler", counted)
-    quantum = as_spec(MEMO_PAIRS[0]["quantum"])
     seeds = [*range(40), 3, 0, 3]
     draws = {quantum.sampler()[0](seed) for seed in seeds}
     built.clear()

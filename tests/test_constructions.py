@@ -20,6 +20,7 @@ from cssbalance import (
     random_ldpc,
     rep_modified,
     rep_standard,
+    write_pcm,
 )
 from naive import naive_random_css
 
@@ -156,13 +157,11 @@ def test_doubled_checks_soundness_at_least_inner():
 def test_code_spec_round_trip():
     spec = CodeSpec("random_ldpc", {"t": 6, "s": 3, "row_w": 3, "col_w": 2, "seed": 4})
     code = spec.build()
-    assert isinstance(code, ClassicalCode)
-    assert spec.with_seed(11).params["seed"] == 11
-    assert CodeSpec("rep", {"l": 3}).with_seed(11).params == {"l": 3}
-    fixed = CodeSpec("q_complex", {"hhat": {"family": "rep", "params": {"l": 3}}})
-    assert fixed.with_seed(0) == fixed
+    assert code == random_ldpc(6, 3, 3, 2, 4)
     seeded = CodeSpec("q_complex", {"hhat": {"family": "random_ldpc", "params": spec.params}})
-    assert seeded.with_seed(11).params["hhat"] == spec.with_seed(11)
+    assert seeded.build() == q_complex(code.h)
+    with pytest.raises(ValueError, match="parameter 'seed' must be an integer"):
+        CodeSpec("random_ldpc", {**spec.params, "seed": True}).build()
     with pytest.raises(ValueError):
         CodeSpec("bogus")
 
@@ -173,6 +172,19 @@ def _outcome(build):
         return build()
     except Exception as exc:  # the error is the outcome here
         return type(exc), str(exc)
+
+
+def _at_seed(spec, seed):
+    """The reference for the code spec gives at seed: its GENERATORS
+    builder called with the seed, and q_complex of its hhat's code, which
+    must be classical."""
+    if spec.family == "q_complex":
+        inner = _at_seed(constructions.as_spec(spec.params["hhat"]), seed)
+        if not isinstance(inner, ClassicalCode):
+            raise ValueError("q_complex needs a classical inner code")
+        return q_complex(inner.h)
+    builder, names = constructions.GENERATORS[spec.family]
+    return builder(*(seed if name == "seed" else spec.params[name] for name in names))
 
 
 LDPC = {"t": 6, "s": 3, "row_w": 3, "col_w": 2}
@@ -199,25 +211,6 @@ BAD_SPECS = [
     CodeSpec("q_complex", {"hhat": {"family": "random_css", "params": {"n": 3, "n_x": 1, "n_z": 1}}}),
     CodeSpec("q_complex", {"hhat": "rep"}),
 ]
-BUILD_SPECS = GOOD_SPECS + BAD_SPECS
-
-
-def test_build_with_a_seed_is_with_seed_then_build(monkeypatch):
-    """build(seed) gives what with_seed(seed).build() gives, the same code
-    or the same error, for every family; also when no draw is found."""
-    assert {spec.family for spec in BUILD_SPECS} >= {*constructions.GENERATORS, "q_complex"}
-    for seed in range(50):
-        for spec in BUILD_SPECS:
-            want = _outcome(lambda: spec.with_seed(seed).build())
-            assert _outcome(lambda: spec.build(seed)) == want, (spec, seed)
-    # A seed that is not an int is refused by name, as a seed param is.
-    ldpc = CodeSpec("random_ldpc", LDPC)
-    assert _outcome(lambda: ldpc.build(True)) == _outcome(lambda: ldpc.with_seed(True).build())
-    monkeypatch.setattr(constructions, "MAX_RESAMPLES", 0)
-    for spec in GOOD_SPECS:
-        want = _outcome(lambda: spec.with_seed(1).build())
-        assert _outcome(lambda: spec.build(1)) == want, spec
-        assert spec.seeded == (type(want) is tuple and want[0] is RuntimeError), spec
 
 
 # Seeded specs of every family: random_css with and without X- and
@@ -237,7 +230,7 @@ SEEDED_SPECS += [CodeSpec("q_complex", {"hhat": spec}) for spec in SEEDED_SPECS]
 
 def test_draws_build_the_seeded_codes():
     """A draw is hashable, equal seeds give equal draws, and the code built
-    from the draw at a seed is build(seed) and with_seed(seed).build()."""
+    from the draw at a seed is the family's builder called with that seed."""
     assert {spec.family for spec in SEEDED_SPECS} == {*constructions._SAMPLERS, "q_complex"}
     for spec in SEEDED_SPECS:
         draw, build = spec.sampler()
@@ -246,8 +239,7 @@ def test_draws_build_the_seeded_codes():
             drawn = draw(seed)
             hash(drawn)
             assert drawn == draw(seed) == again(seed), (spec, seed)
-            want = _outcome(lambda: spec.build(seed))
-            assert want == _outcome(lambda: spec.with_seed(seed).build()), (spec, seed)
+            want = _outcome(lambda: _at_seed(spec, seed))
             assert _outcome(lambda: build(drawn)) == want, (spec, seed)
 
 
@@ -275,22 +267,40 @@ def sum_of(vectors, mask):
 
 def test_sampler_errors_are_build_errors(monkeypatch):
     """A sampler refuses a bad spec, and its draw finds no valid draw,
-    with the error build(seed) gives; a spec that does not depend on the
-    seed has no sampler."""
+    with the error build() gives; these specs have no seed, so build()
+    reads seed 0."""
     def drawn(spec, seed):
         draw, build = spec.sampler()
         return build(draw(seed))
 
-    assert BAD_SPECS[0].family == "rep"  # the others are of seeded families
-    for spec in SEEDED_SPECS + BAD_SPECS[1:]:
-        assert _outcome(lambda: drawn(spec, 5)) == _outcome(lambda: spec.build(5)), spec
+    for spec in SEEDED_SPECS + BAD_SPECS:
+        assert _outcome(lambda: drawn(spec, 0)) == _outcome(spec.build), spec
     monkeypatch.setattr(constructions, "MAX_RESAMPLES", 0)
     for spec in SEEDED_SPECS:
-        want = _outcome(lambda: spec.build(1))
-        assert _outcome(lambda: drawn(spec, 1)) == want, spec
-    for spec in (CodeSpec("rep", {"l": 3}), CodeSpec("q_complex", {"path": "h.pcm"})):
-        with pytest.raises(ValueError, match="does not depend on the seed"):
-            spec.sampler()
+        assert _outcome(lambda: drawn(spec, 0)) == _outcome(spec.build), spec
+
+
+def test_sampler_of_a_fixed_spec_builds_once(tmp_path, monkeypatch):
+    """The sampler of a spec that does not depend on the seed builds its
+    code once: the draw is None at every seed, and the build of None is
+    the code build() gives."""
+    path = tmp_path / "h.pcm"
+    path.write_text(write_pcm(hamming74().h))
+    calls = []
+    build = CodeSpec.build
+    monkeypatch.setattr(CodeSpec, "build", lambda spec: (calls.append(spec), build(spec))[1])
+    for spec in (CodeSpec("rep", {"l": 3}), CodeSpec("hamming74"),
+                 CodeSpec("from_file", {"path": str(path)}),
+                 CodeSpec("q_complex", {"hhat": {"family": "rep", "params": {"l": 3}}})):
+        want = spec.build()
+        once = list(calls)
+        calls.clear()
+        draw, built = spec.sampler()
+        codes = [built(draw(seed)) for seed in (0, 1, 7, 2**40, 1)]
+        assert [draw(seed) for seed in (0, 1, 7, 2**40)] == [None] * 4, spec
+        assert codes == [want] * 5 and all(code is codes[0] for code in codes), spec
+        assert calls == once and calls[0] == spec, spec  # one build, with its hhat's
+        calls.clear()
 
 
 def test_code_spec_seeded():
@@ -309,7 +319,7 @@ def test_code_spec_seeded():
         assert CodeSpec("q_complex", {"hhat": hhat}).seeded == want, hhat
     assert not CodeSpec("q_complex", {"path": "h.pcm"}).seeded
     for spec in GOOD_SPECS:
-        assert spec.seeded == (spec.with_seed(1).build() != spec.with_seed(2).build()), spec
+        assert spec.seeded == (_at_seed(spec, 1) != _at_seed(spec, 2)), spec
 
 
 def test_random_draws_are_pinned():
