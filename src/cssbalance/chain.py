@@ -266,42 +266,99 @@ def _check(c: ChainComplex) -> ChainComplex:
     return c
 
 
+# How the writer lays out the diffs member: after the key, either "[]" or
+# each diff's string after its separator, then the array's close.
+_DIFFS = b',\n "diffs": '
+_FIRST, _NEXT, _CLOSE = b'[\n  "', b'",\n  "', b'"\n ]'
+
+
 def complex_json_pieces(
     c: ChainComplex, block_layout: Optional[dict] = None
-) -> Iterator[str]:
-    """The text of json.dumps(obj, indent=1), where obj holds the complex's
+) -> Iterator[bytes]:
+    """The bytes of json.dumps(obj, indent=1), where obj holds the complex's
     spaces, diffs and labels, then block_layout when given, in pieces that
     hold at most one diff each. The small members are formatted before
     this returns, so a layout that json cannot encode raises before the
     caller writes anything."""
 
-    def member(name: str, value) -> str:
+    def member(name: str, value) -> bytes:
         # One level inside the top object: one more space after each newline.
-        return f'\n "{name}": ' + json.dumps(value, indent=1).replace("\n", "\n ")
+        text = json.dumps(value, indent=1).replace("\n", "\n ")
+        return f'\n "{name}": {text}'.encode()
 
-    head = "{" + member("spaces", list(c.spaces)) + ',\n "diffs": '
-    tail = "," + member("labels", list(c.labels))
+    head = b"{" + member("spaces", list(c.spaces)) + _DIFFS
+    tail = b"," + member("labels", list(c.labels))
     if block_layout is not None:
-        tail += "," + member("block_layout", block_layout)
-    return _pieces(head, c.diffs, tail + "\n}")
+        tail += b"," + member("block_layout", block_layout)
+    return _pieces(head, c.diffs, tail + b"\n}")
 
 
-def _pieces(head: str, diffs: Sequence[BitMatrix], tail: str) -> Iterator[str]:
+def _pieces(head: bytes, diffs: Sequence[BitMatrix], tail: bytes) -> Iterator[bytes]:
     yield head
     if not diffs:
-        yield "[]"
+        yield b"[]"
     else:
         for i, d in enumerate(diffs):
-            yield '",\n  "' if i else '[\n  "'
+            yield _NEXT if i else _FIRST
             # pcm text holds only digits, spaces and newlines, so with its
             # newlines written escaped it is its own JSON string.
-            yield write_pcm(d, "\\n")
-        yield '"\n ]'
+            yield write_pcm(d, b"\\n")
+        yield _CLOSE
     yield tail
 
 
 def complex_to_json(c: ChainComplex) -> str:
-    return "".join(complex_json_pieces(c))
+    return b"".join(complex_json_pieces(c)).decode()
+
+
+def complex_from_layout(data: bytes) -> Optional[ChainComplex]:
+    """The complex in data, ASCII text with no CR, when its diffs are laid
+    out as save_complex writes them, each diff read in place; None for any
+    other text, or when a member or diff is invalid, so that the caller
+    reads it as JSON and reports what that read reports.
+
+    The small members come from json.loads of the text with the diffs
+    array cut out and a NaN put in its place: that parse must call the
+    NaN the top-level "diffs" and see no other constant, so the cut was
+    that member's value and json.loads of the whole text gives the same
+    members. Each diff must parse, hold no raw newline, and have
+    write_pcm's header and length: then every newline in it is an
+    escape, there is no room for a comment line or a missing last
+    newline, and so its bytes are the 0/1 digits the reader checked
+    between the escapes of a valid JSON string."""
+    start = data.find(_DIFFS) + len(_DIFFS)
+    if start < len(_DIFFS):
+        return None
+    spans, at, sep = [], start, _FIRST
+    while data.startswith(sep, at):
+        end = data.find(b'"', at + len(sep))
+        if end < 0:
+            return None
+        spans.append((at + len(sep), end))
+        at, sep = end, _NEXT
+    close = _CLOSE if spans else b"[]"
+    if not data.startswith(close, at):
+        return None
+    constants: list[str] = []
+    try:
+        obj = json.loads(data[:start] + b"NaN" + data[at + len(close):],
+                         parse_constant=lambda name: constants.append(name) or constants)
+        if constants != ["NaN"] or not isinstance(obj, dict) or obj.get("diffs") is not constants:
+            return None
+        obj["diffs"] = []
+        spaces, _, labels = _members(obj)
+        view, diffs = memoryview(data), []
+        for first, end in spans:
+            d = parse_pcm(view[first:end], b"\\n")
+            header = b"%d %d\\n" % (d.rows, d.cols)
+            if (end - first != len(header) + d.rows * (d.cols + 2)
+                    or not data.startswith(header, first)
+                    or data.find(b"\n", first, end) >= 0):
+                return None
+            diffs.append(d)
+        return ChainComplex(spaces, diffs, labels)
+    except (ValueError, RecursionError):
+        return None
 
 
 def _list_of(value, kind) -> bool:
@@ -310,7 +367,9 @@ def _list_of(value, kind) -> bool:
     )
 
 
-def complex_from_obj(obj: dict) -> ChainComplex:
+def _members(obj: dict) -> tuple:
+    """obj's spaces, diffs and labels; ValueError when one is missing or
+    of the wrong type."""
     try:
         spaces, diffs, labels = obj["spaces"], obj["diffs"], obj.get("labels")
     except (KeyError, TypeError, AttributeError) as exc:
@@ -319,6 +378,11 @@ def complex_from_obj(obj: dict) -> ChainComplex:
             and (labels is None or _list_of(labels, str))):
         raise ValueError("malformed complex object: 'spaces' must be a list of "
                          "integers, 'diffs' and 'labels' lists of strings")
+    return spaces, diffs, labels
+
+
+def complex_from_obj(obj: dict) -> ChainComplex:
+    spaces, diffs, labels = _members(obj)
     return ChainComplex(spaces, [parse_pcm(d) for d in diffs], labels)
 
 

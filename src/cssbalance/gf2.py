@@ -25,9 +25,11 @@ empty map.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from io import BytesIO
+from typing import Iterable, Optional, Sequence, Union
 
 
 # memoryview formats of unsigned fields of 1, 2, 4 and 8 bytes.
@@ -90,7 +92,7 @@ class BitMatrix:
         lines = list(lines)
         if cols is None:
             cols = len(lines[0]) if lines else 0
-        vals = _read_rows("".join(ln + "\n" for ln in lines), 0, len(lines), cols)
+        vals = _read_rows("".join(ln + "\n" for ln in lines), 0, len(lines), cols, "\n")
         if vals is None:
             for ln in lines:
                 if len(ln) != cols or ln.count("0") + ln.count("1") != cols:
@@ -341,13 +343,16 @@ _DENSE_SPAN = 128
 _CHUNK_BYTES = 1 << 16
 
 
-def _read_rows(text: str, at: int, rows: int, cols: int) -> Optional[list[int]]:
+def _read_rows(text: Union[str, bytes, memoryview], at: int, rows: int, cols: int,
+               newline: Union[str, bytes]) -> Optional[list[int]]:
     """The packed rows of text[at:] when it is rows lines of cols
-    characters 0/1, each ended by a newline (the last one optional when
-    cols > 0); None otherwise. The text is encoded and checked in chunks
-    of _CHUNK_BYTES, never copied whole."""
-    width, size = cols + 1, len(text) - at
-    if size != rows * width and not (cols and size == rows * width - 1):
+    characters 0/1, each ended by newline (the last one optional when
+    cols > 0); None otherwise. The text, a str or a bytes-like object, and
+    newline are of one type. The text is checked and read in chunks of
+    _CHUNK_BYTES, never copied whole."""
+    nl = newline.encode() if isinstance(newline, str) else newline
+    width, size = cols + len(nl), len(text) - at
+    if size != rows * width and not (cols and size == rows * width - len(nl)):
         return None
     limit = cols // _DENSE_SPAN  # a row with more ones is dense
     step = max(1, _CHUNK_BYTES // width) * width
@@ -355,14 +360,17 @@ def _read_rows(text: str, at: int, rows: int, cols: int) -> Optional[list[int]]:
     # scatters the heap, and rows is now at most size + 1.
     vals = [0] * rows
     for first in range(at, len(text), step):
+        chunk = text[first:first + step]
         try:
-            raw = text[first:first + step].encode("ascii")
+            raw = chunk.encode("ascii") if isinstance(chunk, str) else bytes(chunk)
         except UnicodeEncodeError:
             return None
         if len(raw) % width:  # the last row has no newline
-            raw += b"\n"
-        newlines = b"\n" * (len(raw) // width)
-        if raw.translate(None, b"01") != newlines or raw[cols::width] != newlines:
+            raw += nl
+        newlines = nl * (len(raw) // width)
+        # Only 0/1 and the newlines, each of whose bytes sits in its place.
+        if raw.translate(None, b"01") != newlines or any(
+                raw[cols + k::width] != newlines[k::len(nl)] for k in range(len(nl))):
             return None
         for r, start in enumerate(range(0, len(raw), width), (first - at) // width):
             end = start + cols
@@ -393,44 +401,67 @@ def _dims(line: str) -> tuple[int, int]:
     return rows, cols
 
 
-def write_pcm(a: BitMatrix, newline: str = "\n") -> str:
+def write_pcm(a: BitMatrix, newline: Union[str, bytes] = "\n") -> Union[str, bytes]:
     """Canonical text serialization: header line 'rows cols', then one 0/1
     line per row, column 0 first; every line, the header included, ends
-    with newline. With newline "\\n" the text is already the body of a
-    JSON string, so a complex file escapes no second copy of it. One join
-    lays out the header and the zero rows, then each 1 is set in place."""
+    with newline. The text is bytes when newline is bytes, otherwise a
+    str. With newline "\\n" (or b"\\n") the text is already the body of
+    a JSON string, so a complex file escapes no second copy of it. The
+    header and the zero rows are laid out in one buffer, each 1 is set in
+    place, and the buffer hands over its bytes without a copy once no view
+    of it is open."""
     rows, cols = a.rows, a.cols
-    nl = newline.encode()
-    width, limit, spec = cols + len(nl), cols // _DENSE_SPAN, f"0{cols}b"
-    buf = bytearray(nl).join([f"{rows} {cols}".encode(), *[b"0" * cols] * rows, b""])
-    start = len(buf) - rows * width
-    for v in a.row_ints():
-        if v.bit_count() > limit:
-            buf[start:start + cols] = format(v, spec)[::-1].encode()
-        else:
-            while v:
-                low = v & -v
-                buf[start + low.bit_length() - 1] = 49  # ord("1")
-                v ^= low
-        start += width
-    return buf.decode()
+    nl = newline.encode() if isinstance(newline, str) else newline
+    head, blank = b"%d %d" % (rows, cols) + nl, b"0" * cols + nl
+    width, limit, spec = len(blank), cols // _DENSE_SPAN, f"0{cols}b"
+    out = BytesIO()
+    out.write(head)
+    for _ in range(rows):
+        out.write(blank)
+    with out.getbuffer() as buf:
+        start = len(head)
+        for v in a.row_ints():
+            if v.bit_count() > limit:
+                buf[start:start + cols] = format(v, spec)[::-1].encode()
+            else:
+                while v:
+                    low = v & -v
+                    buf[start + low.bit_length() - 1] = 49  # ord("1")
+                    v ^= low
+            start += width
+    text = out.getvalue()
+    return text if isinstance(newline, bytes) else text.decode()
 
 
-def parse_pcm(text: str) -> BitMatrix:
-    """Parse the text format written by write_pcm. Lines starting with '#'
-    are comments; the trailing newline is optional. Row lines of a
-    zero-column matrix are legitimately empty, so blank lines are rows.
-    Text other than write_pcm's is split into lines, its comments dropped,
-    and read again or refused at its first fault."""
-    at = text.find("\n") + 1 or len(text)  # where the rows start
+def parse_pcm(text: Union[str, bytes, memoryview], newline: Union[str, bytes] = "\n") -> BitMatrix:
+    """Parse the text format written by write_pcm, from a str or from a
+    bytes-like text such as a memoryview slice of a file, whose lines end
+    with newline: the matrix is that of the text as str with each newline
+    read as a line break. Lines starting with '#' are comments; the trailing
+    newline is optional. Row lines of a zero-column matrix are
+    legitimately empty, so blank lines are rows. Text in write_pcm's
+    layout is read in place; any other text is decoded (as UTF-8) if it is
+    bytes, split into lines, its comments dropped, and read again or
+    refused at its first fault."""
+    if not isinstance(text, str) and isinstance(newline, str):
+        newline = newline.encode()
+    found = re.search(re.escape(newline), text)  # the end of the header line
     try:
-        rows, cols = _dims(text[:at])
+        head = text[:found.start()] if found else text
+        head = head if isinstance(head, str) else str(head, "utf-8")
+        rows, cols = _dims(head)
     except ValueError:
         pass
     else:
-        vals = _read_rows(text, at, rows, cols)
-        if vals is not None:
-            return BitMatrix._trusted(rows, cols, vals)
+        # With another newline a "\n" in the header would end the first line.
+        if "\n" not in head:
+            vals = _read_rows(text, found.end() if found else len(text), rows, cols, newline)
+            if vals is not None:
+                return BitMatrix._trusted(rows, cols, vals)
+    if not isinstance(text, str):
+        text, newline = str(text, "utf-8"), newline.decode()
+    if newline != "\n":
+        text = text.replace(newline, "\n")
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()

@@ -23,6 +23,7 @@ from cssbalance import (
     q_complex,
     rep_standard,
 )
+from cssbalance.chain import complex_from_layout
 from cssbalance.io import load_code, load_css, save_complex
 from conftest import rand_matrix, rand_valid_complex
 from naive import naive_complex_json
@@ -302,6 +303,7 @@ def test_complex_json_is_json_dumps_byte_for_byte(c, layout):
         save_complex(c, path, layout)
         assert path.read_bytes() == (naive_complex_json(c, layout) + "\n").encode()
         assert complex_from_json(path.read_text()) == c
+        assert complex_from_layout(path.read_bytes()) == c  # read in place
 
 
 def test_json_rejects_garbage():

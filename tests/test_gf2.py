@@ -424,6 +424,31 @@ PCM_TEXT = st.one_of(
 )
 
 
+def _parsed(text, *newline):
+    try:
+        return "ok", parse_pcm(text, *newline)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(PCM_TEXT, st.sampled_from(["\n", "\\n", "\r\n"]), st.booleans())
+# A line break in the header that a newline of two characters leaves in place.
+@example("2\n3\\n110\\n011\\n", "\\n", False)
+# Each row's last byte is in its place, but its escape is split across rows.
+@example("2 2\\n01\\0n1\\n", "\\n", False)
+def test_parse_pcm_reads_any_newline_as_a_line_break(text, nl, write):
+    """parse_pcm(x, nl) is parse_pcm of x as str with each nl read as
+    "\\n", the same matrix or the same error text, for a str x and for
+    its bytes. x is the text, with its line breaks written as nl if write."""
+    x = text.replace("\n", nl) if write else text
+    want = _parsed(x.replace(nl, "\n"))
+    assert _parsed(x, nl) == want
+    assert _parsed(x.encode(), nl.encode()) == want
+    assert _parsed(memoryview(x.encode()), nl.encode()) == want
+    assert _parsed(text.encode()) == _parsed(text)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(PCM_TEXT)
 def test_parse_pcm_raises_only_value_error(text):
@@ -481,8 +506,15 @@ def test_parse_pcm_matches_character_reader(case):
 @example(BitMatrix(2, 2 * _DENSE_SPAN, [1 | 1 << _DENSE_SPAN, 0b111 << _DENSE_SPAN]))
 def test_write_pcm_escaped_newline_is_the_replaced_text(a):
     """The JSON body that a complex file holds, written in one pass, is the
-    pcm text with each newline escaped afterwards."""
-    assert write_pcm(a, "\\n") == write_pcm(a).replace("\n", "\\n")
+    pcm text with each newline escaped afterwards; with a bytes newline it
+    is those bytes, which parse_pcm reads back, from a memoryview too."""
+    text = write_pcm(a)
+    assert write_pcm(a, "\\n") == text.replace("\n", "\\n")
+    for nl in (b"\n", b"\\n"):
+        data = write_pcm(a, nl)
+        assert type(data) is bytes and data == text.encode().replace(b"\n", nl)
+        assert parse_pcm(data, nl) == a
+        assert parse_pcm(memoryview(b"#" + data)[1:], nl) == a
 
 
 def _bad_rows(cols: int) -> list[str]:
@@ -521,6 +553,8 @@ def test_chunked_reader_matches_character_reader(monkeypatch, rng, chunk):
             assert parse_pcm(text[:-1]).row_ints() == want
         commented = "# head\n" + "\n".join(ln + "\n# between" for ln in text.split("\n")[:-1])
         assert parse_pcm(commented).row_ints() == want
+        data = write_pcm(a, b"\\n")
+        assert parse_pcm(memoryview(data), b"\\n").row_ints() == want
 
 
 @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
@@ -550,7 +584,10 @@ def test_chunked_reader_refuses_by_text(monkeypatch, chunk):
         for bad in ("01x0", "011", "01100", "0\ud8001", "0\uff1100", "01_0"):
             lines = rows[:i] + [bad] + rows[i + 1:]
             text = "4 4\n" + "".join(ln + "\n" for ln in lines)
-            for reader in (lambda: parse_pcm(text), lambda: BitMatrix.from_strings(lines, 4)):
+            readers = [lambda: parse_pcm(text), lambda: BitMatrix.from_strings(lines, 4)]
+            if "\ud800" not in bad:  # a lone surrogate has no bytes
+                readers.append(lambda: parse_pcm(text.encode()))
+            for reader in readers:
                 with pytest.raises(ValueError) as exc:
                     reader()
                 assert str(exc.value) == f"bad matrix row: {bad!r}"
