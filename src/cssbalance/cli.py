@@ -450,10 +450,7 @@ def cmd_table(args) -> int:
     width = max(len(r) for r in record["rows"]) + 2
     for col in record["columns"]:
         print(f"## {col['label']}")
-        for name in record["rows"]:
-            cell = col["cells"].get(name)
-            if cell is None:
-                continue
+        for name, cell in col["cells"].items():
             text = cell["formula"]
             if "value" in cell:
                 text += f"  [= {cell['value']}]"

@@ -332,14 +332,45 @@ def as_spec(obj) -> CodeSpec:
     return CodeSpec(obj["family"], dict(params))
 
 
-def _cell(text: str, symbolic: bool = True, value: Optional[str] = None) -> dict:
-    out = {"formula": text, "symbolic": symbolic}
-    if value is not None:
-        out["value"] = value
-    return out
-
-
-_ROW_ORDER = ("physical_qubits", "soundness", "distance", "dimension", "rate", "locality")
+# The parameter formula sheets: each names the inputs it reads, its rows
+# and its columns, a label and one formula per row. A formula is symbolic
+# unless it is all digits.
+_DIMENSION_ROWS = ("physical_qubits", "soundness", "distance", "dimension", "locality")
+_SHEETS = {
+    "table1": ((), _DIMENSION_ROWS, {
+        "standard repetition checks":
+            ("O(n*l)", "Omega(1/l)", "Theta(min(n, l))", "Theta(n)", "Theta(1)"),
+        "modified repetition checks":
+            ("O(n*l)", "Omega(1)", "Theta(min(n, l))", "Theta(n)",
+             "(avg, max) = (Theta(1), Theta(l))"),
+    }),
+    "table4": (("n", "t", "l"), ("physical_qubits", "soundness", "distance", "rate", "locality"), {
+        "repetition checks, length l":
+            ("Theta(n*l)", "Omega(1/l)", "Theta(min(n, l))", "Theta(1/l)", "Theta(1)"),
+        "independent-check classical code, length t":
+            ("Theta(n*t)", "Omega(1/t)", "Theta(min(n, t))", "Theta(1)", "Theta(1)"),
+        "logarithmic classical length":
+            ("n", "Omega(1/log(n))", "Theta(log(n))", "Theta(1)", "Theta(1)"),
+    }),
+    "genParams": ((), _DIMENSION_ROWS, {
+        "hypersphere product family":
+            ("n", "1/log(n)^2", "Theta(sqrt(n))", "2", "Theta(log(n)/loglog(n))"),
+        "hemicubic family": ("n", "Omega(1/log(n))", "Theta(sqrt(n))", "1", "O(log(n))"),
+        "double balanced, hypersphere product input":
+            ("Theta(n*t^2)", "Omega(1/(log(n)^2*t^2))", "Theta(sqrt(n)*t)", "Theta(t^2)",
+             "Theta(log(n)/loglog(n))"),
+        "double balanced, hemicubic input":
+            ("Theta(n*t^2)", "Omega(1/(log(n)*t^2))", "Theta(sqrt(n)*t)", "Theta(t^2)",
+             "O(log(n))"),
+    }),
+    "exampleParams": (("alpha",), _DIMENSION_ROWS, {
+        "logarithmic classical length (t = sqrt(log(n)))":
+            ("n", "Omega(1/log(n)^2)", "Theta(sqrt(n))", "Theta(log(n))", "O(log(n))"),
+        "polynomial classical length (t = n^a)":
+            ("n", "Omega(1/(n^(2a/(1+2a))*log(n)))", "Theta(sqrt(n))",
+             "Theta(n^(2a/(1+2a)))", "O(log(n))"),
+    }),
+}
 
 
 def param_table(
@@ -357,7 +388,8 @@ def param_table(
       table1: balancing the doubled-check complex with the two repetition
               check matrices (standard vs modified).
       table4: the doubled-check complex balanced with repetition checks vs
-              a general independent-check classical code.
+              a general independent-check classical code; with n and l, or
+              n and t, given, the qubit count is evaluated.
       genParams: growing the dimension of square-root-distance code
               families by double balancing with a classical code of
               length t.
@@ -365,160 +397,30 @@ def param_table(
               lengths; with alpha given, the polynomial exponents are
               evaluated exactly.
 
-    Given n, t, l and alpha (t = n^alpha) must be positive: ValueError if not.
+    Only table4 reads n, t and l, and only exampleParams reads alpha
+    (t = n^alpha); a given input must be read and positive: ValueError if not.
     """
-    key = scenario.strip()
-    lower = {"table1": "table1", "table4": "table4",
-             "genparams": "genParams", "exampleparams": "exampleParams"}.get(key.lower())
-    if lower is None:
+    key = scenario.strip().lower()
+    name = next((s for s in _SHEETS if s.lower() == key), None)
+    if name is None:
         raise ValueError(f"unknown scenario {scenario!r}")
-    for name, value in (("n", n), ("t", t), ("l", l), ("alpha", alpha)):
+    reads, rows, columns = _SHEETS[name]
+    for option, value in (("n", n), ("t", t), ("l", l), ("alpha", alpha)):
+        if value is not None and option not in reads:
+            raise ValueError(f"table {name} does not take --{option}")
         if value is not None and value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-
-    if lower == "table1":
-        columns = [
-            {
-                "label": "standard repetition checks",
-                "cells": {
-                    "physical_qubits": _cell("O(n*l)"),
-                    "soundness": _cell("Omega(1/l)"),
-                    "distance": _cell("Theta(min(n, l))"),
-                    "dimension": _cell("Theta(n)"),
-                    "locality": _cell("Theta(1)"),
-                },
-            },
-            {
-                "label": "modified repetition checks",
-                "cells": {
-                    "physical_qubits": _cell("O(n*l)"),
-                    "soundness": _cell("Omega(1)"),
-                    "distance": _cell("Theta(min(n, l))"),
-                    "dimension": _cell("Theta(n)"),
-                    "locality": _cell("(avg, max) = (Theta(1), Theta(l))"),
-                },
-            },
-        ]
-    elif lower == "table4":
-        qubits_rep = _cell("Theta(n*l)")
-        if n is not None and l is not None:
-            qubits_rep["value"] = str(n * l)
-        qubits_gen = _cell("Theta(n*t)")
-        if n is not None and t is not None:
-            qubits_gen["value"] = str(n * t)
-        columns = [
-            {
-                "label": "repetition checks, length l",
-                "cells": {
-                    "physical_qubits": qubits_rep,
-                    "soundness": _cell("Omega(1/l)"),
-                    "distance": _cell("Theta(min(n, l))"),
-                    "rate": _cell("Theta(1/l)"),
-                    "locality": _cell("Theta(1)"),
-                },
-            },
-            {
-                "label": "independent-check classical code, length t",
-                "cells": {
-                    "physical_qubits": qubits_gen,
-                    "soundness": _cell("Omega(1/t)"),
-                    "distance": _cell("Theta(min(n, t))"),
-                    "rate": _cell("Theta(1)"),
-                    "locality": _cell("Theta(1)"),
-                },
-            },
-            {
-                "label": "logarithmic classical length",
-                "cells": {
-                    "physical_qubits": _cell("n"),
-                    "soundness": _cell("Omega(1/log(n))"),
-                    "distance": _cell("Theta(log(n))"),
-                    "rate": _cell("Theta(1)"),
-                    "locality": _cell("Theta(1)"),
-                },
-            },
-        ]
-    elif lower == "genParams":
-        columns = [
-            {
-                "label": "hypersphere product family",
-                "cells": {
-                    "physical_qubits": _cell("n"),
-                    "soundness": _cell("1/log(n)^2"),
-                    "distance": _cell("Theta(sqrt(n))"),
-                    "dimension": _cell("2", symbolic=False),
-                    "locality": _cell("Theta(log(n)/loglog(n))"),
-                },
-            },
-            {
-                "label": "hemicubic family",
-                "cells": {
-                    "physical_qubits": _cell("n"),
-                    "soundness": _cell("Omega(1/log(n))"),
-                    "distance": _cell("Theta(sqrt(n))"),
-                    "dimension": _cell("1", symbolic=False),
-                    "locality": _cell("O(log(n))"),
-                },
-            },
-            {
-                "label": "double balanced, hypersphere product input",
-                "cells": {
-                    "physical_qubits": _cell("Theta(n*t^2)"),
-                    "soundness": _cell("Omega(1/(log(n)^2*t^2))"),
-                    "distance": _cell("Theta(sqrt(n)*t)"),
-                    "dimension": _cell("Theta(t^2)"),
-                    "locality": _cell("Theta(log(n)/loglog(n))"),
-                },
-            },
-            {
-                "label": "double balanced, hemicubic input",
-                "cells": {
-                    "physical_qubits": _cell("Theta(n*t^2)"),
-                    "soundness": _cell("Omega(1/(log(n)*t^2))"),
-                    "distance": _cell("Theta(sqrt(n)*t)"),
-                    "dimension": _cell("Theta(t^2)"),
-                    "locality": _cell("O(log(n))"),
-                },
-            },
-        ]
-    else:  # exampleParams
-        if alpha is not None:
-            expo = (2 * alpha) / (1 + 2 * alpha)
-            dim_cell = _cell(f"Theta(n^({expo}))")
-            dim_cell["exponent"] = str(expo)
-            snd_cell = _cell(f"Omega(1/(n^({expo})*log(n)))")
-            snd_cell["exponent"] = str(expo)
-        else:
-            dim_cell = _cell("Theta(n^(2a/(1+2a)))")
-            snd_cell = _cell("Omega(1/(n^(2a/(1+2a))*log(n)))")
-        columns = [
-            {
-                "label": "logarithmic classical length (t = sqrt(log(n)))",
-                "cells": {
-                    "physical_qubits": _cell("n"),
-                    "soundness": _cell("Omega(1/log(n)^2)"),
-                    "distance": _cell("Theta(sqrt(n))"),
-                    "dimension": _cell("Theta(log(n))"),
-                    "locality": _cell("O(log(n))"),
-                },
-            },
-            {
-                "label": "polynomial classical length (t = n^a)",
-                "cells": {
-                    "physical_qubits": _cell("n"),
-                    "soundness": snd_cell,
-                    "distance": _cell("Theta(sqrt(n))"),
-                    "dimension": dim_cell,
-                    "locality": _cell("O(log(n))"),
-                },
-            },
-        ]
-    return {"scenario": lower, "rows": _row_names(columns), "columns": columns}
-
-
-def _row_names(columns: list[dict]) -> list[str]:
-    names = []
-    for row in _ROW_ORDER:
-        if any(row in col["cells"] for col in columns):
-            names.append(row)
-    return names
+            raise ValueError(f"{option} must be positive, got {value}")
+    cells = [{row: {"formula": f, "symbolic": not f.isdigit()} for row, f in zip(rows, formulas)}
+             for formulas in columns.values()]
+    if name == "table4":  # n*l qubits in the first column, n*t in the second
+        for column, length in zip(cells, (l, t)):
+            if n is not None and length is not None:
+                column["physical_qubits"]["value"] = str(n * length)
+    if name == "exampleParams" and alpha is not None:
+        expo = str((2 * alpha) / (1 + 2 * alpha))
+        for cell in cells[1].values():
+            if "2a/(1+2a)" in cell["formula"]:
+                cell["formula"] = cell["formula"].replace("2a/(1+2a)", expo)
+                cell["exponent"] = expo
+    return {"scenario": name, "rows": list(rows),
+            "columns": [{"label": label, "cells": c} for label, c in zip(columns, cells)]}

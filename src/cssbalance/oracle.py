@@ -363,10 +363,10 @@ def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance
     probes = other_checks.kernel_basis()
     free = sorted(set(range(other_checks.cols)) - set(other_checks.pivot_columns()))
     zeros, full = _zeros(len(free)), (1 << (1 << len(free))) - 1
-    at, mask, fires = dict(zip(free, zeros)), sum(1 << f for f in free), 0
+    at, mask = dict(zip(free, zeros)), sum(1 << f for f in free)
+    logical = full ^ 1  # the nonzero syndromes, less each odd set below
     for row in row_basis(stab_checks).row_ints():
-        fires |= _odd_set(row & mask, at, full)
-    logical = full ^ fires ^ 1  # syndrome 0 lies in no odd set
+        logical &= full ^ _odd_set(row & mask, at, full)
     if not logical:
         return INFINITE
     columns = _columns(probes, other_checks.cols)

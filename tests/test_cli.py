@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import time
 
@@ -842,6 +843,33 @@ def test_table_scenarios(capsys):
         code, stdout, err = run(capsys, "table", *bad)
         assert code == 2 and stdout == ""
         assert err.startswith("error:") and "must be positive" in err
+
+
+def test_table_text_is_pinned(capsys):
+    """The text renders of every sheet, with and without the inputs it reads."""
+    text = ""
+    for argv in (["table1"], ["table4"], ["table4", "--n", "10", "--t", "5", "--l", "3"],
+                 ["genParams"], ["exampleParams"], ["exampleParams", "--alpha", "1/4"]):
+        code, stdout, err = run(capsys, "table", *argv)
+        assert (code, err) == (0, ""), argv
+        text += stdout
+    assert "  physical_qubits   Theta(n*l)  [= 30]  (formula)\n" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d839f8c94308b05bc6723a03415ccd426a31295325c6063c08fbb401f3335ef6")
+
+
+def test_table_refuses_an_input_its_sheet_does_not_read(capsys):
+    for argv, flag in ((["table1", "--n", "5"], "--n"),
+                       (["genParams", "--alpha", "1/4"], "--alpha"),
+                       (["exampleParams", "--n=3"], "--n"),
+                       (["table4", "--l", "2", "--alpha", "2"], "--alpha")):
+        code, stdout, err = run(capsys, "table", *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert err == f"error: table {argv[0]} does not take {flag}\n"
+    for argv in (["table4", "--n", "3", "--t", "2", "--l", "4"], ["exampleParams", "--alpha", "2"]):
+        code, stdout, err = run(capsys, "table", *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        assert json.loads(stdout)["scenario"] == argv[0]
 
 
 def test_cap_floor_rejected(capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -376,6 +379,58 @@ def test_param_table_table1_shape():
         "modified repetition checks",
     ]
     assert record["columns"][1]["cells"]["soundness"]["formula"] == "Omega(1)"
+
+
+def _spellings(name):
+    return (name, name.upper(), name.lower(), f" {name}\t")
+
+
+def test_param_table_records_are_pinned():
+    """Every sheet under four spellings of its name and every combination
+    of the inputs it reads, as JSON, against a digest of the records."""
+    records = [param_table(s) for s in (*_spellings("table1"), *_spellings("genParams"))]
+    for s in _spellings("table4"):
+        for n, t, l in itertools.product((None, 10), (None, 5), (None, 3)):
+            records.append(param_table(s, n=n, t=t, l=l))
+    for s in _spellings("exampleParams"):
+        for alpha in (None, Fraction(1, 4), Fraction(2)):
+            records.append(param_table(s, alpha=alpha))
+    text = "\n".join(json.dumps(r) for r in records)
+    assert len(records) == 52
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c1a2547dd624610ce620dad7c070bfbd77b08d44221611eeea05f18275294299")
+
+
+def test_param_table_records_are_fresh():
+    """Each call builds its own record: changing one leaves the next as it was."""
+    first, second = param_table("table4", n=10, l=3), param_table("table4", n=10, l=3)
+    assert first == second and first is not second
+    first["rows"].append("extra")
+    first["columns"][0]["label"] = "changed"
+    first["columns"][0]["cells"]["physical_qubits"]["formula"] = "changed"
+    first["columns"][1]["cells"]["soundness"]["symbolic"] = False
+    assert param_table("table4", n=10, l=3) == second
+    assert second["rows"][-1] == "locality"
+
+
+def test_param_table_refuses_inputs_a_sheet_does_not_read():
+    """table4 reads n, t and l and exampleParams reads alpha; any other given
+    input is refused by name, before its sign is checked."""
+    for scenario, given, message in (
+            ("table1", {"n": 5}, "table table1 does not take --n"),
+            ("genParams", {"alpha": Fraction(1, 4)}, "table genParams does not take --alpha"),
+            (" EXAMPLEPARAMS", {"n": 3}, "table exampleParams does not take --n"),
+            ("table4", {"n": 3, "alpha": Fraction(2)}, "table table4 does not take --alpha"),
+            ("exampleParams", {"alpha": Fraction(1), "t": -1},
+             "table exampleParams does not take --t"),
+            ("table1", {"l": 0}, "table table1 does not take --l")):
+        with pytest.raises(ValueError) as exc:
+            param_table(scenario, **given)
+        assert str(exc.value) == message, scenario
+    assert param_table("table4", n=3, t=2, l=4)["columns"][1]["cells"]["physical_qubits"] == {
+        "formula": "Theta(n*t)", "symbolic": True, "value": "6"}
+    assert param_table("exampleParams", alpha=Fraction(2))["columns"][1]["cells"]["dimension"] == {
+        "formula": "Theta(n^(4/5))", "symbolic": True, "exponent": "4/5"}
 
 
 def test_param_table_unknown_scenario():
