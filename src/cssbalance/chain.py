@@ -10,10 +10,19 @@ inspected.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .gf2 import BitMatrix, _columns, block, parse_pcm, write_pcm
+
+
+def _as_int(value, what: str) -> int:
+    """value as an int. A float, a string or a bool is a ValueError naming
+    what, so 2.7 is never read as 2."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -30,7 +39,7 @@ class ChainComplex:
         diffs: Sequence[BitMatrix] = (),
         labels: Optional[Sequence[str]] = None,
     ):
-        spaces = tuple(int(d) for d in spaces)
+        spaces = tuple(_as_int(d, f"space {i}") for i, d in enumerate(spaces))
         diffs = tuple(diffs)
         if not spaces:
             raise ValueError("a complex needs at least one space")

@@ -11,14 +11,13 @@ anything.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Hashable, Optional, Union
 
-from .chain import ClassicalCode, CssCode
+from .chain import ClassicalCode, CssCode, _as_int
 from .gf2 import BitMatrix, block
 from .io import load_code
 
@@ -272,8 +271,8 @@ class CodeSpec:
         gen = GENERATORS.get(self.family)
         if gen is not None:
             builder, names = gen
-            return builder(*(_int_param(p, name, 0 if name == "seed" else None)
-                             for name in names))
+            return builder(*(_as_int(p.get(name, 0) if name == "seed" else p[name],
+                                     f"parameter {name!r}") for name in names))
         if self.family == "from_file":
             return load_code(Path(p["path"]))
         # q_complex
@@ -290,7 +289,8 @@ class CodeSpec:
         every seed and its build returns that code."""
         gen = GENERATORS.get(self.family)
         if gen is not None and self.family in _SAMPLERS:
-            sizes = [_int_param(self.params, name) for name in gen[1] if name != "seed"]
+            sizes = [_as_int(self.params[name], f"parameter {name!r}")
+                     for name in gen[1] if name != "seed"]
             return _SAMPLERS[self.family](*sizes)
         if not self.seeded:
             fixed = self.build()
@@ -304,19 +304,6 @@ def _q_over(inner: _Code) -> CssCode:
     if not isinstance(inner, ClassicalCode):
         raise ValueError("q_complex needs a classical inner code")
     return q_complex(inner.h)
-
-
-def _int_param(params: dict, name: str, default: Optional[int] = None) -> int:
-    """params[name], or default when it is absent and a default is given
-    (KeyError otherwise), as an int. A float, a string or a bool is a
-    ValueError naming the parameter, so 2.7 is never read as 2."""
-    value = params[name] if default is None else params.get(name, default)
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"parameter {name!r} must be an integer, not {value!r}")
 
 
 def as_spec(obj) -> CodeSpec:
@@ -398,7 +385,8 @@ def param_table(
               evaluated exactly.
 
     Only table4 reads n, t and l, and only exampleParams reads alpha
-    (t = n^alpha); a given input must be read and positive: ValueError if not.
+    (t = n^alpha); a given input must be read, an int (or, for alpha, a
+    Fraction) and positive: ValueError if not.
     """
     key = scenario.strip().lower()
     name = next((s for s in _SHEETS if s.lower() == key), None)
@@ -406,9 +394,15 @@ def param_table(
         raise ValueError(f"unknown scenario {scenario!r}")
     reads, rows, columns = _SHEETS[name]
     for option, value in (("n", n), ("t", t), ("l", l), ("alpha", alpha)):
-        if value is not None and option not in reads:
+        if value is None:
+            continue
+        if option not in reads:
             raise ValueError(f"table {name} does not take --{option}")
-        if value is not None and value <= 0:
+        if option != "alpha":
+            _as_int(value, option)
+        elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ValueError(f"alpha must be an integer or a Fraction, not {value!r}")
+        if value <= 0:
             raise ValueError(f"{option} must be positive, got {value}")
     cells = [{row: {"formula": f, "symbolic": not f.isdigit()} for row, f in zip(rows, formulas)}
              for formulas in columns.values()]
@@ -417,7 +411,7 @@ def param_table(
             if n is not None and length is not None:
                 column["physical_qubits"]["value"] = str(n * length)
     if name == "exampleParams" and alpha is not None:
-        expo = str((2 * alpha) / (1 + 2 * alpha))
+        expo = str(2 * Fraction(alpha) / (1 + 2 * alpha))
         for cell in cells[1].values():
             if "2a/(1+2a)" in cell["formula"]:
                 cell["formula"] = cell["formula"].replace("2a/(1+2a)", expo)

@@ -3,8 +3,10 @@
 Matrices store one Python int per row (bit c of row r is ``(row >> c) & 1``),
 so XOR is vector addition and ``int.bit_count`` is the Hamming weight. A
 vector is a packed int the same way, and the module has no other vector
-type. A matrix is a frozen dataclass, immutable after construction and safe
-to share across threads; ``balance``, ``boundcheck`` and ``sweep`` refuse a
+type. Entries go in and out only as packed rows (``row_ints``) or 0/1
+text (``from_strings``, ``parse_pcm``, ``write_pcm``), never one by one.
+A matrix is a frozen dataclass, immutable after construction and safe to
+share across threads; ``balance``, ``boundcheck`` and ``sweep`` refuse a
 balanced check matrix over the generators' size limit
 (``constructions.MAX_MATRIX_ENTRIES`` entries) before building it, as
 ``gen`` does. Every elimination (rank, pivots, kernel, row bases) reads one
@@ -74,18 +76,6 @@ class BitMatrix:
         object.__setattr__(self, "_echelon", None)
 
     @classmethod
-    def from_rows(cls, bit_rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "BitMatrix":
-        bit_rows = [list(r) for r in bit_rows]
-        if cols is None:
-            cols = len(bit_rows[0]) if bit_rows else 0
-        for r in bit_rows:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            if any(b not in (0, 1) for b in r):
-                raise ValueError("bits must be 0 or 1")
-        return cls(len(bit_rows), cols, [sum(b << c for c, b in enumerate(r)) for r in bit_rows])
-
-    @classmethod
     def from_strings(cls, lines: Sequence[str], cols: Optional[int] = None) -> "BitMatrix":
         """The matrix whose rows are these lines of 0/1 characters, column 0
         first; ValueError naming the first line that is anything else."""
@@ -109,33 +99,14 @@ class BitMatrix:
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
         return cls(rows, cols, [0] * rows)
 
-    def row(self, r: int) -> int:
-        """Row r as a packed int."""
-        return self._r[r]
-
     def row_ints(self) -> tuple[int, ...]:
         return self._r
-
-    def bit(self, r: int, c: int) -> int:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError("matrix index out of range")
-        return (self._r[r] >> c) & 1
-
-    def to_bits(self) -> list[list[int]]:
-        return [[(v >> c) & 1 for c in range(self.cols)] for v in self._r]
 
     def is_zero(self) -> bool:
         return not any(self._r)
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
-
-    def __add__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in matrix addition")
-        return BitMatrix._trusted(
-            self.rows, self.cols, [a ^ b for a, b in zip(self._r, other._r)]
-        )
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix._trusted(self.cols, self.rows, _columns(self._r, self.cols))
@@ -333,7 +304,7 @@ def block(grid: Sequence[Sequence[BitMatrix]]) -> BitMatrix:
 def row_basis(a: BitMatrix) -> BitMatrix:
     """Rows of a that greedily (in ascending order) form a row-space basis."""
     kept = a._forward()[2]
-    return BitMatrix._trusted(len(kept), a.cols, [a.row(r) for r in kept])
+    return BitMatrix._trusted(len(kept), a.cols, [a._r[r] for r in kept])
 
 
 # The pcm codec. A row with at most one 1 per _DENSE_SPAN columns is read

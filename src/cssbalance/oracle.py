@@ -66,8 +66,7 @@ class CapExceeded(Exception):
     """Every exhaustive scan that could answer a call is larger than the cap.
 
     ``words_log2`` is log2 of the kernel scan's size and ``syndromes_log2``
-    that of the syndrome search, None for a scan the call cannot use;
-    ``log2_size`` is the smaller of the two.
+    that of the syndrome search, None for a scan the call cannot use.
     """
 
     def __init__(
@@ -84,7 +83,6 @@ class CapExceeded(Exception):
         self.syndromes_log2 = syndromes_log2
         sizes = ((words_log2, "words (kernel scan)"),
                  (syndromes_log2, "syndromes (syndrome scan)"))
-        self.log2_size = min(k for k, _ in sizes if k is not None)
         needs = [f"2^{k} {kind}" for k, kind in sizes if k is not None]
         power_of_two = cap > 0 and cap & (cap - 1) == 0
         cap_text = f"2^{cap.bit_length() - 1}" if power_of_two else str(cap)
@@ -170,16 +168,11 @@ def _min_weight(vals: list[int], low: int = 0) -> Distance:
     if low >= k:
         return INFINITE
     zeros, full = _zeros(k), (1 << (1 << k)) - 1
-    columns = {}  # columns[b]: the members with a one at the bit b, as a k-bit int
-    for i, v in enumerate(vals):
-        while v:
-            b = v & -v
-            columns[b] = columns.get(b, 0) | 1 << i
-            v ^= b
-    counts = {}  # counts[g]: the number of columns equal to g
-    for g in columns.values():
-        counts[g] = counts.get(g, 0) + 1
-    planes = [0] * len(columns).bit_length()
+    counts = {}  # counts[g]: the number of nonzero columns equal to g
+    for g in _columns(vals, max(vals).bit_length()):
+        if g:
+            counts[g] = counts.get(g, 0) + 1
+    planes = [0] * sum(counts.values()).bit_length()
     for g, copies in counts.items():
         fired = _odd_set(g, zeros, full)
         for j in range(copies.bit_length()):
@@ -306,13 +299,11 @@ def classical_soundness(
 
 
 def locality(obj) -> int:
-    """Maximum row or column weight over all parity-check matrices."""
+    """Maximum row or column weight over a code's parity-check matrices."""
     if isinstance(obj, CssCode):
         mats = [obj.h_x, obj.h_z]
     elif isinstance(obj, ClassicalCode):
         mats = [obj.h]
-    elif isinstance(obj, BitMatrix):
-        mats = [obj]
     else:
         raise TypeError(f"no parity checks on {type(obj).__name__}")
     return max((w for m in mats for w in m.row_weights() + m.col_weights()), default=0)

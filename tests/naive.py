@@ -5,7 +5,8 @@ matrix-vector products, full sweeps over all 2^t words, ranks, row-space
 membership and greedy bases decided by explicit span sets, and a
 column-by-column Gauss-Jordan elimination for matrices too wide for span
 sets. Nothing is shared with the package's elimination or enumeration
-code paths. The complex file's reference text is json.dumps of the whole
+code paths, nor with the matrix type's conversions: entries are unpacked
+and packed here by ``_bits`` and ``_from_bits``. The complex file's reference text is json.dumps of the whole
 object, the reference CSS sampler tests each draw's independence by
 rebuilding the span set of all the rows accepted so far, and the reference
 row reader looks at one character at a time.
@@ -22,10 +23,20 @@ from cssbalance.constructions import MAX_RESAMPLES
 INF = float("inf")
 
 
+def _bits(a: BitMatrix) -> list[list[int]]:
+    """The entries of a, row by row: entry (r, c) is bit c of row r."""
+    return [[(v >> c) & 1 for c in range(a.cols)] for v in a.row_ints()]
+
+
+def _from_bits(entries: list[list[int]], cols: int) -> BitMatrix:
+    """The matrix with these rows of cols entries, entry c at bit c."""
+    return BitMatrix(len(entries), cols, [sum(b << c for c, b in enumerate(r)) for r in entries])
+
+
 @lru_cache(maxsize=256)
 def _matrix_bits(a: BitMatrix) -> tuple[tuple[int, ...], ...]:
     """The entries of a, unpacked once per distinct matrix."""
-    return tuple(map(tuple, a.to_bits()))
+    return tuple(map(tuple, _bits(a)))
 
 
 def naive_mul(a: BitMatrix, v: int) -> list[int]:
@@ -53,8 +64,8 @@ def naive_kernel(h: BitMatrix) -> list[int]:
 def naive_span(h: BitMatrix) -> set[int]:
     """Every sum of rows of h, as packed ints."""
     span = {0}
-    for r in range(h.rows):
-        span |= {s ^ h.row(r) for s in span}
+    for v in h.row_ints():
+        span |= {s ^ v for s in span}
     return span
 
 
@@ -63,17 +74,15 @@ def naive_rank(h: BitMatrix) -> int:
 
 
 def naive_transpose(h: BitMatrix) -> BitMatrix:
-    bits = h.to_bits()
-    return BitMatrix.from_rows(
-        [[bits[r][c] for r in range(h.rows)] for c in range(h.cols)], h.rows
-    )
+    bits = _bits(h)
+    return _from_bits([[bits[r][c] for r in range(h.rows)] for c in range(h.cols)], h.rows)
 
 
 def naive_kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """The Kronecker product entry by entry: entry (i*b.rows + j,
     p*b.cols + q) is a[i][p] * b[j][q]."""
-    x, y = a.to_bits(), b.to_bits()
-    return BitMatrix.from_rows(
+    x, y = _bits(a), _bits(b)
+    return _from_bits(
         [[x[i][p] * y[j][q] for p in range(a.cols) for q in range(b.cols)]
          for i in range(a.rows) for j in range(b.rows)],
         a.cols * b.cols,
@@ -82,7 +91,7 @@ def naive_kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 def naive_col_weights(h: BitMatrix) -> list[int]:
     """Each column's count of ones, one entry at a time."""
-    bits = h.to_bits()
+    bits = _bits(h)
     return [sum(bits[r][c] for r in range(h.rows)) for c in range(h.cols)]
 
 
@@ -90,10 +99,10 @@ def naive_greedy_rows(h: BitMatrix) -> list[int]:
     """Indices of the rows an ascending scan keeps when it keeps a row
     exactly if it lies outside the span of the rows kept before it."""
     kept, span = [], {0}
-    for r in range(h.rows):
-        if h.row(r) not in span:
+    for r, v in enumerate(h.row_ints()):
+        if v not in span:
             kept.append(r)
-            span |= {s ^ h.row(r) for s in span}
+            span |= {s ^ v for s in span}
     return kept
 
 

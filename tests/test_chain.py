@@ -56,6 +56,17 @@ def test_validate_reports_bad_shape():
     assert "shape" in c.validate()
 
 
+def test_spaces_must_be_integers():
+    """A space that is not an int is refused by name, never truncated."""
+    for spaces, message in (([2.7, True], "space 0 must be an integer, not 2.7"),
+                            ([2, True], "space 1 must be an integer, not True"),
+                            (["2", 1], "space 0 must be an integer, not '2'")):
+        with pytest.raises(ValueError) as exc:
+            ChainComplex(spaces, [BitMatrix.zeros(1, 2)])
+        assert str(exc.value) == message
+    assert ChainComplex([2, 1], [BitMatrix.zeros(1, 2)]).validate() is None
+
+
 def test_cocomplex_involution(rng):
     for _ in range(30):
         c = rand_valid_complex(rng)

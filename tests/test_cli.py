@@ -529,7 +529,7 @@ def test_sweep_pairs_differ_by_length_as_well_as_check_rows(tmp_path, capsys):
 def permuted(m, rows, cols):
     """m with row rows[i] moved to row i and column c moved to column cols[c]."""
     return BitMatrix(m.rows, m.cols, [
-        sum((m.row(r) >> c & 1) << cols[c] for c in range(m.cols)) for r in rows])
+        sum((m.row_ints()[r] >> c & 1) << cols[c] for c in range(m.cols)) for r in rows])
 
 
 def filled(q, r):

@@ -433,6 +433,29 @@ def test_param_table_refuses_inputs_a_sheet_does_not_read():
         "formula": "Theta(n^(4/5))", "symbolic": True, "exponent": "4/5"}
 
 
+def test_param_table_refuses_inputs_of_the_wrong_type():
+    """n, t and l are ints and alpha an int or a Fraction: a float, a bool
+    or a str is refused by name after the read check and before the sign
+    check, and an int alpha is read as the Fraction it equals."""
+    for scenario, given, message in (
+            ("table4", {"n": 2.5, "l": 3}, "n must be an integer, not 2.5"),
+            ("table4", {"n": True, "l": 3}, "n must be an integer, not True"),
+            ("table4", {"n": 3, "t": "2"}, "t must be an integer, not '2'"),
+            ("table4", {"l": -0.5}, "l must be an integer, not -0.5"),
+            ("exampleParams", {"alpha": 0.8}, "alpha must be an integer or a Fraction, not 0.8"),
+            ("exampleParams", {"alpha": True},
+             "alpha must be an integer or a Fraction, not True"),
+            ("exampleParams", {"alpha": "2"}, "alpha must be an integer or a Fraction, not '2'"),
+            ("exampleParams", {"alpha": -2}, "alpha must be positive, got -2"),
+            ("table1", {"n": 2.5}, "table table1 does not take --n")):
+        with pytest.raises(ValueError) as exc:
+            param_table(scenario, **given)
+        assert str(exc.value) == message, given
+    assert param_table("exampleParams", alpha=2) == param_table("exampleParams", alpha=Fraction(2))
+    assert param_table("exampleParams", alpha=2)["columns"][1]["cells"]["dimension"] == {
+        "formula": "Theta(n^(4/5))", "symbolic": True, "exponent": "4/5"}
+
+
 def test_param_table_unknown_scenario():
     with pytest.raises(ValueError):
         param_table("bogus")

@@ -51,15 +51,6 @@ def test_constructor_checks_dimensions_and_rows():
             bad()
 
 
-def test_from_rows_packs_and_checks():
-    assert BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]]) == H3
-    assert BitMatrix.from_rows([], cols=4) == BitMatrix.zeros(0, 4)
-    with pytest.raises(ValueError, match="ragged rows"):
-        BitMatrix.from_rows([[1, 0], [1]])
-    with pytest.raises(ValueError, match="bits must be 0 or 1"):
-        BitMatrix.from_rows([[1, 2]])
-
-
 def test_rank_examples():
     assert BitMatrix.identity(4).rank() == 4
     assert BitMatrix.zeros(3, 5).rank() == 0
@@ -171,9 +162,6 @@ def test_transpose_involution(rng):
 def test_add_and_weights():
     assert H3.col_weights() == [1, 2, 1]
     assert H3.row_weights() == [2, 2]
-    assert (H3 + H3).is_zero()
-    with pytest.raises(ValueError):
-        H3 + BitMatrix.identity(3)
 
 
 def test_row_basis_keeps_kernel(rng):
@@ -291,7 +279,7 @@ def _check_pivot_columns(a):
 
 
 def _check_row_basis(a):
-    assert row_basis(a).row_ints() == tuple(a.row(r) for r in naive_greedy_rows(a))
+    assert row_basis(a).row_ints() == tuple(a.row_ints()[r] for r in naive_greedy_rows(a))
 
 
 def _check_rref(a):

@@ -121,13 +121,12 @@ def test_soundness_permutation_invariance(rng):
         base = classical_soundness(ClassicalCode(h))
         cols = list(range(h.cols))
         rng.shuffle(cols)
-        permuted = BitMatrix.from_rows(
-            [[h.bit(r, c) for c in cols] for r in range(h.rows)]
-        )
+        permuted = BitMatrix(h.rows, h.cols, [
+            sum((v >> c & 1) << i for i, c in enumerate(cols)) for v in h.row_ints()])
         assert classical_soundness(ClassicalCode(permuted)) == base
         rows = list(range(h.rows))
         rng.shuffle(rows)
-        row_perm = BitMatrix(h.rows, h.cols, [h.row(r) for r in rows])
+        row_perm = BitMatrix(h.rows, h.cols, [h.row_ints()[r] for r in rows])
         assert classical_soundness(ClassicalCode(row_perm)) == base
         assert classical_distance(ClassicalCode(permuted)) == classical_distance(ClassicalCode(h))
 
@@ -177,6 +176,8 @@ def test_locality():
     assert locality(rep_modified(5)) == 4
     assert locality(ClassicalCode(BitMatrix.identity(4))) == 1
     assert locality(hamming74()) == 4
+    with pytest.raises(TypeError, match="no parity checks on BitMatrix"):
+        locality(BitMatrix.identity(4))
 
 
 def test_quantum_soundness_is_component_min():
@@ -237,7 +238,6 @@ def test_cap_exceeded_names_both_scans():
         "cap is 2^12"
     )
     assert (info.value.words_log2, info.value.syndromes_log2) == (29, 13)
-    assert info.value.log2_size == 13
     with pytest.raises(CapExceeded) as info:
         classical_soundness(ClassicalCode(BitMatrix.identity(20)), cap=5000)
     assert str(info.value) == "soundness needs 2^20 syndromes (syndrome scan), cap is 5000"
