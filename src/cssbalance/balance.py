@@ -314,12 +314,10 @@ def _check_balanced(
     if measured_z is None:
         raise UndefinedSoundnessError("Z", "balanced X-check code has no soundness")
 
+    # Defined here: n = 0, n_Z*t + n*s = 0 or n_X*t = 0 leaves a balanced
+    # check matrix without a nonzero row, whose soundness was None above.
     bx = bound_x(q.n, q.n_x, q.n_z, r.t, r.s, rho_z)
     bz = bound_z(q.n, q.n_x, q.n_z, r.t, r.s, rho_x)
-    if bx is None:
-        raise UndefinedSoundnessError("X", "bound is undefined for this geometry")
-    if bz is None:
-        raise UndefinedSoundnessError("Z", "bound is undefined for this geometry")
 
     rho_cap = None
     if q.n_x > 0 and q.n_z > 0:

@@ -413,6 +413,8 @@ def _pair_seeds(pair: dict) -> Sequence[int]:
 def cmd_sweep(args) -> int:
     try:
         job = json.loads(Path(args.job).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ValueError(f"sweep job {args.job} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValueError("sweep job JSON is nested too deeply") from None
     pairs = job.get("pairs", []) if isinstance(job, dict) else None

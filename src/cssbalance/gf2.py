@@ -28,14 +28,9 @@ empty map.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 from io import BytesIO
 from typing import Iterable, Optional, Sequence, Union
-
-
-# memoryview formats of unsigned fields of 1, 2, 4 and 8 bytes.
-_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -141,41 +136,6 @@ class BitMatrix:
             spreads.append(spread)
         return BitMatrix._trusted(self.rows * other.rows, self.cols * other.cols,
                                   [s * b for s in spreads for b in other._r])
-
-    def row_weights(self) -> list[int]:
-        return [v.bit_count() for v in self._r]
-
-    def col_weights(self) -> list[int]:
-        """Each column's count of ones. The rows are added into carry-save
-        planes (bit c of planes[k] is bit k of column c's count), and each
-        plane is spread to one field of `size` bytes per column, so the
-        fields of the planes' sum are the counts. The planes cost about as
-        much as peeling four ones per row plus 64, so a sparser matrix
-        peels its ones instead."""
-        if sum(map(int.bit_count, self._r)) <= 4 * self.rows + 64:
-            w = [0] * self.cols
-            for v in self._r:
-                while v:
-                    low = v & -v
-                    w[low.bit_length() - 1] += 1
-                    v ^= low
-            return w
-        planes: list[int] = []
-        for v in self._r:
-            for k, p in enumerate(planes):
-                if not v:
-                    break
-                planes[k], v = p ^ v, p & v
-            if v:
-                planes.append(v)
-        size = 1  # each count is below 2**len(planes)
-        while 8 * size < len(planes):
-            size *= 2
-        gap, total = "0" * (8 * size - 1), 0
-        for k, p in enumerate(planes):
-            total |= int(gap.join(format(p, "b")), 2) << k
-        fields = memoryview(total.to_bytes(self.cols * size, sys.byteorder))
-        return fields.cast(_FIELD_FORMATS[size]).tolist()
 
     def rank(self) -> int:
         return len(self._forward()[2])

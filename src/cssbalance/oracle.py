@@ -299,14 +299,29 @@ def classical_soundness(
 
 
 def locality(obj) -> int:
-    """Maximum row or column weight over a code's parity-check matrices."""
+    """Maximum row or column weight over a code's parity-check matrices.
+    A row's weight is its bit_count. The columns are counted all at once:
+    ``_add`` sums the rows into count planes (bit c of planes[k] is bit k
+    of column c's count), and the largest count is the top count of the P
+    planes, 2^P - 1, less ``_least`` of the complemented planes. A matrix
+    with no rows or no columns adds 0."""
     if isinstance(obj, CssCode):
         mats = [obj.h_x, obj.h_z]
     elif isinstance(obj, ClassicalCode):
         mats = [obj.h]
     else:
         raise TypeError(f"no parity checks on {type(obj).__name__}")
-    return max((w for m in mats for w in m.row_weights() + m.col_weights()), default=0)
+    most = 0
+    for m in mats:
+        if not (m.rows and m.cols):
+            continue
+        planes = [0] * m.rows.bit_length()
+        for v in m.row_ints():
+            _add(planes, v)
+        full = (1 << m.cols) - 1
+        most = max(most, max(map(int.bit_count, m.row_ints())),
+                   (1 << len(planes)) - 1 - _least(full, [full ^ p for p in planes]))
+    return most
 
 
 def quantum_dimension(q: CssCode) -> int:

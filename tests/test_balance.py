@@ -225,6 +225,15 @@ def test_locality_bounded_by_sum():
         assert locality(bal.code) <= locality(q) + locality(r)
 
 
+def test_locality_of_the_double_balanced_rep8_code():
+    """The n = 2648 code of the construct benchmark: H_X has 1687 rows and
+    H_Z 1408, and its locality is 6."""
+    r = rep_standard(8)
+    code = double_balance(q_complex(r.h), r).code
+    assert (code.n, code.h_x.rows, code.h_z.rows) == (2648, 1687, 1408)
+    assert locality(code) == 6
+
+
 def test_balanced_equalities_random_pairs():
     for seed in range(20):
         q = random_css(4, 1, 1, seed=seed)

@@ -1,6 +1,7 @@
 import json
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,10 @@ from cssbalance import (
     ChainComplex,
     ClassicalCode,
     CssCode,
+    UndefinedSoundnessError,
     as_classical,
     as_css,
+    bound_check,
     cocomplex,
     complex_from_json,
     complex_to_json,
@@ -155,6 +158,10 @@ def _swap(c: CssCode) -> CssCode:
     return CssCode.from_check_matrices(c.h_z, c.h_x)
 
 
+SHAPES = [(n, n_x, n_z, t, s) for n in range(5) for n_x in range(n + 1)
+          for n_z in range(n + 1 - n_x) for t in range(4) for s in range(t + 1)]
+
+
 def _product_balance(q: CssCode, r: ClassicalCode) -> CssCode:
     """The balanced code read off the bottom three terms of the product."""
     p = homological_product(q.complex, cocomplex(r.complex))
@@ -182,16 +189,33 @@ def test_product_blocks_match_explicit_layout():
     d3 = block([[eye(q.n_z).kron(h.transpose())], [h_z_t.kron(eye(s))]])
     assert p.diffs == (d3, d2, d1)
 
-    shapes = [(n, n_x, n_z, t, s) for n in range(5) for n_x in range(n + 1)
-              for n_z in range(n + 1 - n_x) for t in range(4) for s in range(t + 1)]
-    assert len(shapes) == 350
+    assert len(SHAPES) == 350
     rng = random.Random(17)
-    for n, n_x, n_z, t, s in shapes * 3:
+    for n, n_x, n_z, t, s in SHAPES * 3:
         q, r = _random_css(rng, n, n_x, n_z), _random_independent(rng, t, s)
         bal = distance_balance(q, r)
         p = homological_product(q.complex, cocomplex(r.complex))
         assert (bal.code.h_z.transpose(), bal.code.h_x) == p.diffs[1:]
         assert double_balance(q, r).code == _swap(_product_balance(_swap(_product_balance(q, r)), r))
+
+
+def test_bounds_are_defined_wherever_the_balanced_soundness_is():
+    """On every shape of the layout test, bound_check either gives both
+    bounds or stops at a balanced check code without soundness: a geometry
+    whose bound is undefined leaves a balanced matrix with no nonzero row."""
+    rng = random.Random(17)
+    outcomes = {"bounds": 0, "undefined": 0}
+    for n, n_x, n_z, t, s in SHAPES:
+        q, r = _random_css(rng, n, n_x, n_z), _random_independent(rng, t, s)
+        try:
+            result = bound_check(q, r, assume_rho=Fraction(1))
+        except UndefinedSoundnessError as exc:
+            assert "balanced" in str(exc) and "has no soundness" in str(exc)
+            outcomes["undefined"] += 1
+        else:
+            assert all(type(side.bound) is Fraction for side in result.sides)
+            outcomes["bounds"] += 1
+    assert outcomes["bounds"] and outcomes["undefined"]
 
 
 def test_as_css_reads_off_checks():

@@ -737,6 +737,19 @@ def test_sweep_malformed_job_is_a_parse_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_job_that_does_not_parse_names_its_file(tmp_path, capsys):
+    """A truncated job and one that is not UTF-8 are both reported with the
+    job's path, and no CSV is written."""
+    job = tmp_path / "job.json"
+    out = tmp_path / "out.csv"
+    for text in (b'{"pairs": [', b'{"pairs": "\xff"}'):
+        job.write_bytes(text)
+        code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
+        assert code == 2
+        assert err.startswith(f"error: sweep job {job} is not valid JSON: "), err
+    assert not out.exists()
+
+
 def test_sweep_huge_seed_count_is_not_materialized(tmp_path, capsys):
     """A pair of 2^62 seeds is a range until its rows run, so the bad
     seeds of the next pair are still a parse error and no CSV is written."""

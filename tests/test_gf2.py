@@ -24,6 +24,7 @@ from cssbalance import (
     distance_balance,
     double_balance,
     hamming74,
+    locality,
     parse_pcm,
     q_complex,
     rep_standard,
@@ -159,11 +160,6 @@ def test_transpose_involution(rng):
     assert a.transpose().transpose() == a
 
 
-def test_add_and_weights():
-    assert H3.col_weights() == [1, 2, 1]
-    assert H3.row_weights() == [2, 2]
-
-
 def test_row_basis_keeps_kernel(rng):
     for _ in range(20):
         a = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
@@ -242,8 +238,8 @@ def test_kron_matches_naive(a, b):
 
 @st.composite
 def dense_matrices(draw, max_rows=40, max_cols=40):
-    """Rows of uniform random bits: most of them average more ones than
-    col_weights peels, so they go through the bit planes."""
+    """Rows of uniform random bits: most columns count past one, so the
+    count planes carry."""
     rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
     return rand_matrix(random.Random(draw(st.integers(0, 1 << 32))), rows, cols)
 
@@ -252,16 +248,18 @@ def dense_matrices(draw, max_rows=40, max_cols=40):
 @given(st.one_of(matrices(max_rows=9, max_cols=8), dense_matrices()))
 @example(BitMatrix.zeros(0, 4))
 @example(BitMatrix.zeros(3, 0))
-@example(BitMatrix(300, 8, [0xFF] * 299 + [0x0F]))  # bit planes, counts past one byte
-def test_col_weights_match_naive(a):
-    assert a.col_weights() == naive_col_weights(a)
+@example(BitMatrix(300, 8, [0xFF] * 299 + [0x0F]))  # counts past one byte
+def test_locality_matches_naive(a):
+    want = max([v.bit_count() for v in a.row_ints()] + naive_col_weights(a), default=0)
+    assert locality(ClassicalCode(a)) == want
 
 
-def test_col_weights_past_two_bytes():
-    """Counts that need 4-byte fields: 70000 rows of five ones go through
-    the bit planes."""
+def test_locality_past_sixteen_planes():
+    """70000 rows of five ones: the counts of the four middle columns need
+    17 count planes."""
     a = BitMatrix(70000, 6, [0b011111, 0b111110] * 35000)
-    assert a.col_weights() == naive_col_weights(a) == [35000] + [70000] * 4 + [35000]
+    assert naive_col_weights(a) == [35000] + [70000] * 4 + [35000]
+    assert locality(ClassicalCode(a)) == 70000
 
 
 def _check_rank(a):
