@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
-from .gf2 import BitMatrix, _columns, block, parse_pcm, write_pcm
+from .gf2 import BitMatrix, _columns, _dims, _read_rows, block, parse_pcm, write_pcm
 
 
 def _as_int(value, what: str) -> int:
@@ -330,11 +330,11 @@ def complex_from_layout(data: bytes) -> Optional[ChainComplex]:
     array cut out and a NaN put in its place: that parse must call the
     NaN the top-level "diffs" and see no other constant, so the cut was
     that member's value and json.loads of the whole text gives the same
-    members. Each diff must parse, hold no raw newline, and have
-    write_pcm's header and length: then every newline in it is an
-    escape, there is no room for a comment line or a missing last
-    newline, and so its bytes are the 0/1 digits the reader checked
-    between the escapes of a valid JSON string."""
+    members. Each diff is a byte range of data, read where it lies: it
+    must be write_pcm's header exactly, then rows of 0/1 digits, each
+    ended by an escaped newline (the last one optional, as in parse_pcm).
+    Then it holds no raw newline, comment line or other escape, so it is
+    a valid JSON string whose value parse_pcm reads as the same matrix."""
     start = data.find(_DIFFS) + len(_DIFFS)
     if start < len(_DIFFS):
         return None
@@ -356,15 +356,16 @@ def complex_from_layout(data: bytes) -> Optional[ChainComplex]:
             return None
         obj["diffs"] = []
         spaces, _, labels = _members(obj)
-        view, diffs = memoryview(data), []
+        diffs = []
         for first, end in spans:
-            d = parse_pcm(view[first:end], b"\\n")
-            header = b"%d %d\\n" % (d.rows, d.cols)
-            if (end - first != len(header) + d.rows * (d.cols + 2)
-                    or not data.startswith(header, first)
-                    or data.find(b"\n", first, end) >= 0):
+            stop = data.index(b"\\n", first, end)  # the end of the header line
+            rows, cols = _dims(data[first:stop].decode())
+            if data[first:stop] != b"%d %d" % (rows, cols):
                 return None
-            diffs.append(d)
+            vals = _read_rows(data, stop + 2, end, rows, cols, b"\\n")
+            if vals is None:
+                return None
+            diffs.append(BitMatrix._trusted(rows, cols, vals))
         return ChainComplex(spaces, diffs, labels)
     except (ValueError, RecursionError):
         return None
@@ -395,7 +396,7 @@ def complex_from_obj(obj: dict) -> ChainComplex:
     return ChainComplex(spaces, [parse_pcm(d) for d in diffs], labels)
 
 
-def complex_from_json(text: str) -> ChainComplex:
+def complex_from_json(text: Union[str, bytes]) -> ChainComplex:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -27,7 +27,6 @@ empty map.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from io import BytesIO
 from typing import Iterable, Optional, Sequence, Union
@@ -77,7 +76,8 @@ class BitMatrix:
         lines = list(lines)
         if cols is None:
             cols = len(lines[0]) if lines else 0
-        vals = _read_rows("".join(ln + "\n" for ln in lines), 0, len(lines), cols, "\n")
+        data = "".join(ln + "\n" for ln in lines).encode("ascii", "replace")
+        vals = _read_rows(data, 0, len(data), len(lines), cols, b"\n")
         if vals is None:
             for ln in lines:
                 if len(ln) != cols or ln.count("0") + ln.count("1") != cols:
@@ -274,15 +274,13 @@ _DENSE_SPAN = 128
 _CHUNK_BYTES = 1 << 16
 
 
-def _read_rows(text: Union[str, bytes, memoryview], at: int, rows: int, cols: int,
-               newline: Union[str, bytes]) -> Optional[list[int]]:
-    """The packed rows of text[at:] when it is rows lines of cols
-    characters 0/1, each ended by newline (the last one optional when
-    cols > 0); None otherwise. The text, a str or a bytes-like object, and
-    newline are of one type. The text is checked and read in chunks of
+def _read_rows(data: bytes, at: int, end: int, rows: int, cols: int,
+               nl: bytes) -> Optional[list[int]]:
+    """The packed rows of data[at:end] when it is rows lines of cols
+    characters 0/1, each ended by nl (the last one optional when
+    cols > 0); None otherwise. The range is checked and read in chunks of
     _CHUNK_BYTES, never copied whole."""
-    nl = newline.encode() if isinstance(newline, str) else newline
-    width, size = cols + len(nl), len(text) - at
+    width, size = cols + len(nl), end - at
     if size != rows * width and not (cols and size == rows * width - len(nl)):
         return None
     limit = cols // _DENSE_SPAN  # a row with more ones is dense
@@ -290,12 +288,8 @@ def _read_rows(text: Union[str, bytes, memoryview], at: int, rows: int, cols: in
     # Made whole up front: a list grown row by row between the chunks
     # scatters the heap, and rows is now at most size + 1.
     vals = [0] * rows
-    for first in range(at, len(text), step):
-        chunk = text[first:first + step]
-        try:
-            raw = chunk.encode("ascii") if isinstance(chunk, str) else bytes(chunk)
-        except UnicodeEncodeError:
-            return None
+    for first in range(at, end, step):
+        raw = data[first:min(first + step, end)]
         if len(raw) % width:  # the last row has no newline
             raw += nl
         newlines = nl * (len(raw) // width)
@@ -304,16 +298,16 @@ def _read_rows(text: Union[str, bytes, memoryview], at: int, rows: int, cols: in
                 raw[cols + k::width] != newlines[k::len(nl)] for k in range(len(nl))):
             return None
         for r, start in enumerate(range(0, len(raw), width), (first - at) // width):
-            end = start + cols
+            stop = start + cols
             v, left = 0, limit
-            i = raw.find(b"1", start, end)
+            i = raw.find(b"1", start, stop)
             while i >= 0:
                 if not left:
-                    v = int(raw[start:end][::-1], 2)
+                    v = int(raw[start:stop][::-1], 2)
                     break
                 v |= 1 << i - start
                 left -= 1
-                i = raw.find(b"1", i + 1, end)
+                i = raw.find(b"1", i + 1, stop)
             vals[r] = v
     return vals
 
@@ -335,12 +329,14 @@ def _dims(line: str) -> tuple[int, int]:
 def write_pcm(a: BitMatrix, newline: Union[str, bytes] = "\n") -> Union[str, bytes]:
     """Canonical text serialization: header line 'rows cols', then one 0/1
     line per row, column 0 first; every line, the header included, ends
-    with newline. The text is bytes when newline is bytes, otherwise a
-    str. With newline "\\n" (or b"\\n") the text is already the body of
-    a JSON string, so a complex file escapes no second copy of it. The
-    header and the zero rows are laid out in one buffer, each 1 is set in
-    place, and the buffer hands over its bytes without a copy once no view
-    of it is open."""
+    with newline, "\n" or "\\n" (ValueError for any other). The text is
+    bytes when newline is bytes, otherwise a str. With newline "\\n" the
+    text is already the body of a JSON string, so a complex file escapes
+    no second copy of it. The header and the zero rows are laid out in one
+    buffer, each 1 is set in place, and the buffer hands over its bytes
+    without a copy once no view of it is open."""
+    if newline not in ("\n", "\\n", b"\n", b"\\n"):
+        raise ValueError(f"newline must be '\\n' or '\\\\n', not {newline!r}")
     rows, cols = a.rows, a.cols
     nl = newline.encode() if isinstance(newline, str) else newline
     head, blank = b"%d %d" % (rows, cols) + nl, b"0" * cols + nl
@@ -364,35 +360,29 @@ def write_pcm(a: BitMatrix, newline: Union[str, bytes] = "\n") -> Union[str, byt
     return text if isinstance(newline, bytes) else text.decode()
 
 
-def parse_pcm(text: Union[str, bytes, memoryview], newline: Union[str, bytes] = "\n") -> BitMatrix:
-    """Parse the text format written by write_pcm, from a str or from a
-    bytes-like text such as a memoryview slice of a file, whose lines end
-    with newline: the matrix is that of the text as str with each newline
-    read as a line break. Lines starting with '#' are comments; the trailing
-    newline is optional. Row lines of a zero-column matrix are
-    legitimately empty, so blank lines are rows. Text in write_pcm's
-    layout is read in place; any other text is decoded (as UTF-8) if it is
-    bytes, split into lines, its comments dropped, and read again or
-    refused at its first fault."""
-    if not isinstance(text, str) and isinstance(newline, str):
-        newline = newline.encode()
-    found = re.search(re.escape(newline), text)  # the end of the header line
+def parse_pcm(text: Union[str, bytes]) -> BitMatrix:
+    """Parse the text format written by write_pcm, a str or its bytes.
+    Lines starting with '#' are comments; the trailing newline is
+    optional. Row lines of a zero-column matrix are legitimately empty, so
+    blank lines are rows. A str is encoded once, each non-ASCII character
+    as a '?' that the reader refuses. Text in write_pcm's layout is read
+    in place; any other text is decoded (as UTF-8) if it is bytes, split
+    into lines, its comments dropped, and read again or refused at its
+    first fault."""
+    data = text.encode("ascii", "replace") if isinstance(text, str) else text
+    head = data.find(b"\n")  # the end of the header line
+    if head < 0:
+        head = len(data)
     try:
-        head = text[:found.start()] if found else text
-        head = head if isinstance(head, str) else str(head, "utf-8")
-        rows, cols = _dims(head)
+        rows, cols = _dims(data[:head].decode())
     except ValueError:
         pass
     else:
-        # With another newline a "\n" in the header would end the first line.
-        if "\n" not in head:
-            vals = _read_rows(text, found.end() if found else len(text), rows, cols, newline)
-            if vals is not None:
-                return BitMatrix._trusted(rows, cols, vals)
+        vals = _read_rows(data, min(head + 1, len(data)), len(data), rows, cols, b"\n")
+        if vals is not None:
+            return BitMatrix._trusted(rows, cols, vals)
     if not isinstance(text, str):
-        text, newline = str(text, "utf-8"), newline.decode()
-    if newline != "\n":
-        text = text.replace(newline, "\n")
+        text = text.decode()
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()

@@ -2,7 +2,8 @@
 
 Every loader reads the file's bytes once. The bytes of a large file that
 read as themselves are parsed in place: a complex file in the writer's
-layout diff by diff, a matrix file whole. Any other file is decoded as
+layout diff by diff, each a byte range of the file, any other by
+json.loads, and a matrix file whole. Any other file is decoded as
 Path.read_text() would decode it and read as that text.
 """
 
@@ -55,7 +56,8 @@ def _complex(text: Union[bytes, str]) -> ChainComplex:
         c = complex_from_layout(text)
         if c is not None:
             return c
-        text = text.decode("ascii")
+        if b"\0" in text[:2]:  # json.loads would read these bytes as UTF-16 or -32
+            text = text.decode("ascii")
     return complex_from_json(text)
 
 

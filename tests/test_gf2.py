@@ -32,7 +32,7 @@ from cssbalance import (
     write_pcm,
 )
 from cssbalance import gf2
-from cssbalance.gf2 import _DENSE_SPAN
+from cssbalance.gf2 import _DENSE_SPAN, _read_rows
 from conftest import rand_matrix
 
 H3 = BitMatrix.from_strings(["110", "011"])
@@ -410,29 +410,26 @@ PCM_TEXT = st.one_of(
 )
 
 
-def _parsed(text, *newline):
+def _parsed(text):
     try:
-        return "ok", parse_pcm(text, *newline)
+        return "ok", parse_pcm(text)
     except ValueError as exc:
         return "error", str(exc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(PCM_TEXT, st.sampled_from(["\n", "\\n", "\r\n"]), st.booleans())
-# A line break in the header that a newline of two characters leaves in place.
-@example("2\n3\\n110\\n011\\n", "\\n", False)
-# Each row's last byte is in its place, but its escape is split across rows.
-@example("2 2\\n01\\0n1\\n", "\\n", False)
-def test_parse_pcm_reads_any_newline_as_a_line_break(text, nl, write):
-    """parse_pcm(x, nl) is parse_pcm of x as str with each nl read as
-    "\\n", the same matrix or the same error text, for a str x and for
-    its bytes. x is the text, with its line breaks written as nl if write."""
-    x = text.replace("\n", nl) if write else text
-    want = _parsed(x.replace(nl, "\n"))
-    assert _parsed(x, nl) == want
-    assert _parsed(x.encode(), nl.encode()) == want
-    assert _parsed(memoryview(x.encode()), nl.encode()) == want
-    assert _parsed(text.encode()) == _parsed(text)
+@given(PCM_TEXT, st.sampled_from(["\n", "\\n", "\r\n"]))
+# Non-ASCII text in the header, the rows and a comment: the reader sees a
+# '?' for each character of a str, so only the line reader reads them.
+@example("\uff12 3\n110\n011\n", "\n")
+@example("1 2\n1\u00e9\n", "\n")
+@example("# \u00e9\n1 2\n10\n", "\n")
+def test_parse_pcm_reads_a_str_as_its_bytes(text, nl):
+    """parse_pcm of a str and of its UTF-8 bytes give the same matrix or
+    the same error text, with the line breaks written as nl: only "\\n"
+    is a line break, so the others are refused or read as row text."""
+    x = text.replace("\n", nl)
+    assert _parsed(x.encode()) == _parsed(x)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -493,14 +490,23 @@ def test_parse_pcm_matches_character_reader(case):
 def test_write_pcm_escaped_newline_is_the_replaced_text(a):
     """The JSON body that a complex file holds, written in one pass, is the
     pcm text with each newline escaped afterwards; with a bytes newline it
-    is those bytes, which parse_pcm reads back, from a memoryview too."""
+    is those bytes, whose rows the row reader reads back from their range,
+    and parse_pcm reads the bytes of the plain text."""
     text = write_pcm(a)
     assert write_pcm(a, "\\n") == text.replace("\n", "\\n")
     for nl in (b"\n", b"\\n"):
         data = write_pcm(a, nl)
         assert type(data) is bytes and data == text.encode().replace(b"\n", nl)
-        assert parse_pcm(data, nl) == a
-        assert parse_pcm(memoryview(b"#" + data)[1:], nl) == a
+        body = data.index(nl) + len(nl)
+        rows = _read_rows(b"#" + data, body + 1, len(data) + 1, a.rows, a.cols, nl)
+        assert rows == list(a.row_ints())
+    assert parse_pcm(write_pcm(a, b"\n")) == a
+
+
+@pytest.mark.parametrize("newline", ["", "0", "\r\n", b" "])
+def test_write_pcm_refuses_a_newline_no_reader_reads(newline):
+    with pytest.raises(ValueError, match="newline must be"):
+        write_pcm(H3, newline)
 
 
 def _bad_rows(cols: int) -> list[str]:
@@ -540,7 +546,27 @@ def test_chunked_reader_matches_character_reader(monkeypatch, rng, chunk):
         commented = "# head\n" + "\n".join(ln + "\n# between" for ln in text.split("\n")[:-1])
         assert parse_pcm(commented).row_ints() == want
         data = write_pcm(a, b"\\n")
-        assert parse_pcm(memoryview(data), b"\\n").row_ints() == want
+        body = data.index(b"\\n") + 2
+        assert tuple(_read_rows(data, body, len(data), a.rows, a.cols, b"\\n")) == want
+
+
+# Row texts of an escaped newline that hold only 0/1 and the escapes'
+# bytes, in the right count, but not each in its place: a row whose escape
+# is split across two rows, and rows shifted by one byte.
+MISPLACED_ESCAPES = [(b"01\\0n1\\n", 2, 2), (b"\\n0\\n1", 2, 1), (b"0\\n\\1n", 2, 1),
+                     (b"\\n\\n", 1, 2), (b"n0\\", 1, 1)]
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_chunked_reader_refuses_misplaced_escapes(monkeypatch, chunk):
+    """An escaped newline is two bytes, and the chunk edges fall between
+    rows, so one row's escape ends a chunk and the next row starts one:
+    each byte of the escape is checked in its place."""
+    monkeypatch.setattr(gf2, "_CHUNK_BYTES", chunk)
+    for data, rows, cols in MISPLACED_ESCAPES:
+        assert _read_rows(data, 0, len(data), rows, cols, b"\\n") is None
+    data = b"3 2\\n01\\n11\\n10\\n"
+    assert _read_rows(data, 5, len(data), 3, 2, b"\\n") == [2, 3, 1]
 
 
 @pytest.mark.parametrize("chunk", SMALL_CHUNKS)

@@ -135,6 +135,9 @@ EDITS = {
     "non_utf8": lambda b: b.replace(b'"C2"', b'"C\xff"'),
     "non_ascii": lambda b: b.replace(b'"C2"', '"Cé"'.encode()),
     "bool_space": lambda b: b.replace(b"[\n  3,", b"[\n  true,", 1),
+    # ASCII bytes that json.loads of bytes would read as UTF-16.
+    "utf16_le": lambda b: b.decode().encode("utf-16-le"),
+    "utf16_be": lambda b: b.decode().encode("utf-16-be"),
 }
 
 
@@ -142,6 +145,29 @@ EDITS = {
 def test_complex_files_no_writer_emits(written, small_in_place, tmp_path, capsys, name):
     path = _edit(written / "three.json", tmp_path / "c.json", EDITS[name])
     assert path.read_bytes() != (written / "three.json").read_bytes()
+    assert_loads_as_text(path, capsys)
+
+
+# Diffs that json.loads may read but the in-place reader must decline:
+# a header that is not write_pcm's, a body one byte short or long, and a
+# raw newline where an escape was, at the same length, or in the header.
+LAYOUT_FAULTS = {
+    "header_raw_newline": lambda b: b.replace(b'"2 6\\n', b'"2\n6\\n'),
+    "header_plus_sign": lambda b: b.replace(b'"2 6\\n', b'"+2 6\\n'),
+    "header_leading_zero": lambda b: b.replace(b'"2 6\\n', b'"02 6\\n'),
+    "header_two_spaces": lambda b: b.replace(b'"2 6\\n', b'"2  6\\n'),
+    "body_one_byte_short": lambda b: b.replace(b"\\n011011\\n", b"\\n01101\\n"),
+    "body_one_byte_long": lambda b: b.replace(b"\\n011011\\n", b"\\n0110110\\n"),
+    "raw_newline": lambda b: b.replace(b"110110\\n011011", b"110110\n\n011011"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_FAULTS))
+def test_layout_reader_declines_diff_faults(written, small_in_place, tmp_path, capsys, name):
+    path = _edit(written / "three.json", tmp_path / "c.json", LAYOUT_FAULTS[name])
+    data = path.read_bytes()
+    assert data != (written / "three.json").read_bytes()
+    assert complex_from_layout(data) is None
     assert_loads_as_text(path, capsys)
 
 
