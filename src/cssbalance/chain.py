@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .gf2 import BitMatrix, _columns, _dims, _read_rows, block, parse_pcm, write_pcm
 
@@ -396,7 +396,7 @@ def complex_from_obj(obj: dict) -> ChainComplex:
     return ChainComplex(spaces, [parse_pcm(d) for d in diffs], labels)
 
 
-def complex_from_json(text: Union[str, bytes]) -> ChainComplex:
+def complex_from_json(text: str) -> ChainComplex:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -76,7 +76,7 @@ class BitMatrix:
         lines = list(lines)
         if cols is None:
             cols = len(lines[0]) if lines else 0
-        data = "".join(ln + "\n" for ln in lines).encode("ascii", "replace")
+        data = b"".join(ln.encode("ascii", "replace") + b"\n" for ln in lines)
         vals = _read_rows(data, 0, len(data), len(lines), cols, b"\n")
         if vals is None:
             for ln in lines:
@@ -364,11 +364,11 @@ def parse_pcm(text: Union[str, bytes]) -> BitMatrix:
     """Parse the text format written by write_pcm, a str or its bytes.
     Lines starting with '#' are comments; the trailing newline is
     optional. Row lines of a zero-column matrix are legitimately empty, so
-    blank lines are rows. A str is encoded once, each non-ASCII character
-    as a '?' that the reader refuses. Text in write_pcm's layout is read
-    in place; any other text is decoded (as UTF-8) if it is bytes, split
-    into lines, its comments dropped, and read again or refused at its
-    first fault."""
+    blank lines are rows. A str is encoded once, whole, into a bytes copy,
+    each non-ASCII character as a '?' that the reader refuses. Text in
+    write_pcm's layout is read in place; any other text is decoded (as
+    UTF-8) if it is bytes, split into lines, its comments dropped, and
+    read again or refused at its first fault."""
     data = text.encode("ascii", "replace") if isinstance(text, str) else text
     head = data.find(b"\n")  # the end of the header line
     if head < 0:

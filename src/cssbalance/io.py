@@ -2,9 +2,9 @@
 
 Every loader reads the file's bytes once. The bytes of a large file that
 read as themselves are parsed in place: a complex file in the writer's
-layout diff by diff, each a byte range of the file, any other by
-json.loads, and a matrix file whole. Any other file is decoded as
-Path.read_text() would decode it and read as that text.
+layout diff by diff, each a byte range of the file, a matrix file
+whole. Any other file is decoded as Path.read_text() would decode it
+and read as that text.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ def _complex(text: Union[bytes, str]) -> ChainComplex:
         c = complex_from_layout(text)
         if c is not None:
             return c
-        if b"\0" in text[:2]:  # json.loads would read these bytes as UTF-16 or -32
-            text = text.decode("ascii")
+        text = text.decode("ascii")
     return complex_from_json(text)
 
 
