@@ -21,16 +21,19 @@ and ``_add`` sums sets into count planes, whose least count over a set
   *The Theory of Error-Correcting Codes*, ch. 1). Syndromes are written in
   a basis with a unit column per row, and XOR by a column permutes a set
   of syndromes, a block swap per set bit of the column. Each depth starts
-  at the weight of the syndrome, the cost of the unit columns, and is
-  relaxed once by each other column (depth(c) <- 1 + depth(c ^ g) where
-  less) in P = ceil(log2(rank + 1)) depth planes; the relaxation holds
-  about rank + 2P + 8 sets. Soundness works in H's echelon coordinates;
-  the s checks are summed into weight planes after the relaxation, and
-  that stage holds about rank + ceil(log2(s + 1)) + P + 5 sets. A logical
-  distance works in the coordinates of the kernel basis of the other
-  checks and takes the least depth over the logical syndromes; it stops
-  before relaxing when a column of that basis is a logical syndrome, the
-  syndrome of a logical operator of weight 1.
+  at the weight over the basis's units and is relaxed once by each other
+  distinct column (depth(c) <- 1 + depth(c ^ g) where less) in
+  P = ceil(log2(rank + 1)) depth planes; the relaxation holds about
+  rank + 2P + 8 sets. From rank 12 up, a pivot exchange (``_frame``) first
+  makes those columns units where it can, one swap per plane each: total
+  weight 7, not 39, on the rank-15 H_Z' of q(rep3) x rep3. Soundness works
+  in H's echelon coordinates; the s checks are summed into weight planes
+  after the relaxation, and that stage holds about
+  rank + ceil(log2(s + 1)) + P + 5 sets. A logical distance works in the
+  coordinates of the kernel basis of the other checks and takes the least
+  depth over the logical syndromes; it stops before any set is made when
+  the stabilizers span that kernel or a column of it is the syndrome of a
+  logical operator of weight 1.
 
 Classical distance always scans the kernel and soundness always searches
 syndromes. A logical distance that fits both scans searches when
@@ -38,7 +41,7 @@ n * 2^rank < 2^dim(kernel), n the number of columns, from ranks alone,
 before any kernel is built or any set allocated. That prices neither
 scan's work nor its memory: under a cap of 2^30 the X-distance of
 random_css(35, 11, 7) at seed 1 takes the 2^28-word kernel scan (14.7 s,
-1.3 GB) over the 2^24-syndrome search (the same d = 2 in 1.5 s, 94 MB).
+1.3 GB) over the 2^24-syndrome search (the same d = 2 in 0.5 s, 92 MB).
 ROADMAP item 3 prices the rule from the work each scan does.
 
 The enumeration budget is a hard cap on the size of the scan a call
@@ -54,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .chain import ClassicalCode, CssCode
 from .gf2 import BitMatrix, _columns, row_basis
@@ -197,27 +200,66 @@ def _swaps(move: int, zeros: list[int]) -> list[tuple[int, int]]:
     return swaps
 
 
-def _depths(columns: list[int], zeros: list[int], full: int) -> list[int]:
-    """The depths of the 2^rank syndromes of a basis of rank rows in which
-    each row owns a unit column, bit-sliced: planes[k] is the set of the
-    syndromes whose depth, the minimum weight of a word with that syndrome,
-    has bit k set. The basis is given by its columns, each a rank-bit int
-    (``gf2._columns``): H's echelon rows, whose pivot columns are the
-    units, or the kernel basis of the other checks, whose free columns
-    are. zeros is _zeros(rank) and full the set of all syndromes.
+# Below this rank a block swap costs less than an exchange's Python steps.
+_EXCHANGE_RANK = 12
 
-    Every unit syndrome is a column, so the depth starts as the weight of
-    the syndrome. Each distinct column g that is neither zero nor a unit
-    then relaxes depth(c) to 1 + depth(c ^ g) where that is less, which
-    leaves depth(c) = min over the subsets S of those columns of
-    |S| + weight(c ^ sum(S)). Depths are at most rank, so rank.bit_length()
-    planes hold them; a carry out of the increment is a value above rank,
-    which never wins."""
-    rank = len(zeros)
-    planes = [0] * rank.bit_length()
-    for z in zeros:
-        _add(planes, full ^ z)
-    for g in sorted({g for g in columns if g & (g - 1)}):
+
+def _frame(columns: list[int], owners: Sequence[int]) -> tuple[Sequence[int], list[int]]:
+    """(owners, moves): the column each row owns in the frame that _depths
+    relaxes in, and the relaxed columns, each distinct column that is not
+    zero or a unit, in that frame. The basis is given by its columns
+    (``gf2._columns``), row i owning the unit column owners[i]. From rank
+    _EXCHANGE_RANK up, each relaxed column j independent of those before it
+    becomes a unit: a row i that still owns its first unit and has a one
+    at j is added to the other rows with a one there, and owns j. That adds
+    g ^ 2^i, g column j, to each later column with bit i."""
+    first = {}
+    for j, g in enumerate(columns):
+        if g & (g - 1):
+            first.setdefault(g, j)
+    moves = sorted(first)
+    if len(owners) < _EXCHANGE_RANK:
+        return owners, moves
+    owners, kept = list(owners), (1 << len(owners)) - 1  # rows owning their first unit
+    for a, j in enumerate([first[g] for g in moves]):
+        g = moves[a]
+        low = g & kept & -(g & kept)
+        if low:
+            for b in range(a + 1, len(moves)):
+                if moves[b] & low:
+                    moves[b] ^= g ^ low
+            owners[low.bit_length() - 1] = j
+            moves[a] = low
+            kept ^= low
+    return owners, moves
+
+
+def _depths(
+    rows: Sequence[int], cols: int, owners: Sequence[int], zeros: list[int], full: int
+) -> tuple[list[int], dict, int]:
+    """The depths of the 2^rank syndromes of rank basis rows of cols bits,
+    row i owning the unit column owners[i] (H's echelon rows and their
+    pivots, or the kernel basis of the other checks and its free columns),
+    in the frame of ``_frame``. zeros is _zeros(rank) and full the set of
+    all syndromes. Returns (planes, at, mask): planes[k] is the set of the
+    syndromes whose depth, the minimum weight of a word with that syndrome,
+    has bit k set; at maps the column that row i of the frame owns to
+    zeros[i], and mask has their bits, so that a row-space vector v has odd
+    parity with the words of the syndromes _odd_set(v & mask, at, full).
+
+    Each depth starts at the weight over the input's own units, the sum of
+    the basis rows' odd sets. Each relaxed column g then relaxes depth(c)
+    to 1 + depth(c ^ g) where that is less, one block swap per plane per
+    set bit of g, which leaves depth(c) = min over the subsets S of those
+    columns of |S| + weight(c ^ sum(S)). Depths are at most rank, so
+    rank.bit_length() planes hold them; a carry out of the increment is a
+    value above rank, which never wins."""
+    owners, moves = _frame(_columns(rows, cols), owners)
+    at, mask = dict(zip(owners, zeros)), sum(1 << o for o in owners)
+    planes = [0] * len(zeros).bit_length()
+    for row in rows:
+        _add(planes, _odd_set(row & mask, at, full))
+    for g in moves:
         swaps = _swaps(g, zeros)
         moved = []
         carry = full  # depth(c ^ g) + 1, one plane at a time
@@ -234,7 +276,7 @@ def _depths(columns: list[int], zeros: list[int], full: int) -> list[int]:
         if less:
             for k, a in enumerate(moved):
                 planes[k] ^= (planes[k] ^ a) & less
-    return planes
+    return planes, at, mask
 
 
 def classical_dimension(code: ClassicalCode) -> int:
@@ -277,13 +319,12 @@ def classical_soundness(
     # space of H: the depths do not depend on the basis chosen.
     echelon, pivots, _ = h._rref()
     zeros, full = _zeros(len(pivots)), (1 << (1 << len(pivots))) - 1
-    depths = _depths(_columns(echelon, t), zeros, full)
-    # Row j of H is the sum of the echelon rows i with H[j][pivot_i] = 1,
+    depths, at, mask = _depths(echelon, t, pivots, zeros, full)
+    # Row j of H is the sum of the frame's rows i with H[j][owner_i] = 1,
     # so check j fires on the syndromes of odd parity against those bits.
     # The adder sums the checks: planes[k] is bit k of |Hx|, made once
     # the relaxation's moved planes are gone.
     planes = [0] * s.bit_length()
-    at, mask = dict(zip(pivots, zeros)), sum(1 << p for p in pivots)
     for row in h.row_ints():
         _add(planes, _odd_set(row & mask, at, full))
     best_w, best_d = 0, 0
@@ -367,22 +408,26 @@ def _logical_search(stab_checks: BitMatrix, other_checks: BitMatrix) -> Distance
     at the free columns. A word is a logical operator exactly when its
     syndrome is nonzero but no stabilizer row fires on it; a row basis of
     the stabilizers fires on the same syndromes as all their rows. The
-    distance is 1 when a column, the syndrome of a weight-1 word, is
-    logical, otherwise the least depth over the logical syndromes, and
-    INFINITE when there are none."""
+    distance is INFINITE when the stabilizers span the kernel, 1 when a
+    column, the syndrome of a weight-1 word, is logical (nonzero and off
+    every stabilizer), both known before any set is made, and otherwise
+    the least depth over the logical syndromes."""
     probes = other_checks.kernel_basis()
     free = sorted(set(range(other_checks.cols)) - set(other_checks.pivot_columns()))
+    stabs = row_basis(stab_checks).row_ints()
+    if len(stabs) == len(free):
+        return INFINITE  # the stabilizers fire on every nonzero syndrome
+    checked = 0
+    for v in stabs:
+        checked |= v
+    if any(v & ~checked for v in probes):
+        return 1  # a column off every stabilizer and with a nonzero syndrome
     zeros, full = _zeros(len(free)), (1 << (1 << len(free))) - 1
-    at, mask = dict(zip(free, zeros)), sum(1 << f for f in free)
+    depths, at, mask = _depths(probes, other_checks.cols, free, zeros, full)
     logical = full ^ 1  # the nonzero syndromes, less each odd set below
-    for row in row_basis(stab_checks).row_ints():
+    for row in stabs:
         logical &= full ^ _odd_set(row & mask, at, full)
-    if not logical:
-        return INFINITE
-    columns = _columns(probes, other_checks.cols)
-    if any(logical >> g & 1 for g in columns):
-        return 1
-    return _least(logical, _depths(columns, zeros, full))
+    return _least(logical, depths)
 
 
 def quantum_distance_x(q: CssCode, cap: int = DEFAULT_CAP) -> Distance:

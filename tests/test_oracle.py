@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from cssbalance import (
 from cssbalance.gf2 import _columns
 from cssbalance.oracle import (
     _depths,
+    _frame,
     _logical_search,
     _logical_walk,
     _min_weight,
@@ -391,11 +393,31 @@ def test_soundness_search_matches_naive(h):
     assert classical_soundness(ClassicalCode(h)) == naive_soundness(h)
 
 
+@contextlib.contextmanager
+def exchange_from(rank):
+    """Let _frame exchange pivots from this rank up, not from 12."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("cssbalance.oracle._EXCHANGE_RANK", rank)
+        yield
+
+
 def _depth_values(basis, cols):
-    """The depth of each syndrome of _depths, read back from its planes."""
+    """(depths, frame): the depth of each syndrome of _depths, read back
+    from its planes, and the rows of the frame they are written in, the
+    basis of the same row space whose row i is the only one with a one at
+    the owner _depths returns for it. The basis's own owners are the first
+    columns equal to its units."""
     rank = len(basis)
-    planes = _depths(_columns(basis, cols), _zeros(rank), (1 << (1 << rank)) - 1)
-    return [sum((p >> c & 1) << k for k, p in enumerate(planes)) for c in range(1 << rank)]
+    columns = _columns(basis, cols)
+    owners = [columns.index(1 << i) for i in range(rank)]
+    planes, at, _ = _depths(basis, cols, owners, _zeros(rank), (1 << (1 << rank)) - 1)
+    frame = list(basis)
+    for i, o in enumerate(at):
+        top = next(r for r in range(i, rank) if frame[r] >> o & 1)
+        frame[i], frame[top] = frame[top], frame[i]
+        frame = [v ^ frame[i] if r != i and v >> o & 1 else v for r, v in enumerate(frame)]
+    depths = [sum((p >> c & 1) << k for k, p in enumerate(planes)) for c in range(1 << rank)]
+    return depths, frame
 
 
 @st.composite
@@ -430,7 +452,12 @@ def unit_column_bases(draw):
 @example(([0b011, 0b101], 3))  # the kernel basis of 111: units at the highest bits, column 0 = 11
 def test_depths_match_naive(basis_cols):
     basis, cols = basis_cols
-    assert _depth_values(basis, cols) == naive_depths(basis, cols)
+    depths, frame = _depth_values(basis, cols)
+    assert frame == basis  # below rank 12 the frame is the input's own
+    assert depths == naive_depths(basis, cols)
+    with exchange_from(0):
+        depths, frame = _depth_values(basis, cols)
+    assert depths == naive_depths(frame, cols)
 
 
 @pytest.mark.parametrize("rank", [3, 7, 15])
@@ -445,7 +472,8 @@ def test_depths_carry_out_at_full_planes(rank):
         if len(pivots) == rank:
             break
     assert len(pivots) == rank
-    assert _depth_values(echelon, h.cols) == naive_depths(echelon, h.cols)
+    depths, frame = _depth_values(echelon, h.cols)
+    assert depths == naive_depths(frame, h.cols)
 
 
 @st.composite
@@ -470,6 +498,52 @@ def wide_check_matrices(draw):
 @example(BitMatrix.from_strings(["110110000011", "011011000010", "000000111110"]))
 def test_soundness_on_wide_checks_matches_naive(h):
     assert classical_soundness(ClassicalCode(h)) == naive_soundness(h)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.one_of(check_matrices(max_rows=6, max_cols=7), wide_check_matrices()))
+@example(BitMatrix.from_strings(["1010", "0101"]))  # units and their copies: nothing to exchange
+@example(BitMatrix.from_strings(["1100", "1100", "0000"]))  # dependent and zero rows
+# Rank 3 with a zero column and four relaxed columns, one more than the
+# rank: the columns 3, 5 and 7 become units and 6 stays a sum of two.
+@example(BitMatrix.from_strings(["10011010", "01010110", "00111100"]))
+def test_soundness_with_exchanged_pivots_matches_naive(h):
+    with exchange_from(0):
+        assert classical_soundness(ClassicalCode(h)) == naive_soundness(h)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(css_check_pairs())
+@example((BitMatrix.from_strings(["01101", "11111"]), BitMatrix.from_strings(["11110", "00101"])))
+@example((BitMatrix.from_strings(["111"]), BitMatrix.from_strings(["011"])))  # d_X = 1
+@example((BitMatrix.identity(3), BitMatrix.zeros(1, 3)))  # K = 0
+def test_logical_search_with_exchanged_pivots_matches_naive(pair):
+    h_x, h_z = pair
+    d_x, d_z = naive_quantum_distances(h_x, h_z)
+    with exchange_from(0):
+        assert (_logical_search(h_z, h_x), _logical_search(h_x, h_z)) == (d_x, d_z)
+        assert quantum_distances(CssCode.from_check_matrices(h_x, h_z)) == (d_x, d_z)
+
+
+def test_exchange_makes_the_relaxed_columns_units():
+    # The rank-15 H_Z' of q(rep3) x rep3: its seven relaxed columns weigh
+    # 39 in echelon coordinates, 156 block swaps over four depth planes,
+    # and 7 in the frame, 28 swaps. Below rank 12, or with the rule's rank
+    # above 15, the frame is the input's own.
+    code = distance_balance(q_complex(rep_standard(3).h), rep_standard(3)).code
+    echelon, pivots, _ = code.h_z._rref()
+    columns = _columns(echelon, code.h_z.cols)
+    own = sorted({g for g in columns if g & (g - 1)})
+    assert len(pivots) == 15 and sum(g.bit_count() for g in own) == 39
+    owners, moves = _frame(columns, pivots)
+    assert (len(moves), sum(g.bit_count() for g in moves)) == (7, 7)
+    assert sorted(owners) != list(pivots)
+    with exchange_from(16):
+        assert _frame(columns, pivots) == (pivots, own)
+    echelon, pivots, _ = code.h_x._rref()
+    columns = _columns(echelon, code.h_x.cols)
+    assert len(pivots) < 12
+    assert _frame(columns, pivots) == (pivots, sorted({g for g in columns if g & (g - 1)}))
 
 
 @PROPERTY
