@@ -24,9 +24,9 @@ and ``_add`` sums sets into count planes, whose least count over a set
   at the weight over the basis's units and is relaxed once by each other
   distinct column (depth(c) <- 1 + depth(c ^ g) where less) in
   P = ceil(log2(rank + 1)) depth planes; the relaxation holds about
-  rank + 2P + 8 sets. From rank 12 up, a pivot exchange (``_frame``) first
-  makes those columns units where it can, one swap per plane each: total
-  weight 7, not 39, on the rank-15 H_Z' of q(rep3) x rep3. Soundness works
+  rank + 2P + 8 sets. A pivot exchange (``_frame``) first makes those
+  columns units where it can, one swap per plane each: total weight 7,
+  not 39, on the rank-15 H_Z' of q(rep3) x rep3. Soundness works
   in H's echelon coordinates; the s checks are summed into weight planes
   after the relaxation, and that stage holds about
   rank + ceil(log2(s + 1)) + P + 5 sets. A logical distance works in the
@@ -200,26 +200,20 @@ def _swaps(move: int, zeros: list[int]) -> list[tuple[int, int]]:
     return swaps
 
 
-# Below this rank a block swap costs less than an exchange's Python steps.
-_EXCHANGE_RANK = 12
-
-
-def _frame(columns: list[int], owners: Sequence[int]) -> tuple[Sequence[int], list[int]]:
+def _frame(columns: list[int], owners: Sequence[int]) -> tuple[list[int], list[int]]:
     """(owners, moves): the column each row owns in the frame that _depths
     relaxes in, and the relaxed columns, each distinct column that is not
-    zero or a unit, in that frame. The basis is given by its columns
-    (``gf2._columns``), row i owning the unit column owners[i]. From rank
-    _EXCHANGE_RANK up, each relaxed column j independent of those before it
-    becomes a unit: a row i that still owns its first unit and has a one
-    at j is added to the other rows with a one there, and owns j. That adds
-    g ^ 2^i, g column j, to each later column with bit i."""
+    zero or a unit, written in that frame. The basis is given by its
+    columns (``gf2._columns``), row i owning the unit column owners[i].
+    Each relaxed column j independent of those before it becomes a unit:
+    a row i that still owns its first unit and has a one at j is added to
+    the other rows with a one there, and owns j. That adds g ^ 2^i, g
+    column j, to each later column with bit i."""
     first = {}
     for j, g in enumerate(columns):
         if g & (g - 1):
             first.setdefault(g, j)
     moves = sorted(first)
-    if len(owners) < _EXCHANGE_RANK:
-        return owners, moves
     owners, kept = list(owners), (1 << len(owners)) - 1  # rows owning their first unit
     for a, j in enumerate([first[g] for g in moves]):
         g = moves[a]

@@ -1,4 +1,3 @@
-import contextlib
 import random
 from fractions import Fraction
 
@@ -379,6 +378,10 @@ def _span_element(basis, pick):
 @example(BitMatrix.from_strings(["1011"]))  # s = 1
 @example(BitMatrix.from_strings(["1100", "0110", "1010"]))  # a zero column, dependent rows
 @example(BitMatrix.from_strings(["1101", "0111"]))  # columns 1 and 3 are equal
+@example(BitMatrix.from_strings(["1010", "0101"]))  # units and their copies: nothing to exchange
+# Rank 3 with a zero column and four relaxed columns, one more than the
+# rank: the columns 3, 5 and 7 become units and 6 stays a sum of two.
+@example(BitMatrix.from_strings(["10011010", "01010110", "00111100"]))
 # Rank 6: a set of 64 syndromes spans three 30-bit digits, and the block
 # swaps move by 16 and 32. The second has a zero column (6), a duplicate
 # column (7 = 0) and a dependent row; the third is dense, with a repeated
@@ -391,14 +394,6 @@ def _span_element(basis, pick):
     ["10111101", "11011010", "11010011", "00001101", "10001111", "11101011", "10111101"]))
 def test_soundness_search_matches_naive(h):
     assert classical_soundness(ClassicalCode(h)) == naive_soundness(h)
-
-
-@contextlib.contextmanager
-def exchange_from(rank):
-    """Let _frame exchange pivots from this rank up, not from 12."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("cssbalance.oracle._EXCHANGE_RANK", rank)
-        yield
 
 
 def _depth_values(basis, cols):
@@ -453,10 +448,6 @@ def unit_column_bases(draw):
 def test_depths_match_naive(basis_cols):
     basis, cols = basis_cols
     depths, frame = _depth_values(basis, cols)
-    assert frame == basis  # below rank 12 the frame is the input's own
-    assert depths == naive_depths(basis, cols)
-    with exchange_from(0):
-        depths, frame = _depth_values(basis, cols)
     assert depths == naive_depths(frame, cols)
 
 
@@ -500,36 +491,10 @@ def test_soundness_on_wide_checks_matches_naive(h):
     assert classical_soundness(ClassicalCode(h)) == naive_soundness(h)
 
 
-@settings(PROPERTY, max_examples=60)
-@given(st.one_of(check_matrices(max_rows=6, max_cols=7), wide_check_matrices()))
-@example(BitMatrix.from_strings(["1010", "0101"]))  # units and their copies: nothing to exchange
-@example(BitMatrix.from_strings(["1100", "1100", "0000"]))  # dependent and zero rows
-# Rank 3 with a zero column and four relaxed columns, one more than the
-# rank: the columns 3, 5 and 7 become units and 6 stays a sum of two.
-@example(BitMatrix.from_strings(["10011010", "01010110", "00111100"]))
-def test_soundness_with_exchanged_pivots_matches_naive(h):
-    with exchange_from(0):
-        assert classical_soundness(ClassicalCode(h)) == naive_soundness(h)
-
-
-@settings(PROPERTY, max_examples=60)
-@given(css_check_pairs())
-@example((BitMatrix.from_strings(["01101", "11111"]), BitMatrix.from_strings(["11110", "00101"])))
-@example((BitMatrix.from_strings(["111"]), BitMatrix.from_strings(["011"])))  # d_X = 1
-@example((BitMatrix.identity(3), BitMatrix.zeros(1, 3)))  # K = 0
-def test_logical_search_with_exchanged_pivots_matches_naive(pair):
-    h_x, h_z = pair
-    d_x, d_z = naive_quantum_distances(h_x, h_z)
-    with exchange_from(0):
-        assert (_logical_search(h_z, h_x), _logical_search(h_x, h_z)) == (d_x, d_z)
-        assert quantum_distances(CssCode.from_check_matrices(h_x, h_z)) == (d_x, d_z)
-
-
 def test_exchange_makes_the_relaxed_columns_units():
     # The rank-15 H_Z' of q(rep3) x rep3: its seven relaxed columns weigh
     # 39 in echelon coordinates, 156 block swaps over four depth planes,
-    # and 7 in the frame, 28 swaps. Below rank 12, or with the rule's rank
-    # above 15, the frame is the input's own.
+    # and 7 in the frame, 28 swaps.
     code = distance_balance(q_complex(rep_standard(3).h), rep_standard(3)).code
     echelon, pivots, _ = code.h_z._rref()
     columns = _columns(echelon, code.h_z.cols)
@@ -538,12 +503,6 @@ def test_exchange_makes_the_relaxed_columns_units():
     owners, moves = _frame(columns, pivots)
     assert (len(moves), sum(g.bit_count() for g in moves)) == (7, 7)
     assert sorted(owners) != list(pivots)
-    with exchange_from(16):
-        assert _frame(columns, pivots) == (pivots, own)
-    echelon, pivots, _ = code.h_x._rref()
-    columns = _columns(echelon, code.h_x.cols)
-    assert len(pivots) < 12
-    assert _frame(columns, pivots) == (pivots, sorted({g for g in columns if g & (g - 1)}))
 
 
 @PROPERTY
