@@ -396,18 +396,22 @@ def _pair_specs(index: int, pair: dict) -> tuple[CodeSpec, CodeSpec]:
         raise ValueError(f"sweep pair {index}: {exc}") from None
 
 
-def _pair_seeds(pair: dict) -> Sequence[int]:
+def _pair_seeds(index: int, pair: dict) -> Sequence[int]:
     """A pair's seeds: a list of ints, or {start, count} with int values as
-    a range, so a huge count costs nothing until its rows run."""
+    a range, so a huge count costs nothing until its rows run. ValueError
+    on anything else, naming the pair for a negative seed."""
     seeds = pair.get("seeds", [0])
-    if _list_of(seeds, int):
-        return seeds
     if (isinstance(seeds, dict) and set(seeds) == {"start", "count"}
             and _list_of(list(seeds.values()), int)):
-        return range(seeds["start"], seeds["start"] + seeds["count"])
-    raise ValueError(
-        "sweep 'seeds' must be a list of ints or an object of int 'start' and 'count'"
-    )
+        seeds = range(seeds["start"], seeds["start"] + seeds["count"])
+    elif not _list_of(seeds, int):
+        raise ValueError(
+            "sweep 'seeds' must be a list of ints or an object of int 'start' and 'count'"
+        )
+    low = seeds.start if isinstance(seeds, range) else min(seeds, default=0)
+    if low < 0:  # CPython would seed with its absolute value
+        raise ValueError(f"sweep pair {index}: seed {low} is negative")
+    return seeds
 
 
 def cmd_sweep(args) -> int:
@@ -421,7 +425,7 @@ def cmd_sweep(args) -> int:
     if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
         raise ValueError("a sweep job must be an object whose 'pairs' is a list of objects")
     specs = [_pair_specs(i, pair) for i, pair in enumerate(pairs, 1)]
-    seed_lists = [_pair_seeds(pair) for pair in pairs]
+    seed_lists = [_pair_seeds(i, pair) for i, pair in enumerate(pairs, 1)]
     if Path(args.out).is_dir():  # "" names the current directory
         raise ValueError(f"cannot write {args.out!r}: it is a directory")
     if not Path(args.out).parent.is_dir():

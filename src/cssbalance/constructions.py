@@ -117,6 +117,8 @@ def _ldpc_sampler(t: int, s: int, row_w: int, col_w: int) -> tuple[Callable, Cal
     rng = random.Random()
 
     def draw(seed: int) -> tuple[int, ...]:
+        if seed < 0:  # CPython would seed with its absolute value
+            raise ValueError(f"seed must be >= 0, got {seed}")
         rng.seed(seed)
         for _ in range(MAX_RESAMPLES):
             col_load = [0] * t
@@ -190,6 +192,8 @@ def _css_sampler(n: int, n_x: int, n_z: int) -> tuple[Callable, Callable]:
     rng = random.Random()
 
     def draw(seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if seed < 0:  # CPython would seed with its absolute value
+            raise ValueError(f"seed must be >= 0, got {seed}")
         rng.seed(seed)
         hz_rows = _sample_independent(rng, n, n_z)
         if hz_rows is None:
@@ -240,8 +244,8 @@ class CodeSpec:
 
     Families: the keys of GENERATORS, plus q_complex and from_file.
     q_complex takes hhat (a nested classical CodeSpec) or path (a file
-    holding a classical code); from_file takes path.
-    """
+    holding a classical code); from_file takes path. Any other parameter
+    is a ValueError naming it."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -249,6 +253,13 @@ class CodeSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        gen = GENERATORS.get(self.family)
+        hhat = self.family == "q_complex" and "hhat" in self.params
+        reads = gen[1] if gen is not None else ("hhat",) if hhat else ("path",)
+        for name in self.params:
+            if name not in reads:
+                raise ValueError(f"{self.family} does not take parameter {name!r}"
+                                 + (" with 'hhat'" if hhat else ""))
 
     def describe(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -283,10 +294,11 @@ class CodeSpec:
         """The spec's (draw, build), its parameters read and checked once,
         with build()'s errors: draw(seed), for an int seed, is a hashable
         value made only of what the RNG returned, and build(draw(seed)) is
-        the code the spec gives at that seed. draw raises RuntimeError
-        where no valid draw is found. A q_complex draws its hhat's draw. A
-        spec that is not seeded is built here, once: its draw is None at
-        every seed and its build returns that code."""
+        the code the spec gives at that seed. draw raises RuntimeError where
+        no valid draw is found, and a seeded one ValueError at a negative
+        seed. A q_complex draws its hhat's draw. A spec that is not seeded
+        is built here, once: its draw is None at every seed and its build
+        returns that code."""
         gen = GENERATORS.get(self.family)
         if gen is not None and self.family in _SAMPLERS:
             sizes = [_as_int(self.params[name], f"parameter {name!r}")

@@ -36,17 +36,10 @@ and ``_add`` sums sets into count planes, whose least count over a set
   logical operator of weight 1.
 
 Classical distance always scans the kernel and soundness always searches
-syndromes. A logical distance that fits both scans searches when
-n * 2^rank < 2^dim(kernel), n the number of columns, from ranks alone,
-before any kernel is built or any set allocated. That prices neither
-scan's work nor its memory: under a cap of 2^30 the X-distance of
-random_css(35, 11, 7) at seed 1 takes the 2^28-word kernel scan (14.7 s,
-1.3 GB) over the 2^24-syndrome search (the same d = 2 in 0.5 s, 92 MB).
-ROADMAP item 3 prices the rule from the work each scan does.
-
-The enumeration budget is a hard cap on the size of the scan a call
-chooses: 2^dim(kernel) words for a kernel scan, 2^rank syndromes for the
-search. Per scan that is 2^dim ker H for classical distance;
+syndromes. A logical distance takes the smaller of its two scans, the
+kernel scan on a tie, from ranks alone, before any kernel is built or any
+set allocated. The enumeration budget is a hard cap on the size of the
+scan a call chooses: 2^dim ker H for classical distance;
 min(2^dim ker H_Z, 2^(n - rank H_X)) for the X-distance and the same with
 X and Z swapped for the Z-distance; and 2^rank H for soundness.
 ``CapExceeded`` is raised only when no scan fits.
@@ -96,26 +89,16 @@ class CapExceeded(Exception):
         super().__init__(f"{what} needs {' or '.join(needs)}, cap is {cap_text}")
 
 
-def _fits(log2_size: Optional[int], cap: int) -> bool:
-    return log2_size is not None and log2_size < cap.bit_length() and (1 << log2_size) <= cap
-
-
 def _use_search(
-    what: str,
-    cap: int,
-    words_log2: Optional[int],
-    syndromes_log2: Optional[int] = None,
-    columns: int = 0,
+    what: str, cap: int, words_log2: Optional[int], syndromes_log2: Optional[int] = None
 ) -> bool:
     """True to search 2^syndromes_log2 syndromes, False to scan the
     2^words_log2 words of a kernel, with None for a scan the call cannot
-    use. When both fit the cap, the search is taken if
-    ``columns * 2^syndromes_log2 < 2^words_log2``, a price of a search
-    at most ``columns`` generators wide that ignores both scans' memory."""
-    scan, search = _fits(words_log2, cap), _fits(syndromes_log2, cap)
-    if scan and search:
-        return columns << syndromes_log2 < 1 << words_log2
-    if not (scan or search):
+    use: the smaller scan, the kernel scan on a tie. CapExceeded when it
+    is larger than the cap, and so is the other."""
+    search = words_log2 is None or (syndromes_log2 is not None and syndromes_log2 < words_log2)
+    size = syndromes_log2 if search else words_log2
+    if size >= cap.bit_length() or (1 << size) > cap:
         raise CapExceeded(what, cap, words_log2=words_log2, syndromes_log2=syndromes_log2)
     return search
 
@@ -378,7 +361,7 @@ def _logical_min_weight(
     rank_stab, rank_other = stab_checks.rank(), other_checks.rank()
     if n - rank_stab - rank_other == 0:
         return INFINITE
-    if _use_search(what, cap, n - rank_stab, n - rank_other, n):
+    if _use_search(what, cap, n - rank_stab, n - rank_other):
         return _logical_search(stab_checks, other_checks)
     return _logical_walk(stab_checks, other_checks)
 

@@ -737,6 +737,43 @@ def test_sweep_malformed_job_is_a_parse_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_refuses_a_negative_seed(tmp_path, capsys):
+    """CPython seeds with |seed|: --seed -4 would write the file of --seed 4."""
+    out = tmp_path / "h.pcm"
+    code, _, err = run(capsys, "gen", "ldpc", "6", "3", "--seed", "-4", "-o", str(out))
+    assert code == 2
+    assert err == "error: seed must be >= 0, got -4\n"
+    assert not out.exists()
+    assert run(capsys, "gen", "ldpc", "6", "3", "--seed", "4", "-o", str(out))[0] == 0
+
+
+def test_sweep_refuses_before_any_row_runs(tmp_path, capsys, monkeypatch):
+    """A negative seed, from a list or the start of a range, and a spec
+    parameter the family does not read are each exit 2 naming the pair,
+    with no row run and no CSV written."""
+    job = tmp_path / "job.json"
+    out = tmp_path / "out.csv"
+    css = {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}}
+    rep = {"family": "rep", "params": {"l": 2}}
+    good = {"quantum": css, "classical": rep, "seeds": [0, 1]}
+    monkeypatch.setattr(cli, "_sweep_row", lambda *a: pytest.fail("a row ran"))
+    for pair, message in (
+            ({**good, "seeds": [3, -3]}, "sweep pair 2: seed -3 is negative"),
+            ({**good, "seeds": {"start": -1, "count": 3}}, "sweep pair 2: seed -1 is negative"),
+            ({**good, "quantum": {**css, "params": {**css["params"], "nx": 3}}},
+             "sweep pair 2: random_css does not take parameter 'nx'"),
+            ({**good, "classical": {**rep, "params": {"l": 2, "seed": 5}}},
+             "sweep pair 2: rep does not take parameter 'seed'"),
+            ({**good, "classical": {"family": "hamming74", "params": {"l": 9}}},
+             "sweep pair 2: hamming74 does not take parameter 'l'"),
+            ({**good, "quantum": {"family": "q_complex", "params": {"hhat": rep, "path": "h.pcm"}}},
+             "sweep pair 2: q_complex does not take parameter 'path' with 'hhat'")):
+        job.write_text(json.dumps({"pairs": [good, pair]}))
+        code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
+        assert (code, err) == (2, f"error: {message}\n"), pair
+        assert not out.exists()
+
+
 def test_sweep_job_that_does_not_parse_names_its_file(tmp_path, capsys):
     """A truncated job and one that is not UTF-8 are both reported with the
     job's path, and no CSV is written."""

@@ -260,6 +260,43 @@ def test_draws_hold_what_the_generator_drew():
         assert tuple(sum_of(kernel, m) for m in masks) == code.h_x.row_ints()
 
 
+def test_negative_seed_is_refused():
+    """CPython seeds with |seed|, so a negative seed would repeat the code
+    of its absolute value: every seeded draw refuses it."""
+    with pytest.raises(ValueError, match="seed must be >= 0, got -4"):
+        random_ldpc(**LDPC, seed=-4)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        random_css(4, 1, 1, -1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -2"):
+        CodeSpec("random_css", {"n": 4, "n_x": 1, "n_z": 1, "seed": -2}).build()
+    for spec in SEEDED_SPECS:
+        draw = spec.sampler()[0]
+        draw(0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            draw(-1)
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("random_css", {"n": 4, "n_x": 1, "n_z": 1, "nx": 3}, "random_css does not take parameter 'nx'"),
+    ("rep", {"l": 3, "seed": 5}, "rep does not take parameter 'seed'"),
+    ("hamming74", {"l": 9}, "hamming74 does not take parameter 'l'"),
+    ("q_complex", {"hhat": {"family": "rep", "params": {"l": 3}}, "path": "h.pcm"},
+     "q_complex does not take parameter 'path' with 'hhat'"),
+    ("q_complex", {"path": "h.pcm", "l": 3}, "q_complex does not take parameter 'l'"),
+    ("from_file", {"path": "h.pcm", "hhat": {"family": "rep", "params": {"l": 3}}},
+     "from_file does not take parameter 'hhat'"),
+])
+def test_code_spec_refuses_a_parameter_its_family_does_not_read(family, params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CodeSpec(family, params)
+    # A nested spec is read when the outer one builds or draws.
+    outer = CodeSpec("q_complex", {"hhat": {"family": family, "params": params}})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        outer.build()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        outer.sampler()
+
+
 def sum_of(vectors, mask):
     """The sum of the vectors whose bits are set in mask."""
     total = 0

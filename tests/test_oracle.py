@@ -41,6 +41,7 @@ from cssbalance import (
     rep_modified,
     rep_standard,
 )
+from cssbalance import oracle
 from cssbalance.gf2 import _columns
 from cssbalance.oracle import (
     _depths,
@@ -255,17 +256,47 @@ def test_each_distance_takes_the_scan_that_fits():
     assert quantum_distances(q_rep4_rep4(), cap=1 << 13) == (8, 4)
 
 
-def test_strategy_choice_by_cost():
-    # Only the search fits: take it however many columns it has.
-    assert _use_search("d", 1 << 12, 29, 12, 1000) is True
-    # Both fit: a 2^11-word walk beats 2^24 syndromes times 100 columns ...
-    assert _use_search("d", 1 << 24, 11, 24, 100) is False
-    # ... and 2^11 syndromes times 100 columns beat a 2^24-word walk.
-    assert _use_search("d", 1 << 24, 24, 11, 100) is True
+def test_strategy_choice_by_size():
+    # The smaller scan: a 2^11-word scan against 2^24 syndromes, and
+    # 2^11 syndromes against a 2^24-word scan, or the only one that fits.
+    assert _use_search("d", 1 << 24, 11, 24) is False
+    assert _use_search("d", 1 << 24, 24, 11) is True
+    assert _use_search("d", 1 << 12, 29, 12) is True
+    # On a tie the kernel scan.
+    assert _use_search("d", 1 << 24, 20, 20) is False
     # A scan the call cannot use is None.
     assert _use_search("d", 1 << 24, None, 24) is True
-    with pytest.raises(CapExceeded):
+    assert _use_search("d", 1 << 24, 24) is False
+    with pytest.raises(CapExceeded, match=r"^d needs 2\^25 syndromes \(syndrome scan\), cap is 2\^24$"):
         _use_search("d", 1 << 24, None, 25)
+    # Sizes far over the cap are compared as exponents: 2^1353 is never built.
+    with pytest.raises(CapExceeded, match=r"^d needs 2\^1353 syndromes \(syndrome scan\), cap is 2\^10$"):
+        _use_search("d", 1 << 10, None, 1353)
+    with pytest.raises(CapExceeded, match=r"2\^1296 words \(kernel scan\) or 2\^1353 syndromes"):
+        _use_search("d", 1 << 10, 1296, 1353)
+    with pytest.raises(CapExceeded):
+        _use_search("d", 1 << 10, None, 10 ** 18)
+
+
+@pytest.mark.parametrize("sizes, seed, cap, scans", [
+    ((24, 7, 3), 0, 1 << 24, (21, 17)),
+    ((24, 7, 3), 1, 1 << 24, (21, 17)),
+    ((22, 7, 4), 0, 1 << 24, (18, 15)),
+    ((22, 7, 4), 1, 1 << 24, (18, 15)),
+    ((36, 17, 12), 0, 1 << 24, (24, 19)),
+    ((35, 11, 7), 1, 1 << 30, (28, 24)),
+], ids=["24-7-3#0", "24-7-3#1", "22-7-4#0", "22-7-4#1", "36-17-12#0", "35-11-7#1"])
+def test_x_distance_searches_the_smaller_syndrome_space(monkeypatch, sizes, seed, cap, scans):
+    """X-distances where pricing the search at n times its size took the
+    slower kernel scan: the ranks alone choose the search, and neither
+    scan runs here."""
+    q = random_css(*sizes, seed)
+    assert (q.n - q.h_z.rank(), q.n - q.h_x.rank()) == scans
+    chosen = []
+    monkeypatch.setattr(oracle, "_logical_search", lambda *m: chosen.append("search"))
+    monkeypatch.setattr(oracle, "_logical_walk", lambda *m: chosen.append("scan"))
+    quantum_distance_x(q, cap)
+    assert chosen == ["search"]
 
 
 def test_determinism(rng):
