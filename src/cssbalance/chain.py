@@ -5,6 +5,12 @@ the top space and ``diffs[i]`` maps ``spaces[i]`` down to ``spaces[i+1]``.
 Construction is permissive; ``validate`` reports the first shape or
 composition violation instead of raising, so invalid complexes can be
 inspected.
+
+A complex file is written (``complex_json_pieces``) and read from a
+stream (``complex_from_layout``) in the pcm codec's chunks: at a time
+it holds one chunk of a diff's text and the small members around the
+diffs array, never a whole diff's text. A file in any other layout is read
+whole, as text, by ``complex_from_json``.
 """
 
 from __future__ import annotations
@@ -12,9 +18,9 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import BinaryIO, Iterator, Optional, Sequence, Union
 
-from .gf2 import BitMatrix, _columns, _dims, _read_rows, block, parse_pcm, write_pcm
+from .gf2 import BitMatrix, _columns, _dims, _pcm_chunks, _read_rows, _read_to, block, parse_pcm
 
 
 def _as_int(value, what: str) -> int:
@@ -283,12 +289,12 @@ _FIRST, _NEXT, _CLOSE = b'[\n  "', b'",\n  "', b'"\n ]'
 
 def complex_json_pieces(
     c: ChainComplex, block_layout: Optional[dict] = None
-) -> Iterator[bytes]:
+) -> Iterator[Union[bytes, memoryview]]:
     """The bytes of json.dumps(obj, indent=1), where obj holds the complex's
-    spaces, diffs and labels, then block_layout when given, in pieces that
-    hold at most one diff each. The small members are formatted before
-    this returns, so a layout that json cannot encode raises before the
-    caller writes anything."""
+    spaces, diffs and labels, then block_layout when given, in bytes-like
+    pieces of at most about one chunk of the pcm writer each. The small
+    members are formatted before this returns, so a layout that json
+    cannot encode raises before the caller writes anything."""
 
     def member(name: str, value) -> bytes:
         # One level inside the top object: one more space after each newline.
@@ -302,7 +308,8 @@ def complex_json_pieces(
     return _pieces(head, c.diffs, tail + b"\n}")
 
 
-def _pieces(head: bytes, diffs: Sequence[BitMatrix], tail: bytes) -> Iterator[bytes]:
+def _pieces(head: bytes, diffs: Sequence[BitMatrix],
+            tail: bytes) -> Iterator[Union[bytes, memoryview]]:
     yield head
     if not diffs:
         yield b"[]"
@@ -311,7 +318,7 @@ def _pieces(head: bytes, diffs: Sequence[BitMatrix], tail: bytes) -> Iterator[by
             yield _NEXT if i else _FIRST
             # pcm text holds only digits, spaces and newlines, so with its
             # newlines written escaped it is its own JSON string.
-            yield write_pcm(d, b"\\n")
+            yield from _pcm_chunks(d, b"\\n")
         yield _CLOSE
     yield tail
 
@@ -320,52 +327,62 @@ def complex_to_json(c: ChainComplex) -> str:
     return b"".join(complex_json_pieces(c)).decode()
 
 
-def complex_from_layout(data: bytes) -> Optional[ChainComplex]:
-    """The complex in data, ASCII text with no CR, when its diffs are laid
-    out as save_complex writes them, each diff read in place; None for any
-    other text, or when a member or diff is invalid, so that the caller
-    reads it as JSON and reports what that read reports.
+def _take(stream: BinaryIO, token: bytes) -> bool:
+    """Whether the stream's next bytes are token: read past them if so,
+    left where it was otherwise."""
+    got = stream.read(len(token))
+    if got == token:
+        return True
+    stream.seek(-len(got), 1)
+    return False
 
-    The small members come from json.loads of the text with the diffs
-    array cut out and a NaN put in its place: that parse must call the
-    NaN the top-level "diffs" and see no other constant, so the cut was
-    that member's value and json.loads of the whole text gives the same
-    members. Each diff is a byte range of data, read where it lies: it
-    must be write_pcm's header exactly, then rows of 0/1 digits, each
-    ended by an escaped newline (the last one optional, as in parse_pcm).
-    Then it holds no raw newline, comment line or other escape, so it is
-    a valid JSON string whose value parse_pcm reads as the same matrix."""
-    start = data.find(_DIFFS) + len(_DIFFS)
-    if start < len(_DIFFS):
+
+def complex_from_layout(stream: BinaryIO) -> Optional[ChainComplex]:
+    """The complex in a seekable binary stream, read from its position to
+    its end in chunks, when it is ASCII with no CR and its diffs are laid
+    out as save_complex writes them; None for any other text, or when a
+    member or diff is invalid, so that the caller reads it as JSON and
+    reports what that read reports. What it holds at once is the text
+    before and after the diffs array, one chunk and the parsed diffs.
+
+    It reads the text up to the diffs key, then each diff in turn, then
+    the rest. Each diff must be write_pcm's header exactly, then rows of
+    0/1 digits, each ended by an escaped newline (the last one optional,
+    as in parse_pcm), then the closing quote. Then it holds no raw
+    newline, comment line or other escape, so it is a valid JSON string
+    whose value parse_pcm reads as the same matrix. The small members
+    come from json.loads of the text with the diffs array cut out and a
+    NaN put in its place: that parse must call the NaN the top-level
+    "diffs" and see no other constant, so the cut was that member's value
+    and json.loads of the whole text gives the same members."""
+    head = _read_to(stream, _DIFFS)
+    if head is None or not head.isascii() or b"\r" in head:
         return None
-    spans, at, sep = [], start, _FIRST
-    while data.startswith(sep, at):
-        end = data.find(b'"', at + len(sep))
-        if end < 0:
-            return None
-        spans.append((at + len(sep), end))
-        at, sep = end, _NEXT
-    close = _CLOSE if spans else b"[]"
-    if not data.startswith(close, at):
-        return None
-    constants: list[str] = []
+    diffs = []
     try:
-        obj = json.loads(data[:start] + b"NaN" + data[at + len(close):],
+        while _take(stream, _NEXT if diffs else _FIRST):
+            header = _read_to(stream, b"\\n")
+            if header is None:
+                return None
+            rows, cols = _dims(header.decode())
+            if header != b"%d %d" % (rows, cols):
+                return None
+            vals = _read_rows(stream, rows, cols, b"\\n")
+            if vals is None:
+                return None
+            diffs.append(BitMatrix._trusted(rows, cols, vals))
+        if not _take(stream, _CLOSE if diffs else b"[]"):
+            return None
+        tail = stream.read()
+        if not tail.isascii() or b"\r" in tail:
+            return None
+        constants: list[str] = []
+        obj = json.loads(head + _DIFFS + b"NaN" + tail,
                          parse_constant=lambda name: constants.append(name) or constants)
         if constants != ["NaN"] or not isinstance(obj, dict) or obj.get("diffs") is not constants:
             return None
         obj["diffs"] = []
         spaces, _, labels = _members(obj)
-        diffs = []
-        for first, end in spans:
-            stop = data.index(b"\\n", first, end)  # the end of the header line
-            rows, cols = _dims(data[first:stop].decode())
-            if data[first:stop] != b"%d %d" % (rows, cols):
-                return None
-            vals = _read_rows(data, stop + 2, end, rows, cols, b"\\n")
-            if vals is None:
-                return None
-            diffs.append(BitMatrix._trusted(rows, cols, vals))
         return ChainComplex(spaces, diffs, labels)
     except (ValueError, RecursionError):
         return None

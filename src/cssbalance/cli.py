@@ -387,13 +387,21 @@ def _fill_sweep_row(row: dict[str, str], q: CssCode, r: ClassicalCode, cap: int,
 
 def _pair_specs(index: int, pair: dict) -> tuple[CodeSpec, CodeSpec]:
     """A pair's quantum and classical specs; ValueError naming the pair when
-    either is missing or malformed."""
+    either is missing or malformed, or when it or an hhat spec nested in it
+    sets a seed, which the pair's seeds give instead."""
     try:
-        return as_spec(pair["quantum"]), as_spec(pair["classical"])
+        specs = as_spec(pair["quantum"]), as_spec(pair["classical"])
     except KeyError as exc:
         raise ValueError(f"sweep pair {index} has no {exc} spec") from None
     except ValueError as exc:
         raise ValueError(f"sweep pair {index}: {exc}") from None
+    for spec in (pair["quantum"], pair["classical"]):
+        while isinstance(spec, dict) and isinstance(spec.get("params"), dict):
+            if "seed" in spec["params"]:  # the spec, then each nested hhat
+                raise ValueError(f"sweep pair {index}: {spec.get('family')} sets 'seed'; "
+                                 "a sweep takes each seed from the pair's 'seeds'")
+            spec = spec["params"].get("hhat")
+    return specs
 
 
 def _pair_seeds(index: int, pair: dict) -> Sequence[int]:

@@ -23,13 +23,21 @@ cache is idempotent: two threads racing on a first call only repeat the
 same work and store equal results.
 Empty matrices (0 rows or 0 columns) are legal everywhere and act as the
 empty map.
+
+The pcm codec works in chunks of about 64 KiB of whole rows
+(``_CHUNK_BYTES``). Its readers take a seekable binary stream, an open
+file or a BytesIO that shares the buffer of text in memory, and read
+and check one chunk at a time; its chunk writer lays out one block of
+rows at a time with ``write_pcm`` for savers to write as it comes. So
+loading or saving a large matrix never holds its whole text; only
+``write_pcm``, which returns the whole text, does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from io import BytesIO
-from typing import Iterable, Optional, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, Union
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -76,9 +84,9 @@ class BitMatrix:
         lines = list(lines)
         if cols is None:
             cols = len(lines[0]) if lines else 0
-        data = b"".join(ln.encode("ascii", "replace") + b"\n" for ln in lines)
-        vals = _read_rows(data, 0, len(data), len(lines), cols, b"\n")
-        if vals is None:
+        stream = BytesIO(b"".join(ln.encode("ascii", "replace") + b"\n" for ln in lines))
+        vals = _read_rows(stream, len(lines), cols, b"\n")
+        if vals is None or stream.read(1):
             for ln in lines:
                 if len(ln) != cols or ln.count("0") + ln.count("1") != cols:
                     raise ValueError(f"bad matrix row: {ln!r}")
@@ -269,35 +277,60 @@ def row_basis(a: BitMatrix) -> BitMatrix:
 
 # The pcm codec. A row with at most one 1 per _DENSE_SPAN columns is read
 # and written one byte per 1; a denser row goes through one int() or
-# format() call, whose cost follows the width instead.
+# format() call, whose cost follows the width instead. Text is read and
+# written in chunks of whole rows of about _CHUNK_BYTES, so a large
+# matrix's text is never held whole.
 _DENSE_SPAN = 128
 _CHUNK_BYTES = 1 << 16
 
 
-def _read_rows(data: bytes, at: int, end: int, rows: int, cols: int,
-               nl: bytes) -> Optional[list[int]]:
-    """The packed rows of data[at:end] when it is rows lines of cols
-    characters 0/1, each ended by nl (the last one optional when
-    cols > 0); None otherwise. The range is checked and read in chunks of
-    _CHUNK_BYTES, never copied whole."""
-    width, size = cols + len(nl), end - at
-    if size != rows * width and not (cols and size == rows * width - len(nl)):
+def _read_to(stream: BinaryIO, token: bytes) -> Optional[bytes]:
+    """The bytes from a seekable stream's position up to the first token,
+    read in chunks of _CHUNK_BYTES, with the stream left just past the
+    token; None when the stream ends first."""
+    start = stream.tell()
+    got = stream.read(_CHUNK_BYTES)
+    at = got.find(token)
+    if at < 0:
+        got = bytearray(got)  # grown in place: a long search stays linear
+        while at < 0:
+            piece = stream.read(_CHUNK_BYTES)
+            if not piece:
+                return None
+            seen = max(0, len(got) - len(token) + 1)
+            got += piece
+            at = got.find(token, seen)
+    stream.seek(start + at + len(token))
+    return bytes(got[:at])
+
+
+def _read_rows(stream: BinaryIO, rows: int, cols: int, nl: bytes) -> Optional[list[int]]:
+    """The packed rows of the next rows lines of a seekable stream, each
+    cols characters 0/1 ended by nl (the last one optional when cols > 0),
+    with the stream left past them; None otherwise. The rows are read and
+    checked in chunks of about _CHUNK_BYTES, never held whole."""
+    width = cols + len(nl)
+    size = rows * width - (len(nl) if rows and cols else 0)  # the optional nl is read last
+    here = stream.tell()
+    if stream.seek(0, 2) - here < size:  # rows the text cannot hold allocate nothing
         return None
+    stream.seek(here)
     limit = cols // _DENSE_SPAN  # a row with more ones is dense
     step = max(1, _CHUNK_BYTES // width) * width
     # Made whole up front: a list grown row by row between the chunks
-    # scatters the heap, and rows is now at most size + 1.
+    # scatters the heap.
     vals = [0] * rows
-    for first in range(at, end, step):
-        raw = data[first:min(first + step, end)]
-        if len(raw) % width:  # the last row has no newline
-            raw += nl
-        newlines = nl * (len(raw) // width)
+    for first in range(0, size, step):
+        want = min(step, size - first)
+        raw = stream.read(want)
+        if len(raw) != want:  # the file shrank while it was read
+            return None
+        newlines = nl * (len(raw) // width)  # the last row's nl is read below
         # Only 0/1 and the newlines, each of whose bytes sits in its place.
         if raw.translate(None, b"01") != newlines or any(
                 raw[cols + k::width] != newlines[k::len(nl)] for k in range(len(nl))):
             return None
-        for r, start in enumerate(range(0, len(raw), width), (first - at) // width):
+        for r, start in enumerate(range(0, len(raw), width), first // width):
             stop = start + cols
             v, left = 0, limit
             i = raw.find(b"1", start, stop)
@@ -309,7 +342,28 @@ def _read_rows(data: bytes, at: int, end: int, rows: int, cols: int,
                 left -= 1
                 i = raw.find(b"1", i + 1, stop)
             vals[r] = v
+    if rows and cols:
+        end = stream.read(len(nl))
+        if end != nl:
+            stream.seek(-len(end), 1)
     return vals
+
+
+def _read_pcm(stream: BinaryIO) -> Optional[BitMatrix]:
+    """The matrix of a seekable stream in write_pcm's layout: a header
+    line of ASCII with no CR, then the rows up to the stream's end, read
+    in chunks; None for anything else."""
+    head = _read_to(stream, b"\n")
+    if head is None or not head.isascii() or b"\r" in head:
+        return None
+    try:
+        rows, cols = _dims(head.decode())
+    except ValueError:
+        return None
+    vals = _read_rows(stream, rows, cols, b"\n")
+    if vals is None or stream.read(1):
+        return None
+    return BitMatrix._trusted(rows, cols, vals)
 
 
 def _dims(line: str) -> tuple[int, int]:
@@ -333,20 +387,16 @@ def write_pcm(a: BitMatrix, newline: Union[str, bytes] = "\n") -> Union[str, byt
     bytes when newline is bytes, otherwise a str. With newline "\\n" the
     text is already the body of a JSON string, so a complex file escapes
     no second copy of it. The header and the zero rows are laid out in one
-    buffer, each 1 is set in place, and the buffer hands over its bytes
-    without a copy once no view of it is open."""
+    buffer by one multiplication, each 1 is set in place, and the buffer
+    hands over its bytes without a copy once no view of it is open."""
     if newline not in ("\n", "\\n", b"\n", b"\\n"):
         raise ValueError(f"newline must be '\\n' or '\\\\n', not {newline!r}")
     rows, cols = a.rows, a.cols
     nl = newline.encode() if isinstance(newline, str) else newline
     head, blank = b"%d %d" % (rows, cols) + nl, b"0" * cols + nl
     width, limit, spec = len(blank), cols // _DENSE_SPAN, f"0{cols}b"
-    out = BytesIO()
-    out.write(head)
-    for _ in range(rows):
-        out.write(blank)
+    out, start = BytesIO(head + blank * rows), len(head)
     with out.getbuffer() as buf:
-        start = len(head)
         for v in a.row_ints():
             if v.bit_count() > limit:
                 buf[start:start + cols] = format(v, spec)[::-1].encode()
@@ -360,27 +410,32 @@ def write_pcm(a: BitMatrix, newline: Union[str, bytes] = "\n") -> Union[str, byt
     return text if isinstance(newline, bytes) else text.decode()
 
 
+def _pcm_chunks(a: BitMatrix, nl: bytes) -> Iterator[Union[bytes, memoryview]]:
+    """The bytes of write_pcm(a, nl) in pieces, so that a writer holds one:
+    the header line, then write_pcm of each block of whole rows of about
+    _CHUNK_BYTES, viewed past the block's own header line."""
+    yield b"%d %d" % (a.rows, a.cols) + nl
+    step = max(1, _CHUNK_BYTES // (a.cols + len(nl)))
+    for first in range(0, a.rows, step):
+        part = a.row_ints()[first:first + step]
+        text = write_pcm(BitMatrix._trusted(len(part), a.cols, part), nl)
+        yield memoryview(text)[text.index(nl) + len(nl):]
+
+
 def parse_pcm(text: Union[str, bytes]) -> BitMatrix:
     """Parse the text format written by write_pcm, a str or its bytes.
     Lines starting with '#' are comments; the trailing newline is
     optional. Row lines of a zero-column matrix are legitimately empty, so
     blank lines are rows. A str is encoded once, whole, into a bytes copy,
     each non-ASCII character as a '?' that the reader refuses. Text in
-    write_pcm's layout is read in place; any other text is decoded (as
-    UTF-8) if it is bytes, split into lines, its comments dropped, and
-    read again or refused at its first fault."""
+    write_pcm's layout is read in place by _read_pcm, through a BytesIO
+    that shares its buffer; any other text is decoded (as UTF-8) if it is
+    bytes, split into lines, its comments dropped, and read again or
+    refused at its first fault."""
     data = text.encode("ascii", "replace") if isinstance(text, str) else text
-    head = data.find(b"\n")  # the end of the header line
-    if head < 0:
-        head = len(data)
-    try:
-        rows, cols = _dims(data[:head].decode())
-    except ValueError:
-        pass
-    else:
-        vals = _read_rows(data, min(head + 1, len(data)), len(data), rows, cols, b"\n")
-        if vals is not None:
-            return BitMatrix._trusted(rows, cols, vals)
+    matrix = _read_pcm(BytesIO(data))
+    if matrix is not None:
+        return matrix
     if not isinstance(text, str):
         text = text.decode()
     lines = text.split("\n")

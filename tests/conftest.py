@@ -5,6 +5,11 @@ import pytest
 from cssbalance import BitMatrix, ChainComplex
 
 
+# Chunks of a few bytes hold one row or a few, so every row boundary is
+# also a chunk boundary somewhere.
+SMALL_CHUNKS = [1, 4, 9, 23]
+
+
 def rand_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
     return BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
 

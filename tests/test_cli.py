@@ -748,9 +748,10 @@ def test_gen_refuses_a_negative_seed(tmp_path, capsys):
 
 
 def test_sweep_refuses_before_any_row_runs(tmp_path, capsys, monkeypatch):
-    """A negative seed, from a list or the start of a range, and a spec
-    parameter the family does not read are each exit 2 naming the pair,
-    with no row run and no CSV written."""
+    """A negative seed, from a list or the start of a range, a spec
+    parameter the family does not read, and a seed set in a spec, a nested
+    hhat spec included, which the pair's seeds would silently override,
+    are each exit 2 naming the pair, with no row run and no CSV written."""
     job = tmp_path / "job.json"
     out = tmp_path / "out.csv"
     css = {"family": "random_css", "params": {"n": 4, "n_x": 1, "n_z": 1}}
@@ -767,7 +768,13 @@ def test_sweep_refuses_before_any_row_runs(tmp_path, capsys, monkeypatch):
             ({**good, "classical": {"family": "hamming74", "params": {"l": 9}}},
              "sweep pair 2: hamming74 does not take parameter 'l'"),
             ({**good, "quantum": {"family": "q_complex", "params": {"hhat": rep, "path": "h.pcm"}}},
-             "sweep pair 2: q_complex does not take parameter 'path' with 'hhat'")):
+             "sweep pair 2: q_complex does not take parameter 'path' with 'hhat'"),
+            ({**good, "quantum": {**css, "params": {**css["params"], "seed": 5}}},
+             "sweep pair 2: random_css sets 'seed'; a sweep takes each seed from the pair's 'seeds'"),
+            ({**good, "quantum": {"family": "q_complex", "params": {"hhat": {
+                "family": "random_ldpc",
+                "params": {"t": 4, "s": 2, "row_w": 2, "col_w": 2, "seed": 0}}}}},
+             "sweep pair 2: random_ldpc sets 'seed'; a sweep takes each seed from the pair's 'seeds'")):
         job.write_text(json.dumps({"pairs": [good, pair]}))
         code, _, err = run(capsys, "sweep", str(job), "-o", str(out))
         assert (code, err) == (2, f"error: {message}\n"), pair

@@ -1,4 +1,5 @@
 import random
+from io import BytesIO
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,9 +34,17 @@ from cssbalance import (
 )
 from cssbalance import gf2
 from cssbalance.gf2 import _DENSE_SPAN, _read_rows
-from conftest import rand_matrix
+from conftest import SMALL_CHUNKS, rand_matrix
 
 H3 = BitMatrix.from_strings(["110", "011"])
+
+
+def read_rows(data: bytes, at: int, rows: int, cols: int, nl: bytes):
+    """_read_rows of data from byte at; None unless the rows end the data."""
+    stream = BytesIO(data)
+    stream.seek(at)
+    vals = _read_rows(stream, rows, cols, nl)
+    return None if vals is None or stream.read() else vals
 
 
 def test_constructor_checks_dimensions_and_rows():
@@ -498,7 +507,7 @@ def test_write_pcm_escaped_newline_is_the_replaced_text(a):
         data = write_pcm(a, nl)
         assert type(data) is bytes and data == text.encode().replace(b"\n", nl)
         body = data.index(nl) + len(nl)
-        rows = _read_rows(b"#" + data, body + 1, len(data) + 1, a.rows, a.cols, nl)
+        rows = read_rows(b"#" + data, body + 1, a.rows, a.cols, nl)
         assert rows == list(a.row_ints())
     assert parse_pcm(write_pcm(a, b"\n")) == a
 
@@ -526,11 +535,6 @@ def test_parse_pcm_rejects_bad_rows_by_text(cols):
         assert str(exc.value) == f"bad matrix row: {line!r}"
 
 
-# Chunks of a few bytes hold one row or a few, so every row boundary is
-# also a chunk boundary somewhere.
-SMALL_CHUNKS = [1, 4, 9, 23]
-
-
 @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
 def test_chunked_reader_matches_character_reader(monkeypatch, rng, chunk):
     monkeypatch.setattr(gf2, "_CHUNK_BYTES", chunk)
@@ -547,7 +551,7 @@ def test_chunked_reader_matches_character_reader(monkeypatch, rng, chunk):
         assert parse_pcm(commented).row_ints() == want
         data = write_pcm(a, b"\\n")
         body = data.index(b"\\n") + 2
-        assert tuple(_read_rows(data, body, len(data), a.rows, a.cols, b"\\n")) == want
+        assert tuple(read_rows(data, body, a.rows, a.cols, b"\\n")) == want
 
 
 # Row texts of an escaped newline that hold only 0/1 and the escapes'
@@ -564,9 +568,9 @@ def test_chunked_reader_refuses_misplaced_escapes(monkeypatch, chunk):
     each byte of the escape is checked in its place."""
     monkeypatch.setattr(gf2, "_CHUNK_BYTES", chunk)
     for data, rows, cols in MISPLACED_ESCAPES:
-        assert _read_rows(data, 0, len(data), rows, cols, b"\\n") is None
+        assert read_rows(data, 0, rows, cols, b"\\n") is None
     data = b"3 2\\n01\\n11\\n10\\n"
-    assert _read_rows(data, 5, len(data), 3, 2, b"\\n") == [2, 3, 1]
+    assert read_rows(data, 5, 3, 2, b"\\n") == [2, 3, 1]
 
 
 @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
